@@ -2,7 +2,7 @@
 
 .PHONY: build test lint bench bench-replay bench-fleet bench-fleet-gate \
         bench-lint bench-net bench-swarm bench-swarm-gate bench-memo \
-        bench-memo-gate bench-lifecycle examples clean
+        bench-memo-gate bench-lifecycle bench-e2e-smoke examples clean
 
 build:
 	dune build @all
@@ -67,6 +67,12 @@ bench-memo-gate:
 # versions' plans hot in the LRU (BENCH_lifecycle.json)
 bench-lifecycle:
 	dune exec bench/main.exe -- lifecycle
+
+# End-to-end gateway benchmark at 1 s per workload: the TCP gateway
+# serves all four workloads and every verdict is checked; a wrong verdict
+# exits non-zero (bench/e2e/README.md)
+bench-e2e-smoke:
+	dune build @bench/e2e/smoke
 
 examples:
 	dune exec examples/quickstart.exe

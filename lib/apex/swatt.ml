@@ -426,7 +426,7 @@ let install ~key layout device =
              Some (Char.code key64.[addr - key_base])
            else Some 0);
       dev_write = (fun _ _ -> ());
-      dev_tick = (fun _ -> ()) };
+      dev_tick = Memory.no_tick };
   (* memory-mapped EXEC flag *)
   let monitor = Device.monitor device in
   Memory.attach mem
@@ -434,7 +434,7 @@ let install ~key layout device =
       dev_lo = exec_reg; dev_hi = exec_reg;
       dev_read = (fun _ -> Some (if Monitor.exec_flag monitor then 1 else 0));
       dev_write = (fun _ _ -> ());
-      dev_tick = (fun _ -> ()) };
+      dev_tick = Memory.no_tick };
   { entry = M.Assemble.symbol image "__swatt"; rom_lo; rom_hi; layout }
 
 let pad_challenge challenge =

@@ -66,10 +66,7 @@ let is_ret i =
   | P.Two (Isa.MOV, Isa.Word, P.Ind_inc r, P.Reg 0) -> r = Isa.sp
   | _ -> false
 
-let concrete_is_ret i =
-  match i with
-  | Isa.Two (Isa.MOV, Isa.Word, Isa.Sindirect_inc r, Isa.Dreg 0) -> r = Isa.sp
-  | _ -> false
+let concrete_is_ret i = Isa.control i = Isa.Ret
 
 let build ?(variant = Full) ?(dfa_config = Dfa.default_config)
     ?(cfa_config = T.default_config) ?(data = []) ?(critical = [])
@@ -117,6 +114,11 @@ let build ?(variant = Full) ?(dfa_config = Dfa.default_config)
   let er_min = Assemble.symbol image op_start_symbol in
   let er_max = Assemble.symbol image "__op_end" - 1 in
   if er_max < er_min then fail "empty operation";
+  (* the caller is assembled at a fixed address: an operation reaching it
+     would be overwritten in the image *)
+  if er_max >= caller_base then
+    fail "operation overruns the caller at 0x%04x (ER ends at 0x%04x)"
+      caller_base er_max;
   (* the legal APEX exit: the last ret inside ER *)
   let er_exit =
     List.fold_left

@@ -311,7 +311,7 @@ let attach_oracle_ref mem cpu oplog_ref last =
       dev_lo = 0x0000; dev_hi = 0x01FF;
       dev_read = (fun addr -> Some (byte_of addr));
       dev_write = (fun _ _ -> ());
-      dev_tick = (fun _ -> ()) }
+      dev_tick = Memory.no_tick }
 
 let attach_oracle mem cpu oplog = attach_oracle_ref mem cpu (ref oplog) (ref None)
 
@@ -362,15 +362,14 @@ let bind_scratch scratch p oplog =
     scratch.sc_state <- Some ss;
     ss
 
-let is_ret = Pipeline.concrete_is_ret
-
 (* The replay proper: everything that touches attacker-controlled OR bytes.
    [Invalid_argument] from the log view (a report whose OR data cannot back
    the claimed layout) is caught by the caller and turned into a finding.
 
    The loop runs on {!Cpu.step_raw}: the CPU writes each step's result into
-   a reusable record and the access trace stays packed inside {!Memory},
-   consumed via the allocation-free iterator. Per-step [step] records are
+   a reusable record, and the detectors read the step's packed access trace
+   in place ({!Memory.trace}). A step that neither writes the OR, calls,
+   returns nor faults allocates nothing here. Per-step [step] records are
    only materialized when [keep_trace] is set — policies need them, so it
    is forced on when the plan carries any. *)
 let replay ?(keep_trace = true) ?scratch p report =
@@ -404,109 +403,108 @@ let replay ?(keep_trace = true) ?scratch p report =
   let shadow = ref [] in
   let diverged = ref false in
   let in_or addr = addr >= layout.or_min && addr <= layout.or_max + 1 in
-  let step_index = ref 0 in
   let raw = Cpu.raw cpu in
-  (* current-step context for the preallocated access callback *)
-  let cur_pc = ref 0 and cur_sites = ref [] in
-  (* log pushes: compare against the authenticated log *)
-  let on_access kind addr _size value =
-    match kind with
-    | Memory.Fetch | Memory.Read -> ()
-    | Memory.Write ->
-      if in_or addr then begin
+  let tr = Memory.trace mem in
+  let sites = p.plan_sites in
+  (* packed trace fields, see Memory.trace *)
+  let kind a = (a lsr 32) land 0x3 and addr_of a = (a lsr 16) land 0xFFFF in
+  let rec log_value value l =
+    match l with
+    | [] -> ()
+    | Log_cf :: rest -> cf_dests := value :: !cf_dests; log_value value rest
+    | Log_input :: rest -> inputs := value :: !inputs; log_value value rest
+    | (Store_bounds _ | Load_bounds _) :: rest -> log_value value rest
+  in
+  (* log pushes: compare every OR write against the authenticated log *)
+  let check_log_writes idx pc item_sites =
+    for i = 0 to tr.Memory.tr_len - 1 do
+      let a = Array.unsafe_get tr.Memory.tr_buf i in
+      let addr = addr_of a in
+      if kind a = 2 && in_or addr then begin
+        let value = a land 0xFFFF in
         let device_value = Oplog.word_at oplog addr in
         if device_value <> value then begin
           add (Log_divergence
-                 { step = !step_index; pc = !cur_pc; addr;
-                   device_value; replay_value = value });
+                 { step = idx; pc; addr; device_value; replay_value = value });
           diverged := true
         end
-        else
-          List.iter
-            (fun s ->
-               match s with
-               | Log_cf -> cf_dests := value :: !cf_dests
-               | Log_input -> inputs := value :: !inputs
-               | Store_bounds _ | Load_bounds _ -> ())
-            !cur_sites
+        else log_value value item_sites
       end
+    done
   in
-  let process () =
-    let idx = !step_index in
+  (* out-of-bounds object accesses, from compiler annotations *)
+  let scan_bounds pc ~write array lo hi =
+    for i = 0 to tr.Memory.tr_len - 1 do
+      let a = Array.unsafe_get tr.Memory.tr_buf i in
+      let addr = addr_of a in
+      if write then begin
+        if kind a = 2 && (not (in_or addr)) && (addr < lo || addr > hi) then add (Oob_access { pc; kind = `Write; array; ea = addr; lo; hi })
+      end
+      else if kind a = 1 && (addr < lo || addr > hi) then
+        add (Oob_access { pc; kind = `Read; array; ea = addr; lo; hi })
+    done
+  in
+  let rec check_bounds pc l =
+    match l with
+    | [] -> ()
+    | Store_bounds { array; lo; hi } :: rest ->
+      scan_bounds pc ~write:true array lo hi;
+      check_bounds pc rest
+    | Load_bounds { array; lo; hi } :: rest ->
+      scan_bounds pc ~write:false array lo hi;
+      check_bounds pc rest
+    | (Log_cf | Log_input) :: rest -> check_bounds pc rest
+  in
+  let step idx =
+    Cpu.step_raw cpu;
     let pc = raw.Cpu.raw_pc_before in
-    let pc_after = raw.Cpu.raw_pc_after in
-    let executed = raw.Cpu.raw_executed in
+    let item_sites =
+      if pc land 1 = 0 then Array.unsafe_get sites (pc lsr 1) else []
+    in
     if keep_trace then
       steps :=
         { s_index = idx; s_pc = pc;
-          s_instr = (if executed then Some raw.Cpu.raw_instr else None);
-          s_pc_after = pc_after; s_accesses = Memory.step_trace mem }
+          s_instr =
+            (if raw.Cpu.raw_executed then Some (Cpu.raw_instr cpu) else None);
+          s_pc_after = raw.Cpu.raw_pc_after;
+          s_accesses = Memory.step_trace mem }
         :: !steps;
-    let item_sites =
-      if pc land 1 = 0 then Array.unsafe_get p.plan_sites (pc lsr 1) else []
-    in
-    cur_pc := pc;
-    cur_sites := item_sites;
-    Memory.iter_step_trace mem on_access;
-    incr step_index;
+    if tr.Memory.tr_len > 0 then check_log_writes idx pc item_sites;
     (* shadow call stack — only a retired instruction can push or pop;
        IRQ vectoring and a decode fault execute no instruction at all *)
-    if executed then begin
-      match raw.Cpu.raw_instr with
-      | Isa.One (Isa.CALL, _, _) as i ->
-        shadow := (pc + Isa.instr_size_bytes i) :: !shadow
-      | i when is_ret i ->
-        (match !shadow with
-         | expected :: rest ->
-           shadow := rest;
-           if pc_after <> expected then
-             add (Shadow_stack_violation
-                    { pc; expected = Some expected; actual = pc_after })
-         | [] ->
-           (* return with no matching call: a return-into-the-operation
-              forged frame — there is no legitimate way to pop past the
-              caller's own call *)
-           add (Shadow_stack_violation
-                  { pc; expected = None; actual = pc_after }))
-      | _ -> ()
-    end;
-    (* out-of-bounds object accesses, from compiler annotations *)
-    List.iter
-      (fun s ->
-         match s with
-         | Store_bounds { array; lo; hi } ->
-           Memory.iter_step_trace mem
-             (fun kind addr _size _value ->
-                match kind with
-                | Memory.Write when not (in_or addr)
-                                    && (addr < lo || addr > hi) ->
-                  add (Oob_access
-                         { pc; kind = `Write; array; ea = addr; lo; hi })
-                | _ -> ())
-         | Load_bounds { array; lo; hi } ->
-           Memory.iter_step_trace mem
-             (fun kind addr _size _value ->
-                match kind with
-                | Memory.Read when addr < lo || addr > hi ->
-                  add (Oob_access
-                         { pc; kind = `Read; array; ea = addr; lo; hi })
-                | _ -> ())
-         | Log_cf | Log_input -> ())
-      item_sites
+    (match raw.Cpu.raw_control with
+     | Isa.Plain -> ()
+     | Isa.Call ->
+       shadow := (pc + Isa.instr_size_bytes (Cpu.raw_instr cpu)) :: !shadow
+     | Isa.Ret ->
+       let actual = raw.Cpu.raw_pc_after in
+       (match !shadow with
+        | expected :: rest ->
+          shadow := rest;
+          if actual <> expected then
+            add (Shadow_stack_violation
+                   { pc; expected = Some expected; actual })
+        | [] ->
+          (* return with no matching call: a return-into-the-operation
+             forged frame — there is no legitimate way to pop past the
+             caller's own call *)
+          add (Shadow_stack_violation { pc; expected = None; actual })));
+    match item_sites with [] -> () | l -> check_bounds pc l
   in
+  (* [raw_halted] is false before the first step and, after each step, says
+     whether it latched a halt — so [Cpu.halted] is only consulted then *)
   let rec run n =
     if n >= p.plan_max_steps then Some "replay exceeded its step budget"
     else if !diverged then Some "replay diverged from the received log"
     else
-      match Cpu.halted cpu with
+      match if raw.Cpu.raw_halted then Cpu.halted cpu else None with
       | Some (Cpu.Self_jump a) when a = p.plan_caller_ret -> None
       | Some (Cpu.Self_jump a) ->
         Some (Printf.sprintf "replay halted in an abort loop at 0x%04x" a)
       | Some (Cpu.Bad_opcode (a, w)) ->
         Some (Printf.sprintf "replay hit invalid opcode 0x%04x at 0x%04x" w a)
       | None ->
-        Cpu.step_raw cpu;
-        process ();
+        step n;
         run (n + 1)
   in
   let replay_error = run 0 in
@@ -515,7 +513,7 @@ let replay ?(keep_trace = true) ?scratch p report =
    | _ -> ());
   let trace =
     { steps = List.rev !steps;
-      step_count = !step_index;
+      step_count = Cpu.steps cpu;
       cf_dests = List.rev !cf_dests;
       inputs = List.rev !inputs;
       final_r4 = Cpu.get_reg cpu 4;

@@ -294,15 +294,19 @@ type stream = {
   st_window : int;
   st_mutex : Mutex.t;
   st_progress : Condition.t;         (* a verdict landed *)
-  mutable st_results : verdict option array;  (* indexed by submission seq *)
+  (* ring of the unpolled verdicts: seq [st_polled <= seq < st_submitted]
+     lives at [seq land (length - 1)]; the length is a power of two that
+     grows with the unpolled count, and a slot is cleared once polled *)
+  mutable st_results : verdict option array;
   mutable st_submitted : int;
   mutable st_inflight : int;
-  mutable st_polled : int;           (* next index stream_poll hands out *)
+  mutable st_polled : int;           (* next seq stream_poll hands out *)
   mutable st_exn : exn option;
   mutable st_closed : bool;
   mutable st_on_progress : (unit -> unit) option;
   st_t0 : float;
-  (* running aggregates for non-destructive snapshots *)
+  (* running aggregates over every verdict that landed: the snapshot and
+     the close summary are built from these, not from the verdicts *)
   mutable st_accepted : int;
   mutable st_rejected : int;
   mutable st_steps : int;
@@ -389,13 +393,16 @@ let stream_memo_counts st =
 let enqueue_locked ?digest ?plan st device_id report =
   let slot = slot_for_locked st plan in
   let seq = st.st_submitted in
-  st.st_submitted <- seq + 1;
-  st.st_inflight <- st.st_inflight + 1;
-  if seq >= Array.length st.st_results then begin
-    let bigger = Array.make (2 * Array.length st.st_results) None in
-    Array.blit st.st_results 0 bigger 0 (Array.length st.st_results);
+  let len = Array.length st.st_results in
+  if seq - st.st_polled = len then begin
+    let bigger = Array.make (2 * len) None in
+    for q = st.st_polled to seq - 1 do
+      bigger.(q land ((2 * len) - 1)) <- st.st_results.(q land (len - 1))
+    done;
     st.st_results <- bigger
   end;
+  st.st_submitted <- seq + 1;
+  st.st_inflight <- st.st_inflight + 1;
   Mutex.unlock st.st_mutex;
   fun () ->
     let result =
@@ -408,7 +415,7 @@ let enqueue_locked ?digest ?plan st device_id report =
     Mutex.lock st.st_mutex;
     (match result with
      | Ok v ->
-       st.st_results.(seq) <- Some v;
+       st.st_results.(seq land (Array.length st.st_results - 1)) <- Some v;
        st.st_steps <- st.st_steps + v.replay_steps;
        if v.accepted then st.st_accepted <- st.st_accepted + 1
        else begin
@@ -469,25 +476,31 @@ let stream_on_progress st cb =
   st.st_on_progress <- cb;
   Mutex.unlock st.st_mutex
 
-let stream_snapshot st =
-  Mutex.lock st.st_mutex;
-  let m =
-    { Metrics.domains = Pool.domains st.st_pool;
-      batch_size = st.st_submitted;
-      accepted = st.st_accepted;
-      rejected = st.st_rejected;
-      replay_steps = st.st_steps;
-      wall_seconds = Unix.gettimeofday () -. st.st_t0;
-      rejects_by_kind =
-        List.sort compare
-          (Hashtbl.fold (fun k n acc -> (k, n) :: acc) st.st_kinds []);
-      memo_hits = 0; memo_misses = 0; memo_evictions = 0 }
-  in
-  Mutex.unlock st.st_mutex;
-  (* memo counters live outside st_mutex (Atomics + the memo's own
-     locks); read them after releasing it to keep lock order flat *)
+(* The running aggregates as metrics, memo counters still zero. Call with
+   [st_mutex] held. *)
+let metrics_locked st =
+  { Metrics.domains = Pool.domains st.st_pool;
+    batch_size = st.st_submitted;
+    accepted = st.st_accepted;
+    rejected = st.st_rejected;
+    replay_steps = st.st_steps;
+    wall_seconds = Unix.gettimeofday () -. st.st_t0;
+    rejects_by_kind =
+      List.sort compare
+        (Hashtbl.fold (fun k n acc -> (k, n) :: acc) st.st_kinds []);
+    memo_hits = 0; memo_misses = 0; memo_evictions = 0 }
+
+(* memo counters live outside st_mutex (Atomics + the memo's own locks);
+   read them after releasing it to keep lock order flat *)
+let with_memo_counts st m =
   let memo_hits, memo_misses, memo_evictions = stream_memo_counts st in
   { m with Metrics.memo_hits; memo_misses; memo_evictions }
+
+let stream_snapshot st =
+  Mutex.lock st.st_mutex;
+  let m = metrics_locked st in
+  Mutex.unlock st.st_mutex;
+  with_memo_counts st m
 
 let stream_pending st =
   Mutex.lock st.st_mutex;
@@ -495,14 +508,18 @@ let stream_pending st =
   Mutex.unlock st.st_mutex;
   n
 
-(* Collect the in-order prefix of completed, not-yet-polled verdicts.
-   Call with [st_mutex] held. *)
+(* Collect the in-order prefix of completed, not-yet-polled verdicts,
+   clearing their slots. Call with [st_mutex] held. *)
 let take_ready st =
   let out = ref [] in
   let continue = ref true in
   while !continue && st.st_polled < st.st_submitted do
-    match st.st_results.(st.st_polled) with
-    | Some v -> out := v :: !out; st.st_polled <- st.st_polled + 1
+    let i = st.st_polled land (Array.length st.st_results - 1) in
+    match st.st_results.(i) with
+    | Some v ->
+      out := v :: !out;
+      st.st_results.(i) <- None;
+      st.st_polled <- st.st_polled + 1
     | None -> continue := false
   done;
   List.rev !out
@@ -543,23 +560,15 @@ let stream_close st =
   end;
   st.st_closed <- true;
   help_while st (fun () -> st.st_inflight > 0);
-  let wall_seconds = Unix.gettimeofday () -. st.st_t0 in
   let failure = st.st_exn in
-  let n = st.st_submitted in
-  let results = st.st_results in
+  let metrics = metrics_locked st in
+  (* inflight drained: unless a replay raised, the whole unpolled suffix
+     has landed and [take_ready] hands it all out *)
+  let verdicts = match failure with None -> take_ready st | Some _ -> [] in
   Mutex.unlock st.st_mutex;
   if st.st_owned then Pool.shutdown st.st_pool;
   (match failure with Some e -> raise e | None -> ());
-  let verdicts =
-    List.init n (fun i ->
-        match results.(i) with
-        | Some v -> v
-        | None -> assert false (* inflight drained and no exn recorded *))
-  in
-  let s = summarize ~domains:(Pool.domains st.st_pool) ~wall_seconds verdicts in
-  let memo_hits, memo_misses, memo_evictions = stream_memo_counts st in
-  { s with
-    metrics = { s.metrics with Metrics.memo_hits; memo_misses; memo_evictions } }
+  { verdicts; metrics = with_memo_counts st metrics }
 
 let verify_stream ?domains ?pool ?window ?memo plan batch =
   let st = stream ?domains ?pool ?window ?memo plan in

@@ -158,16 +158,21 @@ val stream_wake : stream -> unit
 
 val stream_close : stream -> summary
 (** Drain everything in flight (helping the pool), shut the pool down if
-    the stream owns it, and return the summary over {e all} submitted
-    reports in submission order — including verdicts already handed out
-    by {!stream_poll}. [wall_seconds] spans stream open to drain. *)
+    the stream owns it, and return the summary. Its [metrics] cover
+    {e all} submitted reports, taken from the running aggregates
+    {!stream_snapshot} reads; its [verdicts] are only those never handed
+    out by {!stream_poll}, in submission order. A stream keeps no verdict
+    once it has been polled, so a long-lived polled stream holds memory
+    proportional to its unpolled backlog, not to its lifetime.
+    [wall_seconds] spans stream open to drain. *)
 
 val verify_stream :
   ?domains:int -> ?pool:Pool.t -> ?window:int -> ?memo:Memo.t ->
   Plan.t -> (string * Dialed_apex.Pox.report) list -> summary
 (** [stream] + submit each pair + [stream_close]: batch semantics over
-    the streaming path. Summaries are verdict-identical to
-    {!verify_batch} on the same input (pinned by [test_fleet]). *)
+    the streaming path. Nothing is polled, so the summary holds every
+    verdict; summaries are verdict-identical to {!verify_batch} on the
+    same input (pinned by [test_fleet]). *)
 
 val accepted : summary -> verdict list
 val rejected : summary -> verdict list

@@ -14,29 +14,48 @@ type step_info = {
 type raw = {
   mutable raw_pc_before : int;
   mutable raw_pc_after : int;
-  mutable raw_instr : Isa.instr; (* meaningful iff [raw_executed] *)
   mutable raw_executed : bool;
+  mutable raw_control : Isa.control;
+  mutable raw_halted : bool;
   mutable raw_irq_taken : bool;
   mutable raw_cycles : int;
 }
 
+(* Every field a step writes is an int or an immediate constructor, so a
+   step pays no write barrier. The retired instruction is kept as its
+   decode-cache slot; [last_instr], a pointer, is written only on the
+   byte-level decode path. *)
 type t = {
   regs : int array;
   mem : Memory.t;
+  code : Memory.code;    (* [mem]'s code view *)
+  trace : Memory.trace;  (* [mem]'s access trace *)
   mutable total_cycles : int;
   mutable total_steps : int;
   mutable halt : halt_reason option;
   mutable irq : int option; (* pending vector *)
   raw : raw;
+  mutable last_slot : int;  (* slot of the last retired instruction, or -1 *)
+  mutable last_instr : Isa.instr;  (* it, when [last_slot = -1] *)
 }
 
 let create mem =
-  { regs = Array.make 16 0; mem; total_cycles = 0; total_steps = 0;
+  { regs = Array.make 16 0; mem; code = Memory.code mem;
+    trace = Memory.trace mem; total_cycles = 0; total_steps = 0;
     halt = None; irq = None;
-    raw = { raw_pc_before = 0; raw_pc_after = 0; raw_instr = Isa.Reti;
-            raw_executed = false; raw_irq_taken = false; raw_cycles = 0 } }
+    raw = { raw_pc_before = 0; raw_pc_after = 0; raw_executed = false;
+            raw_control = Isa.Plain; raw_halted = false;
+            raw_irq_taken = false; raw_cycles = 0 };
+    last_slot = -1; last_instr = Isa.Reti }
 
 let raw t = t.raw
+
+let raw_instr t =
+  if t.last_slot < 0 then t.last_instr
+  else
+    match t.code.Memory.code_entries.(t.last_slot) with
+    | Some e -> e.Decode_cache.dc_instr
+    | None -> invalid_arg "Cpu.raw_instr: decode cache replaced since the step"
 
 let reset t =
   Array.fill t.regs 0 16 0;
@@ -44,12 +63,16 @@ let reset t =
   t.total_steps <- 0;
   t.halt <- None;
   t.irq <- None;
-  t.raw.raw_pc_before <- 0;
-  t.raw.raw_pc_after <- 0;
-  t.raw.raw_instr <- Isa.Reti;
-  t.raw.raw_executed <- false;
-  t.raw.raw_irq_taken <- false;
-  t.raw.raw_cycles <- 0
+  t.last_slot <- -1;
+  t.last_instr <- Isa.Reti;
+  let r = t.raw in
+  r.raw_pc_before <- 0;
+  r.raw_pc_after <- 0;
+  r.raw_executed <- false;
+  r.raw_control <- Isa.Plain;
+  r.raw_halted <- false;
+  r.raw_irq_taken <- false;
+  r.raw_cycles <- 0
 
 let memory t = t.mem
 let cycles t = t.total_cycles
@@ -59,34 +82,58 @@ let reset_halt t = t.halt <- None
 
 let get_reg t r = t.regs.(r)
 
+(* Masks are written out here and below rather than taken from [Word]:
+   dune's dev profile compiles with [-opaque], so a call into another
+   module is never inlined. *)
 let set_reg t r v =
   if r = Isa.pc then t.regs.(r) <- v land 0xFFFE
-  else t.regs.(r) <- Word.mask16 v
+  else t.regs.(r) <- v land 0xFFFF
 
 (* Status register bits. *)
-let bit_of_flag f =
-  match f with `C -> 0 | `Z -> 1 | `N -> 2 | `GIE -> 3 | `V -> 8
+let c_bit = 0x001
+let z_bit = 0x002
+let n_bit = 0x004
+let gie_bit = 0x008
+let v_bit = 0x100
+let cnzv = c_bit lor z_bit lor n_bit lor v_bit
+let cnz = c_bit lor z_bit lor n_bit
 
-let get_flag t f = Word.bit (bit_of_flag f) t.regs.(Isa.sr)
+let bit_of_flag f =
+  match f with
+  | `C -> c_bit | `Z -> z_bit | `N -> n_bit | `GIE -> gie_bit | `V -> v_bit
+
+let get_flag t f = t.regs.(Isa.sr) land bit_of_flag f <> 0
 
 let set_flag t f b =
-  t.regs.(Isa.sr) <- Word.set_bit (bit_of_flag f) b t.regs.(Isa.sr)
+  let m = bit_of_flag f in
+  let sr = t.regs.(Isa.sr) in
+  t.regs.(Isa.sr) <- (if b then sr lor m else sr land lnot m)
+
+(* Replace the flags in [which] with [flags], in one store. *)
+let set_flags t which flags =
+  t.regs.(Isa.sr) <- (t.regs.(Isa.sr) land lnot which) lor flags
+
+let carry t = t.regs.(Isa.sr) land c_bit
 
 let request_irq t ~vector = t.irq <- Some vector
 let irq_pending t = t.irq <> None
 
-let mask size v = match size with Isa.Byte -> Word.mask8 v | Isa.Word -> Word.mask16 v
-let is_neg size v = match size with Isa.Byte -> Word.is_neg8 v | Isa.Word -> Word.is_neg16 v
-let msb_carry size = match size with Isa.Byte -> 0x100 | Isa.Word -> 0x10000
+(* An operation of size [Byte] or [Word] works under value mask [m] and
+   sign bit [s]. *)
+let mask_of size = match size with Isa.Byte -> 0xFF | Isa.Word -> 0xFFFF
+let sign_of size = match size with Isa.Byte -> 0x80 | Isa.Word -> 0x8000
 
-(* Effective address of a memory source operand, applying auto-increment.
-   Returns [None] for operands that are not memory (register / immediate). *)
+let nz m s r =
+  (if r land s <> 0 then n_bit else 0) lor (if r land m = 0 then z_bit else 0)
+
+(* Effective address of a memory source operand, applying auto-increment;
+   -1 for operands that are not memory (register / immediate). *)
 let src_ea t size s =
   match s with
-  | Isa.Sreg _ | Isa.Simm _ -> None
-  | Isa.Sindexed (x, r) -> Some (Word.mask16 (t.regs.(r) + x))
-  | Isa.Sabsolute a -> Some (Word.mask16 a)
-  | Isa.Sindirect r -> Some t.regs.(r)
+  | Isa.Sreg _ | Isa.Simm _ -> -1
+  | Isa.Sindexed (x, r) -> (t.regs.(r) + x) land 0xFFFF
+  | Isa.Sabsolute a -> a land 0xFFFF
+  | Isa.Sindirect r -> t.regs.(r)
   | Isa.Sindirect_inc r ->
     let ea = t.regs.(r) in
     let inc =
@@ -94,213 +141,191 @@ let src_ea t size s =
       | Isa.Byte when r <> Isa.pc && r <> Isa.sp -> 1
       | Isa.Byte | Isa.Word -> 2
     in
-    t.regs.(r) <- Word.mask16 (t.regs.(r) + inc);
-    Some ea
+    t.regs.(r) <- (ea + inc) land 0xFFFF;
+    ea
 
-let src_value t size s =
+(* A source operand is a register, memory at [ea], or a constant.
+   Single-operand instructions also write their result back through it;
+   a constant's result is discarded. *)
+let read_src t size m s ea =
   match s with
-  | Isa.Sreg r -> mask size t.regs.(r)
-  | Isa.Simm n -> mask size n
-  | s ->
-    (match src_ea t size s with
-     | Some ea -> Memory.read t.mem size ea
-     | None -> assert false)
+  | Isa.Sreg r -> t.regs.(r) land m
+  | Isa.Simm n -> n land m
+  | Isa.Sindexed _ | Isa.Sabsolute _ | Isa.Sindirect _ | Isa.Sindirect_inc _ ->
+    Memory.read t.mem size ea
+
+let src_value t size m s = read_src t size m s (src_ea t size s)
+
+let write_src t size m s ea v =
+  match s with
+  | Isa.Sreg r -> set_reg t r (v land m)
+  | Isa.Simm _ -> ()
+  | Isa.Sindexed _ | Isa.Sabsolute _ | Isa.Sindirect _ | Isa.Sindirect_inc _ ->
+    Memory.write t.mem size ea v
 
 let dst_ea t d =
   match d with
-  | Isa.Dreg _ -> None
-  | Isa.Dindexed (x, r) -> Some (Word.mask16 (t.regs.(r) + x))
-  | Isa.Dabsolute a -> Some (Word.mask16 a)
+  | Isa.Dreg _ -> -1
+  | Isa.Dindexed (x, r) -> (t.regs.(r) + x) land 0xFFFF
+  | Isa.Dabsolute a -> a land 0xFFFF
 
-let read_dst t size d ea =
-  match d, ea with
-  | Isa.Dreg r, _ -> mask size t.regs.(r)
-  | _, Some ea -> Memory.read t.mem size ea
-  | _, None -> assert false
+let read_dst t size m d ea =
+  match d with
+  | Isa.Dreg r -> t.regs.(r) land m
+  | Isa.Dindexed _ | Isa.Dabsolute _ -> Memory.read t.mem size ea
 
-let write_dst t size d ea v =
-  match d, ea with
-  | Isa.Dreg r, _ ->
+let write_dst t size m d ea v =
+  match d with
+  | Isa.Dreg r ->
     (* Byte writes to a register clear the high byte. *)
-    set_reg t r (mask size v)
-  | _, Some ea -> Memory.write t.mem size ea v
-  | _, None -> assert false
+    set_reg t r (v land m)
+  | Isa.Dindexed _ | Isa.Dabsolute _ -> Memory.write t.mem size ea v
 
-let set_nz t size r =
-  set_flag t `N (is_neg size r);
-  set_flag t `Z (mask size r = 0)
-
-let add_common t size a b carry_in =
-  let raw = a + b + carry_in in
-  let r = mask size raw in
-  set_flag t `C (raw >= msb_carry size);
-  set_flag t `V (is_neg size a = is_neg size b && is_neg size r <> is_neg size a);
-  set_nz t size r;
+let add t m s a b carry_in =
+  let sum = a + b + carry_in in
+  let r = sum land m in
+  set_flags t cnzv
+    ((if sum > m then c_bit else 0)
+     lor (if a land s = b land s && r land s <> a land s then v_bit else 0)
+     lor nz m s r);
   r
 
 (* dst - src = dst + ~src + 1; SUBC uses the carry instead of the 1. *)
-let sub_common t size src dst carry_in =
-  let nsrc = mask size (lnot src) in
-  let raw = dst + nsrc + carry_in in
-  let r = mask size raw in
-  set_flag t `C (raw >= msb_carry size);
-  set_flag t `V (is_neg size dst <> is_neg size src && is_neg size r <> is_neg size dst);
-  set_nz t size r;
+let sub t m s src dst carry_in =
+  let sum = dst + (lnot src land m) + carry_in in
+  let r = sum land m in
+  set_flags t cnzv
+    ((if sum > m then c_bit else 0)
+     lor (if dst land s <> src land s && r land s <> dst land s then v_bit
+          else 0)
+     lor nz m s r);
   r
 
-let dadd_common t size a b carry_in =
-  let digits = match size with Isa.Byte -> 2 | Isa.Word -> 4 in
-  let rec loop i carry acc =
-    if i >= digits then (acc, carry)
-    else
-      let da = (a lsr (4 * i)) land 0xF and db = (b lsr (4 * i)) land 0xF in
-      let s = da + db + carry in
-      let s, carry = if s > 9 then (s - 10, 1) else (s, 0) in
-      loop (i + 1) carry (acc lor (s lsl (4 * i)))
-  in
-  let r, carry = loop 0 carry_in 0 in
-  set_flag t `C (carry = 1);
-  set_nz t size r;
+(* Decimal add digit by digit; V is left as it was. *)
+let dadd t m s a b carry_in =
+  let digits = if m = 0xFF then 2 else 4 in
+  let carry = ref carry_in and acc = ref 0 in
+  for i = 0 to digits - 1 do
+    let d = ((a lsr (4 * i)) land 0xF) + ((b lsr (4 * i)) land 0xF) + !carry in
+    if d > 9 then begin
+      acc := !acc lor ((d - 10) lsl (4 * i));
+      carry := 1
+    end
+    else begin
+      acc := !acc lor (d lsl (4 * i));
+      carry := 0
+    end
+  done;
+  let r = !acc in
+  set_flags t cnz ((if !carry = 1 then c_bit else 0) lor nz m s r);
   r
+
+(* BIT, XOR, AND: N and Z from the result, C = result non-zero. *)
+let logic_flags t m s r v =
+  set_flags t cnzv (nz m s r lor (if r land m <> 0 then c_bit else 0) lor v)
 
 let push t size v =
-  set_reg t Isa.sp (t.regs.(Isa.sp) - 2);
+  let sp = (t.regs.(Isa.sp) - 2) land 0xFFFF in
+  t.regs.(Isa.sp) <- sp;
   (* Byte pushes still consume a full word slot. *)
-  Memory.write t.mem size t.regs.(Isa.sp) v
+  Memory.write t.mem size sp v
 
 let exec_two t op size src dst =
-  let sv = src_value t size src in
+  let m = mask_of size and s = sign_of size in
+  let sv = src_value t size m src in
   let ea = dst_ea t dst in
   match op with
-  | Isa.MOV -> write_dst t size dst ea sv
+  | Isa.MOV -> write_dst t size m dst ea sv
   | Isa.ADD ->
-    let dv = read_dst t size dst ea in
-    write_dst t size dst ea (add_common t size dv sv 0)
+    let dv = read_dst t size m dst ea in
+    write_dst t size m dst ea (add t m s dv sv 0)
   | Isa.ADDC ->
-    let dv = read_dst t size dst ea in
-    let c = if get_flag t `C then 1 else 0 in
-    write_dst t size dst ea (add_common t size dv sv c)
+    let dv = read_dst t size m dst ea in
+    write_dst t size m dst ea (add t m s dv sv (carry t))
   | Isa.SUB ->
-    let dv = read_dst t size dst ea in
-    write_dst t size dst ea (sub_common t size sv dv 1)
+    let dv = read_dst t size m dst ea in
+    write_dst t size m dst ea (sub t m s sv dv 1)
   | Isa.SUBC ->
-    let dv = read_dst t size dst ea in
-    let c = if get_flag t `C then 1 else 0 in
-    write_dst t size dst ea (sub_common t size sv dv c)
+    let dv = read_dst t size m dst ea in
+    write_dst t size m dst ea (sub t m s sv dv (carry t))
   | Isa.CMP ->
-    let dv = read_dst t size dst ea in
-    ignore (sub_common t size sv dv 1)
+    let dv = read_dst t size m dst ea in
+    ignore (sub t m s sv dv 1 : int)
   | Isa.DADD ->
-    let dv = read_dst t size dst ea in
-    let c = if get_flag t `C then 1 else 0 in
-    write_dst t size dst ea (dadd_common t size dv sv c)
+    let dv = read_dst t size m dst ea in
+    write_dst t size m dst ea (dadd t m s dv sv (carry t))
   | Isa.BIT ->
-    let dv = read_dst t size dst ea in
-    let r = dv land sv in
-    set_nz t size r;
-    set_flag t `C (mask size r <> 0);
-    set_flag t `V false
+    let dv = read_dst t size m dst ea in
+    logic_flags t m s (dv land sv) 0
   | Isa.BIC ->
-    let dv = read_dst t size dst ea in
-    write_dst t size dst ea (dv land lnot sv)
+    let dv = read_dst t size m dst ea in
+    write_dst t size m dst ea (dv land lnot sv)
   | Isa.BIS ->
-    let dv = read_dst t size dst ea in
-    write_dst t size dst ea (dv lor sv)
+    let dv = read_dst t size m dst ea in
+    write_dst t size m dst ea (dv lor sv)
   | Isa.XOR ->
-    let dv = read_dst t size dst ea in
-    let r = mask size (dv lxor sv) in
-    set_nz t size r;
-    set_flag t `C (r <> 0);
-    set_flag t `V (is_neg size sv && is_neg size dv);
-    write_dst t size dst ea r
+    let dv = read_dst t size m dst ea in
+    let r = (dv lxor sv) land m in
+    logic_flags t m s r (if sv land s <> 0 && dv land s <> 0 then v_bit else 0);
+    write_dst t size m dst ea r
   | Isa.AND ->
-    let dv = read_dst t size dst ea in
-    let r = mask size (dv land sv) in
-    set_nz t size r;
-    set_flag t `C (r <> 0);
-    set_flag t `V false;
-    write_dst t size dst ea r
+    let dv = read_dst t size m dst ea in
+    let r = dv land sv land m in
+    logic_flags t m s r 0;
+    write_dst t size m dst ea r
 
-(* Single-operand instructions that write back do so through the source
-   operand's location. *)
-let write_src t size s ea v =
-  match s, ea with
-  | Isa.Sreg r, _ -> set_reg t r (mask size v)
-  | Isa.Simm _, _ -> () (* rotate of a constant: result discarded *)
-  | _, Some ea -> Memory.write t.mem size ea v
-  | _, None -> assert false
+(* RRC and RRA: shift right one, the new top bit from the carry (RRC) or
+   the old top bit (RRA). *)
+let rotate t size src ~through_carry =
+  let m = mask_of size and s = sign_of size in
+  let ea = src_ea t size src in
+  let v = read_src t size m src ea in
+  let top =
+    if through_carry then (if carry t <> 0 then s else 0) else v land s
+  in
+  let r = top lor (v lsr 1) in
+  set_flags t cnzv ((if v land 1 = 1 then c_bit else 0) lor nz m s r);
+  write_src t size m src ea r
 
 let exec_one t op size src =
   match op with
-  | Isa.RRC ->
-    let ea = src_ea t size src in
-    let v = match src with
-      | Isa.Sreg r -> mask size t.regs.(r)
-      | Isa.Simm n -> mask size n
-      | _ -> Memory.read t.mem size (Option.get ea)
-    in
-    let top = if get_flag t `C then (msb_carry size) lsr 1 else 0 in
-    let r = top lor (v lsr 1) in
-    set_flag t `C (v land 1 = 1);
-    set_flag t `V false;
-    set_nz t size r;
-    write_src t size src ea r
-  | Isa.RRA ->
-    let ea = src_ea t size src in
-    let v = match src with
-      | Isa.Sreg r -> mask size t.regs.(r)
-      | Isa.Simm n -> mask size n
-      | _ -> Memory.read t.mem size (Option.get ea)
-    in
-    let top = v land ((msb_carry size) lsr 1) in
-    let r = top lor (v lsr 1) in
-    set_flag t `C (v land 1 = 1);
-    set_flag t `V false;
-    set_nz t size r;
-    write_src t size src ea r
+  | Isa.RRC -> rotate t size src ~through_carry:true
+  | Isa.RRA -> rotate t size src ~through_carry:false
   | Isa.SWPB ->
     let ea = src_ea t Isa.Word src in
-    let v = match src with
-      | Isa.Sreg r -> t.regs.(r)
-      | Isa.Simm n -> Word.mask16 n
-      | _ -> Memory.read t.mem Isa.Word (Option.get ea)
-    in
-    write_src t Isa.Word src ea (Word.swap_bytes v)
+    let v = read_src t Isa.Word 0xFFFF src ea in
+    write_src t Isa.Word 0xFFFF src ea
+      (((v land 0xFF) lsl 8) lor ((v lsr 8) land 0xFF))
   | Isa.SXT ->
     let ea = src_ea t Isa.Word src in
-    let v = match src with
-      | Isa.Sreg r -> t.regs.(r)
-      | Isa.Simm n -> Word.mask16 n
-      | _ -> Memory.read t.mem Isa.Word (Option.get ea)
+    let v = read_src t Isa.Word 0xFFFF src ea in
+    let r =
+      if v land 0x80 <> 0 then (v lor 0xFF00) land 0xFFFF else v land 0xFF
     in
-    let r = Word.sign_extend8 v in
-    set_nz t Isa.Word r;
-    set_flag t `C (r <> 0);
-    set_flag t `V false;
-    write_src t Isa.Word src ea r
-  | Isa.PUSH ->
-    let v = src_value t size src in
-    push t size v
+    logic_flags t 0xFFFF 0x8000 r 0;
+    write_src t Isa.Word 0xFFFF src ea r
+  | Isa.PUSH -> push t size (src_value t size (mask_of size) src)
   | Isa.CALL ->
-    let dest = src_value t Isa.Word src in
+    let dest = src_value t Isa.Word 0xFFFF src in
     push t Isa.Word t.regs.(Isa.pc);
     set_reg t Isa.pc dest
 
 let cond_taken t c =
+  let sr = t.regs.(Isa.sr) in
   match c with
-  | Isa.JNE -> not (get_flag t `Z)
-  | Isa.JEQ -> get_flag t `Z
-  | Isa.JNC -> not (get_flag t `C)
-  | Isa.JC -> get_flag t `C
-  | Isa.JN -> get_flag t `N
-  | Isa.JGE -> get_flag t `N = get_flag t `V
-  | Isa.JL -> get_flag t `N <> get_flag t `V
+  | Isa.JNE -> sr land z_bit = 0
+  | Isa.JEQ -> sr land z_bit <> 0
+  | Isa.JNC -> sr land c_bit = 0
+  | Isa.JC -> sr land c_bit <> 0
+  | Isa.JN -> sr land n_bit <> 0
+  | Isa.JGE -> (sr land n_bit <> 0) = (sr land v_bit <> 0)
+  | Isa.JL -> (sr land n_bit <> 0) <> (sr land v_bit <> 0)
   | Isa.JMP -> true
 
 let vector_irq t vector =
   push t Isa.Word t.regs.(Isa.pc);
   push t Isa.Word t.regs.(Isa.sr);
-  set_flag t `GIE false;
+  set_flags t gie_bit 0;
   set_reg t Isa.pc (Memory.read t.mem Isa.Word vector)
 
 (* Execute [instr] with pc already advanced to the fall-through address.
@@ -321,62 +346,93 @@ let exec_instr t instr =
     set_reg t Isa.sr sr_v;
     set_reg t Isa.pc pc_v
 
-let finish_exec t r pc_before instr step_cycles =
-  r.raw_instr <- instr;
-  r.raw_executed <- true;
-  let pc_after = t.regs.(Isa.pc) in
-  r.raw_pc_after <- pc_after;
-  if pc_after = pc_before then t.halt <- Some (Self_jump pc_before);
+(* The cached decode of [pc], when the code view may serve it: [pc] is
+   even, inside the cached range, and no word the encoding covers has
+   been dirtied (see {!Memory.code}). Returns the table's own [Some]. *)
+let cached t pc =
+  let c = t.code in
+  if pc < c.Memory.code_lo || pc > c.Memory.code_hi || pc land 1 <> 0 then None
+  else begin
+    let s = (pc - c.Memory.code_lo) lsr 1 in
+    match Array.unsafe_get c.Memory.code_entries s with
+    | None -> None
+    | Some e as hit ->
+      let d = c.Memory.code_dirty in
+      if
+        Bytes.unsafe_get d s = '\000'
+        && (e.Decode_cache.dc_len <= 2
+            || (Bytes.unsafe_get d (s + 1) = '\000'
+                && (e.Decode_cache.dc_len <= 4
+                    || Bytes.unsafe_get d (s + 2) = '\000')))
+      then hit
+      else None
+  end
+
+let finish_step t r step_cycles =
   r.raw_cycles <- step_cycles;
   t.total_cycles <- t.total_cycles + step_cycles;
   t.total_steps <- t.total_steps + 1;
   Memory.tick t.mem step_cycles
 
+let finish_exec t r pc_before step_cycles control =
+  r.raw_executed <- true;
+  r.raw_control <- control;
+  let pc_after = t.regs.(Isa.pc) in
+  r.raw_pc_after <- pc_after;
+  if pc_after = pc_before then begin
+    t.halt <- Some (Self_jump pc_before);
+    r.raw_halted <- true
+  end;
+  finish_step t r step_cycles
+
 let step_raw t =
   (match t.halt with
    | Some _ -> invalid_arg "Cpu.step: already halted"
    | None -> ());
-  Memory.begin_step t.mem;
+  t.trace.Memory.tr_len <- 0;
   let r = t.raw in
   let pc_before = t.regs.(Isa.pc) in
   r.raw_pc_before <- pc_before;
   r.raw_executed <- false;
+  r.raw_control <- Isa.Plain;
+  r.raw_halted <- false;
   r.raw_irq_taken <- false;
   match t.irq with
-  | Some vector when get_flag t `GIE ->
+  | Some vector when t.regs.(Isa.sr) land gie_bit <> 0 ->
     t.irq <- None;
     vector_irq t vector;
-    let step_cycles = 6 in
     r.raw_pc_after <- t.regs.(Isa.pc);
     r.raw_irq_taken <- true;
-    r.raw_cycles <- step_cycles;
-    t.total_cycles <- t.total_cycles + step_cycles;
-    t.total_steps <- t.total_steps + 1;
-    Memory.tick t.mem step_cycles
+    finish_step t r 6
   | Some _ | None -> begin
-    match Memory.cached_decode t.mem pc_before with
+    match cached t pc_before with
     | Some e ->
       (* fast path: no byte-level fetch, no fetch trace records *)
       t.regs.(Isa.pc) <- e.Decode_cache.dc_next;
       exec_instr t e.Decode_cache.dc_instr;
-      finish_exec t r pc_before e.Decode_cache.dc_instr e.Decode_cache.dc_cycles
+      t.last_slot <- (pc_before - t.code.Memory.code_lo) lsr 1;
+      finish_exec t r pc_before e.Decode_cache.dc_cycles
+        e.Decode_cache.dc_control
     | None ->
       (match Decode.decode ~get_word:(Memory.fetch_word t.mem) pc_before with
        | exception Decode.Undecodable (a, w) ->
          t.halt <- Some (Bad_opcode (a, w));
+         r.raw_halted <- true;
          r.raw_pc_after <- pc_before;
          r.raw_cycles <- 0
        | instr, next ->
          set_reg t Isa.pc next;
          exec_instr t instr;
-         finish_exec t r pc_before instr (Isa.cycles instr))
+         t.last_slot <- -1;
+         t.last_instr <- instr;
+         finish_exec t r pc_before (Isa.cycles instr) (Isa.control instr))
   end
 
 let step t =
   step_raw t;
   let r = t.raw in
   { pc_before = r.raw_pc_before;
-    instr = (if r.raw_executed then Some r.raw_instr else None);
+    instr = (if r.raw_executed then Some (raw_instr t) else None);
     pc_after = r.raw_pc_after;
     accesses = Memory.step_trace t.mem;
     irq_taken = r.raw_irq_taken;

@@ -27,12 +27,16 @@ type step_info = {
 }
 
 (** Reusable per-CPU step result, overwritten by every {!step_raw};
-    the allocation-free counterpart of {!step_info}. *)
+    the allocation-free counterpart of {!step_info}. Every field is an
+    int or an immediate, so writing it costs no write barrier; the
+    retired instruction itself is read back with {!raw_instr}. *)
 type raw = {
   mutable raw_pc_before : int;
   mutable raw_pc_after : int;
-  mutable raw_instr : Isa.instr;  (** meaningful iff [raw_executed] *)
-  mutable raw_executed : bool;
+  mutable raw_executed : bool;       (** an instruction retired *)
+  mutable raw_control : Isa.control;
+  (** {!Isa.control} of the retired instruction; [Plain] when none did *)
+  mutable raw_halted : bool;         (** this step latched {!halted} *)
   mutable raw_irq_taken : bool;
   mutable raw_cycles : int;
 }
@@ -79,13 +83,18 @@ val step : t -> step_info
 val step_raw : t -> unit
 (** Exactly {!step}, but the result is written into the reusable {!raw}
     record (read it via {!raw} before the next [step_raw]) and the
-    per-step access trace stays in {!Memory} — consume it with
-    {!Memory.iter_step_trace}. Allocates nothing on the hot path when a
-    decode cache is attached. *)
+    per-step access trace stays in {!Memory} — read it in place with
+    {!Memory.trace}. An instruction served by an attached decode cache
+    allocates nothing and calls no closure, unless a device claims an
+    address it touches. *)
 
 val raw : t -> raw
 (** The record {!step_raw} writes into. One per CPU; do not retain
     across steps. *)
+
+val raw_instr : t -> Isa.instr
+(** The instruction the last {!step_raw} retired; meaningful iff
+    [raw_executed]. *)
 
 val run : t -> max_steps:int -> (step_info -> unit) -> halt_reason option
 (** Step until halt or [max_steps], feeding each step to the callback.

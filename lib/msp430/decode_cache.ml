@@ -3,6 +3,7 @@ type entry = {
   dc_next : int;
   dc_len : int;
   dc_cycles : int;
+  dc_control : Isa.control;
 }
 
 type t = {
@@ -33,7 +34,7 @@ let build ?(lo = 0) ?(hi = 0xFFFF) ~get_word () =
         (* pre-mask the fall-through pc exactly as [Cpu.set_reg] would *)
         entries.(slot) <-
           Some { dc_instr = instr; dc_next = next land 0xFFFE; dc_len = len;
-                 dc_cycles = Isa.cycles instr }
+                 dc_cycles = Isa.cycles instr; dc_control = Isa.control instr }
   done;
   { lo; hi; entries }
 

@@ -17,6 +17,7 @@ type entry = {
   dc_next : int;    (** fall-through pc, masked as {!Cpu.set_reg} would *)
   dc_len : int;     (** encoded size in bytes: 2, 4 or 6 *)
   dc_cycles : int;  (** {!Isa.cycles} of the instruction, precomputed *)
+  dc_control : Isa.control;  (** {!Isa.control}, precomputed *)
 }
 
 type t

@@ -94,6 +94,14 @@ let instr_size_bytes i =
   | One (_, _, s) -> 2 * (1 + src_extension_words s)
   | Jump _ | Reti -> 2
 
+type control = Plain | Call | Ret
+
+let control i =
+  match i with
+  | One (CALL, _, _) -> Call
+  | Two (MOV, Word, Sindirect_inc r, Dreg 0) when r = sp -> Ret
+  | Two _ | One _ | Jump _ | Reti -> Plain
+
 (* Format-I cycle counts, Table 3-16 of the MSP430x1xx user's guide. The
    destination-is-PC column applies to mov/add/... with Dreg pc. *)
 let two_cycles src dst =

@@ -70,6 +70,13 @@ val dst_extension_words : dst -> int
 val instr_size_bytes : instr -> int
 (** Encoded size of the instruction in bytes (2, 4 or 6). *)
 
+(** How an instruction moves the call stack: a [call], a [ret]
+    ([mov @sp+, pc]), or neither. Immediate constructors, so a mutable
+    field of this type is written without a write barrier. *)
+type control = Plain | Call | Ret
+
+val control : instr -> control
+
 val cycles : instr -> int
 (** Execution cycle count per the family user's guide tables (format I
     including the destination-is-PC column, format II, jumps and RETI). *)

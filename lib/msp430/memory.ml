@@ -20,24 +20,37 @@ let size_bytes = 0x10000
 let page_shift = 8
 let n_pages = size_bytes lsr page_shift
 
+let no_tick (_ : int) = ()
+
 (* The per-step trace is a reusable growable buffer of packed ints
    (value:16 | addr:16 | kind:2 | size:1) — recording an access is one
-   array store, and a step leaves no garbage behind. [pages] maps each
-   256-byte page to the devices overlapping it (newest first, mirroring
-   the former whole-list search order), so the per-byte device lookup is
-   O(1) for the vast majority of addresses no device claims. *)
+   array store, and a step leaves no garbage behind. *)
+type trace = {
+  mutable tr_buf : int array;
+  mutable tr_len : int;
+}
+
+(* The attached decode cache and its word-dirty map covering
+   [code_lo..code_hi], one byte per word; an empty range until a cache is
+   attached. *)
+type code = {
+  mutable code_entries : Decode_cache.entry option array;
+  mutable code_lo : int;
+  mutable code_hi : int;
+  mutable code_dirty : Bytes.t;
+}
+
+(* [pages] maps each 256-byte page to the devices overlapping it (newest
+   first, mirroring the former whole-list search order), so the per-byte
+   device lookup is O(1) for the vast majority of addresses no device
+   claims. [tickers] is [devices] minus those whose tick is {!no_tick}. *)
 type t = {
   bytes : Bytes.t;
   mutable devices : device list;
+  mutable tickers : device list;
   pages : device list array;
-  mutable tr : int array;
-  mutable tr_len : int;
-  mutable dcache : Decode_cache.t option;
-  (* dirty map covering [dirty_lo..dirty_hi] (the attached cache's
-     range), one byte per word; empty range until a cache is attached *)
-  mutable dirty : Bytes.t;
-  mutable dirty_lo : int;
-  mutable dirty_hi : int;
+  trace : trace;
+  code : code;
   (* reset-to-snapshot support: one byte per 256-byte page, set on any
      backing write, so a reset only copies back the pages a run touched *)
   page_dirty : Bytes.t;
@@ -46,23 +59,29 @@ type t = {
 }
 
 let create () =
-  { bytes = Bytes.make size_bytes '\000'; devices = [];
+  { bytes = Bytes.make size_bytes '\000'; devices = []; tickers = [];
     pages = Array.make n_pages [];
-    tr = Array.make 64 0; tr_len = 0;
-    dcache = None; dirty = Bytes.empty; dirty_lo = max_int; dirty_hi = -1;
+    trace = { tr_buf = Array.make 64 0; tr_len = 0 };
+    code = { code_entries = [||]; code_lo = max_int; code_hi = -1;
+             code_dirty = Bytes.empty };
     page_dirty = Bytes.make n_pages '\000';
     snap = Bytes.empty; snap_dirty = Bytes.empty }
 
+let trace t = t.trace
+let code t = t.code
+
 let mark_dirty_range t lo hi =
-  let lo = max (lo land 0xFFFF) t.dirty_lo
-  and hi = min (hi land 0xFFFF) t.dirty_hi in
+  let c = t.code in
+  let lo = max (lo land 0xFFFF) c.code_lo
+  and hi = min (hi land 0xFFFF) c.code_hi in
   if lo <= hi then
-    for s = (lo - t.dirty_lo) lsr 1 to (hi - t.dirty_lo) lsr 1 do
-      Bytes.unsafe_set t.dirty s '\001'
+    for s = (lo - c.code_lo) lsr 1 to (hi - c.code_lo) lsr 1 do
+      Bytes.unsafe_set c.code_dirty s '\001'
     done
 
 let attach t d =
   t.devices <- d :: t.devices;
+  if d.dev_tick != no_tick then t.tickers <- d :: t.tickers;
   for p = (d.dev_lo land 0xFFFF) lsr page_shift
       to (d.dev_hi land 0xFFFF) lsr page_shift do
     t.pages.(p) <- d :: t.pages.(p)
@@ -71,59 +90,86 @@ let attach t d =
      their reads can have side effects the cache would skip *)
   mark_dirty_range t d.dev_lo d.dev_hi
 
-let tick t n = List.iter (fun d -> d.dev_tick n) t.devices
-
-let rec find_dev addr l =
+let rec tick_all n l =
   match l with
-  | [] -> None
-  | d :: rest ->
-    if addr >= d.dev_lo && addr <= d.dev_hi then Some d else find_dev addr rest
+  | [] -> ()
+  | d :: rest -> d.dev_tick n; tick_all n rest
 
-let device_at t addr =
-  match Array.unsafe_get t.pages ((addr land 0xFFFF) lsr page_shift) with
-  | [] -> None
-  | l -> find_dev addr l
+let tick t n = match t.tickers with [] -> () | l -> tick_all n l
 
-let backing_get t addr = Char.code (Bytes.unsafe_get t.bytes (addr land 0xFFFF))
+(* Byte-level primitives. Addresses are already masked to 16 bits and
+   values to 8; the masks are written out rather than taken from [Word]
+   so that they inline. *)
+
+let backing_get t addr = Char.code (Bytes.unsafe_get t.bytes addr)
+
+(* Record a backing write in the page-dirty map and, inside the code
+   range, the word-dirty map. *)
+let mark_written t addr =
+  Bytes.unsafe_set t.page_dirty (addr lsr page_shift) '\001';
+  let c = t.code in
+  if addr >= c.code_lo && addr <= c.code_hi then
+    Bytes.unsafe_set c.code_dirty ((addr - c.code_lo) lsr 1) '\001'
 
 let backing_set t addr v =
-  let addr = addr land 0xFFFF in
   Bytes.unsafe_set t.bytes addr (Char.unsafe_chr (v land 0xFF));
-  Bytes.unsafe_set t.page_dirty (addr lsr page_shift) '\001';
-  if addr >= t.dirty_lo && addr <= t.dirty_hi then
-    Bytes.unsafe_set t.dirty ((addr - t.dirty_lo) lsr 1) '\001'
+  mark_written t addr
 
-let raw_read8 t addr =
-  match Array.unsafe_get t.pages ((addr land 0xFFFF) lsr page_shift) with
+let rec dev_read8 t addr l =
+  match l with
   | [] -> backing_get t addr
-  | l ->
-    (match find_dev addr l with
-     | Some d ->
-       (match d.dev_read addr with
-        | Some v -> Word.mask8 v
-        | None -> backing_get t addr)
-     | None -> backing_get t addr)
+  | d :: rest ->
+    if addr >= d.dev_lo && addr <= d.dev_hi then
+      match d.dev_read addr with
+      | Some v -> v land 0xFF
+      | None -> backing_get t addr
+    else dev_read8 t addr rest
 
-let raw_write8 t addr v =
-  (* Mirror device writes into backing RAM so attestation and host dumps
-     observe the value last written by the program. *)
+let rec dev_write8 addr v l =
+  match l with
+  | [] -> ()
+  | d :: rest ->
+    if addr >= d.dev_lo && addr <= d.dev_hi then d.dev_write addr v
+    else dev_write8 addr v rest
+
+let read8 t addr =
+  match Array.unsafe_get t.pages (addr lsr page_shift) with
+  | [] -> backing_get t addr
+  | l -> dev_read8 t addr l
+
+(* Mirror device writes into backing RAM so attestation and host dumps
+   observe the value last written by the program. *)
+let write8 t addr v =
   backing_set t addr v;
-  match device_at t addr with
-  | Some d -> d.dev_write addr (Word.mask8 v)
-  | None -> ()
+  match Array.unsafe_get t.pages (addr lsr page_shift) with
+  | [] -> ()
+  | l -> dev_write8 addr v l
 
-let peek8 t addr = backing_get t addr
+(* A word address is even, so both of its bytes share one page (and one
+   word-dirty slot): a page no device claims takes one 16-bit access. *)
+let read16 t addr =
+  match Array.unsafe_get t.pages (addr lsr page_shift) with
+  | [] -> Bytes.get_uint16_le t.bytes addr
+  | _ ->
+    (* force low-before-high: device reads can have side effects *)
+    let lo = read8 t addr in
+    lo lor (read8 t (addr + 1) lsl 8)
 
-let peek16 t addr =
-  let addr = addr land 0xFFFE in
-  backing_get t addr lor (backing_get t (addr + 1) lsl 8)
+let write16 t addr v =
+  match Array.unsafe_get t.pages (addr lsr page_shift) with
+  | [] -> Bytes.set_uint16_le t.bytes addr v; mark_written t addr
+  | _ -> write8 t addr (v land 0xFF); write8 t (addr + 1) (v lsr 8)
 
-let poke8 t addr v = backing_set t addr v
+let peek8 t addr = backing_get t (addr land 0xFFFF)
+
+let peek16 t addr = Bytes.get_uint16_le t.bytes (addr land 0xFFFE)
+
+let poke8 t addr v = backing_set t (addr land 0xFFFF) v
 
 let poke16 t addr v =
   let addr = addr land 0xFFFE in
-  backing_set t addr (Word.low_byte v);
-  backing_set t (addr + 1) (Word.high_byte v)
+  backing_set t addr v;
+  backing_set t (addr + 1) (v lsr 8)
 
 let load_image t ~addr s =
   let addr = addr land 0xFFFF in
@@ -137,28 +183,29 @@ let load_image t ~addr s =
       done
     end
   end
-  else String.iteri (fun i c -> backing_set t (addr + i) (Char.code c)) s
+  else String.iteri (fun i c -> poke8 t (addr + i) (Char.code c)) s
 
 let dump t ~addr ~len = String.init len (fun i -> Bytes.get t.bytes ((addr + i) land 0xFFFF))
 
 (* --- per-step access trace ------------------------------------------ *)
 
-let kind_code k = match k with Fetch -> 0 | Read -> 1 | Write -> 2
-let size_code (s : Isa.size) = match s with Isa.Byte -> 0 | Isa.Word -> 1
+let kind_read = 1 lsl 32
+let kind_write = 2 lsl 32
+let kind_fetch = 0
+let size_word = 1 lsl 34
 
-let record t kind addr size value =
-  let n = t.tr_len in
-  if n = Array.length t.tr then begin
+let record t p =
+  let tr = t.trace in
+  let n = tr.tr_len in
+  if n = Array.length tr.tr_buf then begin
     let bigger = Array.make (2 * n) 0 in
-    Array.blit t.tr 0 bigger 0 n;
-    t.tr <- bigger
+    Array.blit tr.tr_buf 0 bigger 0 n;
+    tr.tr_buf <- bigger
   end;
-  Array.unsafe_set t.tr n
-    (value lor (addr lsl 16) lor (kind_code kind lsl 32)
-     lor (size_code size lsl 34));
-  t.tr_len <- n + 1
+  Array.unsafe_set tr.tr_buf n p;
+  tr.tr_len <- n + 1
 
-let begin_step t = t.tr_len <- 0
+let begin_step t = t.trace.tr_len <- 0
 
 let unpack p =
   { kind = (match (p lsr 32) land 0x3 with 0 -> Fetch | 1 -> Read | _ -> Write);
@@ -166,72 +213,62 @@ let unpack p =
     size = (if (p lsr 34) land 1 = 0 then Isa.Byte else Isa.Word);
     value = p land 0xFFFF }
 
-let step_trace t = List.init t.tr_len (fun i -> unpack (Array.unsafe_get t.tr i))
-
-let iter_step_trace t f =
-  for i = 0 to t.tr_len - 1 do
-    let p = Array.unsafe_get t.tr i in
-    f (match (p lsr 32) land 0x3 with 0 -> Fetch | 1 -> Read | _ -> Write)
-      ((p lsr 16) land 0xFFFF)
-      (if (p lsr 34) land 1 = 0 then Isa.Byte else Isa.Word)
-      (p land 0xFFFF)
-  done
+let step_trace t =
+  let tr = t.trace in
+  List.init tr.tr_len (fun i -> unpack (Array.unsafe_get tr.tr_buf i))
 
 (* --- CPU access ----------------------------------------------------- *)
 
 let read t size addr =
-  let addr, value =
-    match size with
-    | Isa.Byte -> (addr land 0xFFFF, raw_read8 t addr)
-    | Isa.Word ->
-      let addr = addr land 0xFFFE in
-      (* force low-before-high: device reads can have side effects *)
-      let lo = raw_read8 t addr in
-      let hi = raw_read8 t (addr + 1) in
-      (addr, lo lor (hi lsl 8))
-  in
-  record t Read addr size value;
-  value
+  match size with
+  | Isa.Byte ->
+    let addr = addr land 0xFFFF in
+    let v = read8 t addr in
+    record t (v lor (addr lsl 16) lor kind_read);
+    v
+  | Isa.Word ->
+    let addr = addr land 0xFFFE in
+    let v = read16 t addr in
+    record t (v lor (addr lsl 16) lor kind_read lor size_word);
+    v
 
 let write t size addr value =
   match size with
   | Isa.Byte ->
-    let addr = addr land 0xFFFF and value = Word.mask8 value in
-    record t Write addr size value;
-    raw_write8 t addr value
+    let addr = addr land 0xFFFF and value = value land 0xFF in
+    record t (value lor (addr lsl 16) lor kind_write);
+    write8 t addr value
   | Isa.Word ->
-    let addr = addr land 0xFFFE and value = Word.mask16 value in
-    record t Write addr size value;
-    raw_write8 t addr (Word.low_byte value);
-    raw_write8 t (addr + 1) (Word.high_byte value)
+    let addr = addr land 0xFFFE and value = value land 0xFFFF in
+    record t (value lor (addr lsl 16) lor kind_write lor size_word);
+    write16 t addr value
 
 let fetch_word t addr =
   let addr = addr land 0xFFFE in
-  let lo = raw_read8 t addr in
-  let hi = raw_read8 t (addr + 1) in
-  let value = lo lor (hi lsl 8) in
-  record t Fetch addr Isa.Word value;
-  value
+  let v = read16 t addr in
+  record t (v lor (addr lsl 16) lor kind_fetch lor size_word);
+  v
 
 (* --- decode cache --------------------------------------------------- *)
 
 let attach_code_cache t c =
-  t.dcache <- Some c;
-  t.dirty <-
+  let code = t.code in
+  code.code_entries <- Decode_cache.entries c;
+  code.code_dirty <-
     Bytes.make (((Decode_cache.hi c - Decode_cache.lo c) lsr 1) + 1) '\000';
-  t.dirty_lo <- Decode_cache.lo c;
-  t.dirty_hi <- Decode_cache.hi c;
+  code.code_lo <- Decode_cache.lo c;
+  code.code_hi <- Decode_cache.hi c;
   List.iter (fun d -> mark_dirty_range t d.dev_lo d.dev_hi) t.devices;
   (* a fresh map is exactly the state a reset should restore, so an
      existing snapshot keeps working across a (re)attachment *)
-  if Bytes.length t.snap > 0 then t.snap_dirty <- Bytes.copy t.dirty
+  if Bytes.length t.snap > 0 then t.snap_dirty <- Bytes.copy code.code_dirty
 
 (* --- snapshot / reset ------------------------------------------------ *)
 
 let snapshot t =
   if Bytes.length t.snap = 0 then t.snap <- Bytes.create size_bytes;
   Bytes.blit t.bytes 0 t.snap 0 size_bytes;
-  t.snap_dirty <- Bytes.copy t.dirty;
+  t.snap_dirty <- Bytes.copy t.code.code_dirty;
   Bytes.fill t.page_dirty 0 n_pages '\000'
 
 let reset_to_snapshot t =
@@ -244,29 +281,7 @@ let reset_to_snapshot t =
       Bytes.unsafe_set t.page_dirty p '\000'
     end
   done;
-  if Bytes.length t.dirty = Bytes.length t.snap_dirty then
-    Bytes.blit t.snap_dirty 0 t.dirty 0 (Bytes.length t.dirty);
-  t.tr_len <- 0
-
-let cached_decode t pc =
-  match t.dcache with
-  | None -> None
-  | Some c ->
-    if pc < t.dirty_lo || pc > t.dirty_hi || pc land 1 <> 0 then None
-    else begin
-      let s = (pc - t.dirty_lo) lsr 1 in
-      match Array.unsafe_get (Decode_cache.entries c) s with
-      | None -> None
-      | Some e as hit ->
-        (* every word the encoding covers must be neither written since
-           load nor claimed by a device *)
-        let d = t.dirty in
-        if
-          Bytes.unsafe_get d s = '\000'
-          && (e.Decode_cache.dc_len <= 2
-              || (Bytes.unsafe_get d (s + 1) = '\000'
-                  && (e.Decode_cache.dc_len <= 4
-                      || Bytes.unsafe_get d (s + 2) = '\000')))
-        then hit
-        else None
-    end
+  let dirty = t.code.code_dirty in
+  if Bytes.length dirty = Bytes.length t.snap_dirty then
+    Bytes.blit t.snap_dirty 0 dirty 0 (Bytes.length dirty);
+  t.trace.tr_len <- 0

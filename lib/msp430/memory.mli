@@ -32,6 +32,11 @@ type device = {
   dev_tick : int -> unit;            (** advance device time by n cycles *)
 }
 
+val no_tick : int -> unit
+(** The tick of a device with no notion of time. A device whose
+    [dev_tick] is physically this function is never ticked, so a step
+    costs it nothing. *)
+
 val size_bytes : int
 (** Address-space size: 65536. *)
 
@@ -68,12 +73,28 @@ val begin_step : t -> unit
 
 val step_trace : t -> access list
 (** Accesses recorded since the last {!begin_step}, in program order.
-    Allocates a fresh list; prefer {!iter_step_trace} on hot paths. *)
+    Allocates a fresh list; hot paths read {!trace} instead. *)
 
-val iter_step_trace : t -> (access_kind -> int -> Isa.size -> int -> unit) -> unit
-(** [iter_step_trace t f] calls [f kind addr size value] for each access
-    recorded since the last {!begin_step}, in program order, without
-    allocating. *)
+(** The per-step access trace in its packed form: [tr_buf.(0 ..
+    tr_len - 1)] are the accesses since the last {!begin_step}, in
+    program order, one int each:
+
+    {v value (bits 0-15) | addr (16-31) | kind (32-33) | size (34) v}
+
+    with kind 0 = [Fetch], 1 = [Read], 2 = [Write] and size 0 = [Byte],
+    1 = [Word]. The record is the memory's own, updated in place by
+    every access: read it, do not keep it across steps. The CPU resets
+    [tr_len] at the start of each step, as {!begin_step} does. Reading
+    it costs no call and no allocation, which is why the replay loop
+    uses it. *)
+type trace = {
+  mutable tr_buf : int array;
+  mutable tr_len : int;
+}
+
+val trace : t -> trace
+(** This memory's trace record (the same physical record for the
+    memory's lifetime). *)
 
 (** {1 Decode cache}
 
@@ -90,10 +111,23 @@ val attach_code_cache : t -> Decode_cache.t -> unit
     reset the dirty map. Call after the image is loaded; bytes inside
     already-attached device ranges are marked dirty immediately. *)
 
-val cached_decode : t -> int -> Decode_cache.entry option
-(** Fast-path lookup for the instruction at [pc]: [Some e] only when a
-    cache is attached, [pc] is even, and no word of the cached encoding
-    has been dirtied. Allocation-free on both hit and miss. *)
+(** The attached table and its word-dirty map, read in place by the
+    CPU's fetch. Without a cache the range is empty ([code_lo >
+    code_hi]). For an even [pc] in [code_lo..code_hi], slot [s = (pc -
+    code_lo) lsr 1] may be served from [code_entries.(s) = Some e] only
+    if [code_dirty] is ['\000'] at every slot the encoding covers ([s],
+    plus [s + 1] when [e.dc_len > 2], plus [s + 2] when [e.dc_len > 4]).
+    Otherwise the CPU must fetch and decode the bytes. *)
+type code = private {
+  mutable code_entries : Decode_cache.entry option array;
+  mutable code_lo : int;
+  mutable code_hi : int;
+  mutable code_dirty : Bytes.t;
+}
+
+val code : t -> code
+(** This memory's code view (the same physical record for the memory's
+    lifetime; {!attach_code_cache} updates it in place). *)
 
 (** {1 Snapshot / reset}
 

@@ -97,7 +97,7 @@ let create mem =
              t.gpio_out <- (o1, o2, v);
              record_gpio t "P3OUT" v
            end);
-      dev_tick = (fun _ -> ()) }
+      dev_tick = Memory.no_tick }
   in
   let uart_device =
     { Memory.dev_name = "uart";
@@ -109,7 +109,7 @@ let create mem =
            else None);
       dev_write =
         (fun addr v -> if addr = u0txbuf then t.uart_tx_rev <- v :: t.uart_tx_rev);
-      dev_tick = (fun _ -> ()) }
+      dev_tick = Memory.no_tick }
   in
   let ifg_device =
     { Memory.dev_name = "ifg1";
@@ -117,7 +117,7 @@ let create mem =
       dev_read =
         (fun _ -> Some (if Queue.is_empty t.uart_rx then 0 else urxifg_bit));
       dev_write = (fun _ _ -> ());
-      dev_tick = (fun _ -> ()) }
+      dev_tick = Memory.no_tick }
   in
   let adc_device =
     { Memory.dev_name = "adc12";
@@ -128,7 +128,7 @@ let create mem =
            if addr = adc12mem0 then Some (Word.low_byte (adc_read t))
            else Some (Word.high_byte t.adc_last));
       dev_write = (fun _ _ -> ());
-      dev_tick = (fun _ -> ()) }
+      dev_tick = Memory.no_tick }
   in
   let timer_device =
     { Memory.dev_name = "timer_a";

@@ -1,9 +1,11 @@
 (** 16-bit two's-complement arithmetic helpers.
 
     All values are carried as native OCaml [int]s; these helpers keep them
-    inside the 16-bit (or 8-bit) range and interpret sign where needed. The
-    whole simulator funnels its arithmetic through this module so that
-    overflow and carry semantics live in exactly one place. *)
+    inside the 16-bit (or 8-bit) range and interpret sign where needed.
+    The CPU's execute path and {!Memory}'s access path write the same
+    masks out inline instead: under dune's dev profile ([-opaque]) a call
+    into this module is never inlined, and those paths run once per
+    replayed instruction. *)
 
 val mask16 : int -> int
 (** Truncate to the low 16 bits. *)

@@ -196,8 +196,13 @@ let hook_source t cb =
           Atomic.set pending false;
           cb ())
 
+(* Clear [signalled] only after the pipe is empty: a wake landing before
+   the clear finds it set and writes nothing, but its thunk is already
+   queued and [run_posted] runs before the loop blocks again; one landing
+   after the clear writes a byte that wakes the next wait. Clearing first
+   would let the read swallow a byte written in between and leave the
+   flag set for good, silencing every later wake. *)
 let drain_pipe t =
-  Atomic.set t.signalled false;
   let buf = Bytes.create 64 in
   let rec go () =
     match Unix.read t.pipe_r buf 0 64 with
@@ -205,7 +210,8 @@ let drain_pipe t =
     | _ -> ()
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   in
-  go ()
+  go ();
+  Atomic.set t.signalled false
 
 let run_posted t =
   Mutex.lock t.posted_m;

@@ -119,6 +119,56 @@ let test_cross_thread_post backend () =
       Thread.join poster;
       check_bool "posted thunk ran on the loop" true !landed)
 
+(* Regression: the loop's pipe drain used to clear the wake flag before
+   reading the self-pipe. A wake landing in between had its byte
+   swallowed and left the flag set, so every later wake did nothing.
+   Posters race the loop's drains with no timer armed: a lost wake
+   strands their thunks until the watchdog kicks the loop at the
+   deadline, through a watched pipe of its own. *)
+let test_concurrent_posts_all_run backend () =
+  with_loop backend (fun loop ->
+      let posters = 4 and per_poster = 2_000 in
+      let total = posters * per_poster in
+      let ran = ref 0 in (* touched on the loop thread only *)
+      let finished = Atomic.make false and expired = Atomic.make false in
+      let kick_r, kick_w = Unix.pipe ~cloexec:true () in
+      let drain_kick () =
+        ignore (Unix.read kick_r (Bytes.create 1) 0 1 : int)
+      in
+      N.Evloop.watch loop kick_r ~read:(Some drain_kick) ~write:None;
+      let watchdog =
+        Thread.create
+          (fun () ->
+             let t0 = Unix.gettimeofday () in
+             while
+               (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < 10.0
+             do
+               Thread.delay 0.01
+             done;
+             if not (Atomic.get finished) then begin
+               Atomic.set expired true;
+               ignore (Unix.write_substring kick_w "x" 0 1 : int)
+             end)
+          ()
+      in
+      let poster () =
+        for i = 1 to per_poster do
+          N.Evloop.post loop (fun () -> incr ran);
+          if i mod 8 = 0 then Thread.yield ()
+        done
+      in
+      let threads = List.init posters (fun _ -> Thread.create poster ()) in
+      N.Evloop.run loop ~stop:(fun () -> !ran = total || Atomic.get expired);
+      Atomic.set finished true;
+      List.iter Thread.join threads;
+      Thread.join watchdog;
+      N.Evloop.unwatch loop kick_r;
+      Unix.close kick_r;
+      Unix.close kick_w;
+      check_bool "every thunk ran before the deadline" false
+        (Atomic.get expired);
+      check_int "thunks run" total !ran)
+
 (* ------------------------------------------------------------- *)
 (* Fd watches.                                                     *)
 
@@ -204,6 +254,7 @@ let suites =
             t "cancelled timers never fire" test_timer_cancel;
             t "hook source coalesces bursts" test_hook_source_dedup;
             t "cross-thread post wakes a blocked loop" test_cross_thread_post;
+            t "concurrent posts all run" test_concurrent_posts_all_run;
             t "fd read watch" test_fd_watch;
             t "fd write interest" test_write_interest ])
        backends

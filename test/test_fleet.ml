@@ -281,8 +281,8 @@ let test_stream_matches_batch () =
   check_int "stream batch size" 20
     streamed.F.Fleet.metrics.F.Metrics.batch_size;
   F.Pool.shutdown pool;
-  (* poll semantics: verdicts come back in submission order, and close
-     returns every verdict including those already polled *)
+  (* poll semantics: verdicts come back in submission order; close
+     returns only the verdicts never polled, and metrics over all *)
   let st = F.Fleet.stream ~domains:1 plan in
   let first8 = List.filteri (fun i _ -> i < 8) batch in
   List.iter (fun (id, r) -> F.Fleet.stream_submit st id r) first8;
@@ -296,8 +296,11 @@ let test_stream_matches_batch () =
   List.iter (fun (id, r) -> F.Fleet.stream_submit st id r)
     (List.filteri (fun i _ -> i >= 8) batch);
   let final = F.Fleet.stream_close st in
-  check_bool "close covers polled + unpolled" true
-    (verdict_keys batch_sum = verdict_keys final);
+  check_bool "close returns the unpolled suffix" true
+    (verdict_keys batch_sum = List.map verdict_key polled @ verdict_keys final);
+  check_bool "close metrics cover polled + unpolled" true
+    ({ batch_sum.F.Fleet.metrics with F.Metrics.wall_seconds = 0.0 }
+     = { final.F.Fleet.metrics with F.Metrics.wall_seconds = 0.0 });
   match F.Fleet.stream_submit st "late" (snd (List.hd batch)) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "submit on a closed stream accepted"
@@ -349,9 +352,39 @@ let test_stream_next_blocks_and_wakes () =
     (List.map (fun (v : F.Fleet.verdict) -> v.F.Fleet.device_id) !out
      = List.map fst batch);
   let final = F.Fleet.stream_close st in
-  check_int "close still reports all verdicts" (List.length batch)
+  check_int "close keeps no polled verdict" 0
     (List.length final.F.Fleet.verdicts);
+  check_int "close metrics count every report" (List.length batch)
+    final.F.Fleet.metrics.F.Metrics.batch_size;
   F.Pool.shutdown pool
+
+(* A long-lived stream whose verdicts are polled as they land (the
+   gateway's pattern) must not keep them: its reachable heap after 10k
+   submit+poll rounds is what it was after the first hundred. *)
+let test_stream_retention_bounded () =
+  let built = Lazy.force vuln_built in
+  let plan = F.Plan.of_built built in
+  let batch = Array.of_list (mixed_batch built 4) in
+  let st = F.Fleet.stream ~domains:1 plan in
+  let rounds n =
+    for i = 1 to n do
+      let id, r = batch.(i mod Array.length batch) in
+      F.Fleet.stream_submit st id r;
+      check_int "one verdict per poll" 1 (List.length (F.Fleet.stream_poll st))
+    done
+  in
+  rounds 100;
+  let words_before = Obj.reachable_words (Obj.repr st) in
+  rounds 10_000;
+  let words_after = Obj.reachable_words (Obj.repr st) in
+  check_bool
+    (Printf.sprintf "reachable words bounded (%d -> %d)" words_before
+       words_after)
+    true
+    (words_after - words_before < 1_000);
+  let final = F.Fleet.stream_close st in
+  check_int "all rounds counted" 10_100
+    final.F.Fleet.metrics.F.Metrics.batch_size
 
 let test_rejects_by_kind_no_finding () =
   (* regression: a rejected verdict with an empty findings list used to
@@ -457,6 +490,8 @@ let suites =
          test_stream_matches_batch;
        Alcotest.test_case "stream_next blocks and wakes" `Quick
          test_stream_next_blocks_and_wakes;
+       Alcotest.test_case "stream retention bounded" `Quick
+         test_stream_retention_bounded;
        Alcotest.test_case "rejects_by_kind keeps findingless rejects" `Quick
          test_rejects_by_kind_no_finding;
        Alcotest.test_case "LRU protects hot plan" `Quick

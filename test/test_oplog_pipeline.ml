@@ -150,6 +150,15 @@ let test_pipeline_rejects_or_collision () =
   | exception C.Pipeline.Error _ -> ()
   | _ -> Alcotest.fail "data/OR collision accepted"
 
+let test_pipeline_rejects_caller_overrun () =
+  (* 0xF800 - 0xE000 = 6 KiB of ER: 3100 two-byte instructions reach
+     the caller stub, which would overwrite them in the image *)
+  let body = String.concat "" (List.init 3100 (fun _ -> "    mov r15, r6\n")) in
+  match build ~variant:C.Pipeline.Unmodified ("op:\n" ^ body ^ "    ret\n")
+  with
+  | exception C.Pipeline.Error _ -> ()
+  | _ -> Alcotest.fail "operation overrunning the caller accepted"
+
 let test_pipeline_rejects_static_store_to_or () =
   match build "op:\n    mov r15, &0x0480\n    ret\n" with
   | exception C.Pipeline.Error _ -> ()
@@ -258,6 +267,8 @@ let suites =
        Alcotest.test_case "pipeline: er_exit" `Quick test_pipeline_er_exit_is_last_ret;
        Alcotest.test_case "pipeline: OR collision" `Quick test_pipeline_rejects_or_collision;
        Alcotest.test_case "pipeline: store to OR" `Quick test_pipeline_rejects_static_store_to_or;
+       Alcotest.test_case "pipeline: caller overrun" `Quick
+         test_pipeline_rejects_caller_overrun;
        Alcotest.test_case "pipeline: variants" `Quick test_pipeline_variants_share_layout_defaults;
        Alcotest.test_case "pipeline: expected ER" `Quick test_pipeline_expected_er_matches_memory;
        Alcotest.test_case "verifier: needs Full" `Quick test_verifier_requires_full_variant;

@@ -321,10 +321,8 @@ let audit_accepts_random =
   QCheck.Test.make ~name:"auditor accepts random instrumented programs"
     ~count:25 Test_randprog.arb_program (fun stmts ->
       let source = Test_randprog.program_source stmts in
-      let compiled = Dialed_minic.Minic.compile source in
       let built =
-        C.Pipeline.build ~data:compiled.Dialed_minic.Minic.data
-          ~op:compiled.Dialed_minic.Minic.op ~or_min:0x0280 ()
+        Test_randprog.build_program (Dialed_minic.Minic.compile source)
       in
       let r = audit built in
       if not (S.Report.ok r) then
