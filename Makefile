@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; `dune` remains the source of truth.
 
-.PHONY: build test lint bench bench-replay bench-fleet bench-fleet-gate \
+.PHONY: build test lint bench bench-replay bench-replay-gate bench-fleet bench-fleet-gate \
         bench-lint bench-net bench-swarm bench-swarm-gate bench-memo \
         bench-memo-gate bench-lifecycle bench-e2e-smoke examples clean
 
@@ -21,6 +21,11 @@ bench:
 # Single-domain replay engine: reference vs optimized (BENCH_replay.json)
 bench-replay:
 	dune exec bench/main.exe -- replay
+
+# CI perf gate: the SHA-NI SHA-256 kernel >= 4x the OCaml reference
+# (self-skipping on CPUs without the SHA extensions)
+bench-replay-gate:
+	dune exec bench/main.exe -- replay-gate
 
 # Just the fleet-verification throughput experiment (BENCH_fleet.json)
 bench-fleet:

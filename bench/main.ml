@@ -280,18 +280,50 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-(* time [f] over enough iterations to fill ~0.5 s of wall clock *)
-let time_per_call f =
+(* time [f] over enough iterations to fill [budget] seconds of wall clock *)
+let time_per_call ?(budget = 0.5) f =
   ignore (f ());
   let t0 = Unix.gettimeofday () in
   ignore (f ());
   let once = Unix.gettimeofday () -. t0 in
-  let iters = max 3 (int_of_float (0.5 /. Float.max once 1e-6)) in
+  let iters = max 3 (int_of_float (budget /. Float.max once 1e-6)) in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to iters do
     ignore (f ())
   done;
   (Unix.gettimeofday () -. t0) /. float_of_int iters
+
+(* The shared methodology: each figure is the median of [timing_runs]
+   timed runs, and the JSON records the cores, git revision and OCaml
+   version it was measured with. *)
+let timing_runs = 5
+
+let median_time f =
+  let ts = List.sort compare (List.init timing_runs (fun _ -> time_per_call ~budget:0.1 f)) in
+  List.nth ts (timing_runs / 2)
+
+let git_rev () =
+  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+  | ic ->
+    let rev = try input_line ic with End_of_file -> "unknown" in
+    ignore (Unix.close_process_in ic);
+    rev
+  | exception Unix.Unix_error _ -> "unknown"
+
+let methodology_json () =
+  Printf.sprintf
+    "\"methodology\": { \"statistic\": \"median\", \"runs\": %d, \"cores\": %d,\n\
+    \                  \"git_rev\": %S, \"ocaml_version\": %S }"
+    timing_runs (Domain.recommended_domain_count ()) (git_rev ())
+    Sys.ocaml_version
+
+(* SHA-256 throughput over a 64 KiB buffer, in MB/s: the selected path
+   (the SHA-NI kernel when [Sha256.accelerated]) and the OCaml
+   reference *)
+let sha256_mb_per_s () =
+  let buf = String.make (64 * 1024) '\x5a' in
+  let mb_s f = float_of_int (String.length buf) /. 1e6 /. median_time (fun () -> f buf) in
+  (mb_s Dialed_crypto.Sha256.digest, mb_s Dialed_crypto.Sha256.reference_digest)
 
 let replay_bench () =
   section "Single-domain replay: reference path vs optimized engine";
@@ -318,18 +350,32 @@ let replay_bench () =
   assert (steps > 0 && steps = steps_of fast_outcome);
   assert (base_outcome.C.Verifier.accepted = fast_outcome.C.Verifier.accepted);
   let base_s =
-    time_per_call (fun () -> C.Verifier.verify_plan base_plan report)
+    median_time (fun () -> C.Verifier.verify_plan base_plan report)
   in
   let fast_s =
-    time_per_call (fun () ->
+    median_time (fun () ->
         C.Verifier.verify_plan ~keep_trace:false fast_plan report)
   in
   let sps t = float_of_int steps /. t in
   let speedup = base_s /. fast_s in
-  (* streaming SHA-256 digest throughput over a 1 MiB buffer *)
-  let mib = String.make (1 lsl 20) '\x5a' in
-  let sha_s = time_per_call (fun () -> Dialed_crypto.Sha256.digest mib) in
-  let sha_mb_s = 1.0 /. sha_s in
+  (* the token check on the fire-sensor app's own scripted round, the
+     report the end-to-end benchmark's provers send *)
+  let e2e_device = C.Pipeline.device built in
+  app.Apps.setup e2e_device;
+  ignore (A.Device.run_operation ~args:app.Apps.benign_args e2e_device);
+  let e2e_report = A.Device.attest e2e_device ~challenge:"bench-precheck" in
+  assert (C.Verifier.precheck fast_plan e2e_report = Ok ());
+  let precheck_us =
+    1e6 *. median_time (fun () -> C.Verifier.precheck fast_plan e2e_report)
+  in
+  (* challenge, five 16-bit layout words, the EXEC byte, ER and OR *)
+  let preimage =
+    e2e_report.A.Pox.er_max - e2e_report.A.Pox.er_min + 1
+    + String.length e2e_report.A.Pox.or_data
+    + String.length e2e_report.A.Pox.challenge + 11
+  in
+  let kernel_mb_s, reference_mb_s = sha256_mb_per_s () in
+  let accelerated = Dialed_crypto.Sha256.accelerated in
   printf "%-44s %14s %14s %12s@." "path" "steps/s" "reports/s" "us/report";
   let row name t =
     printf "%-44s %14.0f %14.0f %12.1f@." name (sps t) (1.0 /. t)
@@ -338,11 +384,19 @@ let replay_bench () =
   row "baseline (fresh decode, keep_trace=true)" base_s;
   row "optimized (predecoded ER, keep_trace=false)" fast_s;
   printf "@.replay speedup: %.2fx over %d steps/replay@." speedup steps;
-  printf "sha256 digest: %.1f MB/s (1 MiB one-shot)@." sha_mb_s;
+  printf "sha256 (64 KiB): selected %.1f MB/s (SHA-NI kernel %s), \
+          OCaml reference %.1f MB/s, %.1fx@."
+    kernel_mb_s (if accelerated then "selected" else "not selected")
+    reference_mb_s (kernel_mb_s /. reference_mb_s);
+  printf "Verifier.precheck: %.2f us (%d-byte token preimage)@." precheck_us
+    preimage;
+  printf "median of %d runs on %d core(s)@." timing_runs
+    (Domain.recommended_domain_count ());
   write_file "BENCH_replay.json"
     (Printf.sprintf
        "{\n\
        \  \"experiment\": \"single_domain_replay\",\n\
+       \  %s,\n\
        \  \"app\": %S,\n\
        \  \"steps_per_replay\": %d,\n\
        \  \"baseline\": { \"decode_cache\": false, \"keep_trace\": true,\n\
@@ -350,11 +404,32 @@ let replay_bench () =
        \  \"optimized\": { \"decode_cache\": true, \"keep_trace\": false,\n\
        \                 \"steps_per_sec\": %.0f, \"reports_per_sec\": %.1f },\n\
        \  \"speedup\": %.2f,\n\
-       \  \"sha256_digest_mb_per_sec\": %.1f\n\
+       \  \"sha256\": { \"buffer_bytes\": 65536, \"kernel_selected\": %b,\n\
+       \              \"selected_mb_per_sec\": %.1f, \"reference_mb_per_sec\": %.1f,\n\
+       \              \"speedup\": %.2f },\n\
+       \  \"precheck\": { \"token_preimage_bytes\": %d, \"us\": %.2f }\n\
         }\n"
-       app.Apps.name steps (sps base_s) (1.0 /. base_s) (sps fast_s)
-       (1.0 /. fast_s) speedup sha_mb_s);
+       (methodology_json ()) app.Apps.name steps (sps base_s) (1.0 /. base_s)
+       (sps fast_s) (1.0 /. fast_s) speedup accelerated kernel_mb_s
+       reference_mb_s (kernel_mb_s /. reference_mb_s) preimage precheck_us);
   printf "wrote BENCH_replay.json@."
+
+(* CI gate: the SHA-NI kernel must hash at >= 4x the OCaml reference.
+   Skips itself where the kernel is not selected. *)
+let replay_gate () =
+  section "Replay gate: SHA-256 kernel vs OCaml reference";
+  if not Dialed_crypto.Sha256.accelerated then
+    printf "skipping: this CPU has no SHA extensions, so the kernel is not selected@."
+  else begin
+    let kernel_mb_s, reference_mb_s = sha256_mb_per_s () in
+    let ratio = kernel_mb_s /. reference_mb_s in
+    printf "kernel %.1f MB/s, reference %.1f MB/s: %.1fx (gate >= 4x)@."
+      kernel_mb_s reference_mb_s ratio;
+    if ratio < 4.0 then begin
+      printf "FAIL: SHA-256 kernel below 4x the reference@.";
+      exit 1
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Fleet verification: serial vs parallel batch replay throughput, over
@@ -1700,7 +1775,7 @@ let () =
   (* CI-only gates, reachable by name but excluded from a bare run-all *)
   let gates =
     [ ("fleet-gate", fleet_gate); ("swarm-gate", swarm_gate);
-      ("memo-gate", memo_gate) ]
+      ("memo-gate", memo_gate); ("replay-gate", replay_gate) ]
   in
   match Array.to_list Sys.argv with
   | _ :: ((_ :: _) as picks) ->

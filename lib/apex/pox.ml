@@ -44,7 +44,7 @@ let verify_with ~key_state ~expected_er r =
            ~er_exit:r.er_exit ~or_min:r.or_min ~or_max:r.or_max ~exec:r.exec
            ~er_bytes:expected_er ~or_data:r.or_data)
     in
-    if not (String.equal expected_token r.token) then
+    if not (Hmac.equal expected_token r.token) then
       Error "token mismatch: code, output or parameters were tampered with"
     else if not r.exec then
       Error "EXEC = 0: the operation did not complete untampered"

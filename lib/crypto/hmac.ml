@@ -35,15 +35,22 @@ let mac_parts ~key parts = mac_parts_with (key_state ~key) parts
 
 let mac ~key msg = mac_parts ~key [ msg ]
 
-let verify ~key ~msg ~tag =
-  let expected = mac ~key msg in
-  if String.length tag <> String.length expected then false
-  else begin
+(* OR of the XORs of every byte pair: the loop never exits early, so
+   its time does not depend on where the strings differ *)
+let equal a b =
+  let n = String.length a in
+  n = String.length b
+  && begin
     let diff = ref 0 in
-    String.iteri
-      (fun i c -> diff := !diff lor (Char.code c lxor Char.code expected.[i]))
-      tag;
+    for i = 0 to n - 1 do
+      diff :=
+        !diff
+        lor (Char.code (String.unsafe_get a i)
+             lxor Char.code (String.unsafe_get b i))
+    done;
     !diff = 0
   end
+
+let verify ~key ~msg ~tag = equal (mac ~key msg) tag
 
 let hex = Sha256.hex

@@ -27,8 +27,14 @@ val mac_with : key_state -> string -> string
 val mac_parts_with : key_state -> string list -> string
 (** [mac_parts_with (key_state ~key) parts = mac_parts ~key parts]. *)
 
+val equal : string -> string -> bool
+(** Tag comparison whose time does not depend on the bytes: for equal
+    lengths it always reads every byte; strings of different lengths are
+    unequal at once. Use it, not [String.equal], to check a received
+    token against the expected one. *)
+
 val verify : key:string -> msg:string -> tag:string -> bool
-(** Constant-time comparison of a received tag against the expected one. *)
+(** [equal (mac ~key msg) tag]. *)
 
 val hex : string -> string
 (** Re-export of {!Sha256.hex}. *)

@@ -28,30 +28,27 @@ let initial_h =
   [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
      0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
 
-(* The context owns its chaining state, a reusable 64-word message
-   schedule, and a 64-byte partial-block buffer: a whole-message hash
-   performs no per-block allocation. *)
+(* The context owns its chaining state and a 64-byte partial-block
+   buffer: a whole-message hash performs no per-block allocation. *)
 type ctx = {
   h : int array;          (* 8 words of chaining state, updated in place *)
-  w : int array;          (* 64-word schedule, scratch reused per block *)
   buf : Bytes.t;          (* < 64 bytes awaiting a full block *)
   mutable buf_len : int;
   mutable total_len : int; (* message bytes consumed so far *)
 }
 
 let init () =
-  { h = Array.copy initial_h; w = Array.make 64 0;
-    buf = Bytes.create block_size; buf_len = 0; total_len = 0 }
+  { h = Array.copy initial_h; buf = Bytes.create block_size; buf_len = 0;
+    total_len = 0 }
 
 let copy ctx =
-  { h = Array.copy ctx.h; w = Array.make 64 0;
-    buf = Bytes.copy ctx.buf; buf_len = ctx.buf_len;
+  { h = Array.copy ctx.h; buf = Bytes.copy ctx.buf; buf_len = ctx.buf_len;
     total_len = ctx.total_len }
 
 let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
-(* One compression round over [block.(off .. off+63)], folding into [h]
-   in place; [w] is caller-provided scratch. *)
+(* The reference compression function: one block [block.(off .. off+63)]
+   folded into [h] in place; [w] is caller-provided scratch. *)
 let compress h w (block : Bytes.t) off =
   for i = 0 to 15 do
     let j = off + (4 * i) in
@@ -92,7 +89,31 @@ let compress h w (block : Bytes.t) off =
   h.(4) <- (h.(4) + !e) land mask32; h.(5) <- (h.(5) + !f) land mask32;
   h.(6) <- (h.(6) + !g) land mask32; h.(7) <- (h.(7) + !hh) land mask32
 
-let update ctx data =
+(* The SHA-NI kernel (sha256_stubs.c): folds [n] blocks starting at
+   [off] into [h] in place. Only called when [accelerated]. *)
+external ni_blocks : int array -> Bytes.t -> int -> int -> unit
+  = "dialed_sha256_ni_blocks" [@@noalloc]
+
+external ni_available : unit -> bool = "dialed_sha256_ni_available"
+  [@@noalloc]
+
+let accelerated = ni_available ()
+
+(* message-schedule scratch for [compress], one per domain *)
+let schedule = Domain.DLS.new_key (fun () -> Array.make 64 0)
+
+(* Fold [n] consecutive blocks of [b] from [off] into [h]: in one kernel
+   call when [kernel], else block by block through [compress]. *)
+let blocks ~kernel h b off n =
+  if kernel then ni_blocks h b off n
+  else begin
+    let w = Domain.DLS.get schedule in
+    for i = 0 to n - 1 do
+      compress h w b (off + (block_size * i))
+    done
+  end
+
+let absorb ~kernel ctx data =
   let len = String.length data in
   let db = Bytes.unsafe_of_string data in
   let pos = ref 0 in
@@ -102,15 +123,16 @@ let update ctx data =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = block_size then begin
-      compress ctx.h ctx.w ctx.buf 0;
+      blocks ~kernel ctx.h ctx.buf 0 1;
       ctx.buf_len <- 0
     end
   end;
-  (* full blocks straight from the input, no copy *)
-  while !pos + block_size <= len do
-    compress ctx.h ctx.w db !pos;
-    pos := !pos + block_size
-  done;
+  (* all full blocks straight from the input, no copy *)
+  let n = (len - !pos) / block_size in
+  if n > 0 then begin
+    blocks ~kernel ctx.h db !pos n;
+    pos := !pos + (block_size * n)
+  end;
   if !pos < len then begin
     Bytes.blit db !pos ctx.buf ctx.buf_len (len - !pos);
     ctx.buf_len <- ctx.buf_len + (len - !pos)
@@ -118,9 +140,9 @@ let update ctx data =
   ctx.total_len <- ctx.total_len + len;
   ctx
 
-let finalize ctx =
+let finish ~kernel ctx =
   (* pad into a local block so the context stays usable (and shareable
-     key states are never mutated); [ctx.w] is plain scratch *)
+     key states are never mutated) *)
   let h = Array.copy ctx.h in
   let total = if ctx.buf_len + 9 <= block_size then block_size else 2 * block_size in
   let block = Bytes.make total '\000' in
@@ -131,8 +153,7 @@ let finalize ctx =
     Bytes.set block (total - 8 + i)
       (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xFF))
   done;
-  compress h ctx.w block 0;
-  if total = 2 * block_size then compress h ctx.w block block_size;
+  blocks ~kernel h block 0 (total / block_size);
   let out = Bytes.create digest_size in
   for i = 0 to 7 do
     let word = h.(i) in
@@ -143,7 +164,12 @@ let finalize ctx =
   done;
   Bytes.unsafe_to_string out
 
+let update ctx data = absorb ~kernel:accelerated ctx data
+let finalize ctx = finish ~kernel:accelerated ctx
 let digest msg = finalize (update (init ()) msg)
+
+let reference_digest msg =
+  finish ~kernel:false (absorb ~kernel:false (init ()) msg)
 
 (* exported as int32 for the SW-Att code generator's ROM tables *)
 let round_constants = Array.map Int32.of_int k

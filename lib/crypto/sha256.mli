@@ -1,11 +1,19 @@
-(** SHA-256 (FIPS 180-4), written from scratch.
+(** SHA-256 (FIPS 180-4).
 
     VRASED computes an HMAC-SHA256 over program memory inside its ROM
-    routine; this module is the hash that backs {!Hmac}. Pure OCaml, no
-    dependencies.
+    routine; this module is the hash that backs {!Hmac}.
 
-    The streaming context is {e imperative}: it owns a preallocated
-    message schedule and partial-block buffer, and {!update} folds data
+    {b Kernel selection.} At module initialisation the module asks the CPU
+    once whether it has the x86 SHA extensions. If it does
+    ({!accelerated}), {!update} and {!finalize} hash all full blocks of
+    an input with one call to a C kernel built on the SHA-NI round
+    instructions. Otherwise they use the OCaml compression function
+    written from scratch here, which is also the reference the tests
+    compare against ({!reference_digest}). Both give the same bytes;
+    there is no switch. On non-x86 targets the kernel is compiled out.
+
+    The streaming context is {e imperative}: it owns its chaining
+    state and a partial-block buffer, and {!update} folds data
     into the chaining state in place, returning the {e same} context (the
     functional signature is kept so existing pipelines read naturally).
     Use a context linearly, or {!copy} it first to fork — e.g. the cached
@@ -21,7 +29,7 @@ val update : ctx -> string -> ctx
 (** Absorb bytes. Mutates and returns [ctx] itself. *)
 
 val copy : ctx -> ctx
-(** Independent snapshot of the streaming state (fresh scratch buffers);
+(** Independent snapshot of the streaming state (fresh buffers);
     the clone and the original can diverge safely, even across domains. *)
 
 val finalize : ctx -> string
@@ -30,6 +38,14 @@ val finalize : ctx -> string
 
 val digest : string -> string
 (** One-shot hash; 32-byte raw digest. *)
+
+val accelerated : bool
+(** [true] when this process hashes with the SHA-NI kernel. *)
+
+val reference_digest : string -> string
+(** [digest] computed with the OCaml compression function whatever the
+    CPU: a test oracle for the kernel, and the baseline the replay bench
+    measures it against. Not a configuration option. *)
 
 val hex : string -> string
 (** Lowercase hex of a raw byte string (handy for digests). *)

@@ -19,7 +19,7 @@ let max_events = 512
 
 type timer = {
   mutable t_live : bool;
-  t_fire : unit -> unit;
+  mutable t_fire : unit -> unit; (* [no_fire] once cancelled *)
   mutable t_ticks : int; (* absolute fire tick *)
 }
 
@@ -115,9 +115,14 @@ let after t delay fire =
   t.n_timers <- t.n_timers + 1;
   tm
 
+let no_fire () = ()
+
+(* The dead timer stays in its wheel slot until the slot comes due, so
+   drop the callback now: it may hold a whole connection. *)
 let cancel t tm =
   if tm.t_live then begin
     tm.t_live <- false;
+    tm.t_fire <- no_fire;
     t.n_timers <- t.n_timers - 1
   end
 

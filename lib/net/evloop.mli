@@ -52,7 +52,9 @@ val after : t -> float -> (unit -> unit) -> timer
     tick late under a responsive loop. *)
 
 val cancel : t -> timer -> unit
-(** O(1) lazy cancel; idempotent. A cancelled timer never fires. *)
+(** O(1) lazy cancel; idempotent. A cancelled timer never fires, and
+    its callback (with everything it captures) is released at once, not
+    when its wheel slot comes due. *)
 
 (** {2 Cross-thread wakeups} *)
 

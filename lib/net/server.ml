@@ -116,6 +116,7 @@ type econn = {
   mutable ec_sess : esess option;
   mutable ec_alive : bool;
   mutable ec_deadline : Evloop.timer option;
+  mutable ec_due : float; (* read deadline: last frame + [read_deadline] *)
 }
 
 type t = {
@@ -793,26 +794,34 @@ let run_evloop t =
     (match busy with Some reason -> send ec (Codec.Busy reason) | None -> ());
     close_conn ~flush ec
   in
+  (* One timer per connection, moved lazily: a frame only pushes
+     [ec_due] forward, and a timer that fires before [ec_due] re-arms for
+     the rest. A fresh timer per frame would leave a cancelled timer per
+     frame in the wheel until its slot came due, [read_deadline] later. *)
   let rec arm_deadline ec =
     match t.cfg.read_deadline with
     | None -> ()
     | Some d ->
-      (match ec.ec_deadline with
-       | Some tm -> Evloop.cancel loop tm
-       | None -> ());
-      ec.ec_deadline <- Some (Evloop.after loop d (fun () -> on_deadline ec))
+      ec.ec_due <- Unix.gettimeofday () +. d;
+      if Option.is_none ec.ec_deadline then arm_timer ec d
+  and arm_timer ec delay =
+    ec.ec_deadline <- Some (Evloop.after loop delay (fun () -> on_deadline ec))
   and on_deadline ec =
     if ec.ec_alive then begin
       ec.ec_deadline <- None;
-      match ec.ec_sess with
-      | Some es when Hashtbl.length es.es_issued = 0 && es.es_open > 0 ->
-        (* every issued challenge answered, verdicts still queued in the
-           engine: the peer owes us nothing — re-arm instead of killing
-           it for our own queueing delay (threads-engine exemption) *)
-        arm_deadline ec
-      | _ ->
-        count (fun t -> t.c_timeouts <- t.c_timeouts + 1);
-        close_conn ec
+      let left = ec.ec_due -. Unix.gettimeofday () in
+      if left > 0.0 then arm_timer ec left
+      else begin
+        match ec.ec_sess with
+        | Some es when Hashtbl.length es.es_issued = 0 && es.es_open > 0 ->
+          (* every issued challenge answered, verdicts still queued in the
+             engine: the peer owes us nothing — re-arm instead of killing
+             it for our own queueing delay (threads-engine exemption) *)
+          arm_deadline ec
+        | _ ->
+          count (fun t -> t.c_timeouts <- t.c_timeouts + 1);
+          close_conn ec
+      end
     end
   in
   let reject_round ec es seq kind detail =
@@ -1035,7 +1044,7 @@ let run_evloop t =
     | `Admit id ->
       let ec =
         { ec_id = id; ec_ev = None; ec_sess = None; ec_alive = true;
-          ec_deadline = None }
+          ec_deadline = None; ec_due = 0.0 }
       in
       Hashtbl.replace conns id ec;
       let ev =

@@ -223,6 +223,28 @@ let test_forged_or_data () =
    | Error _ -> ()
    | Ok () -> Alcotest.fail "forged OR data must fail")
 
+let test_token_edits_rejected () =
+  let d = build () in
+  let er = expected_er d in
+  ignore (A.Device.run_operation ~args:[ 21 ] d);
+  let report = A.Device.attest d ~challenge:"n" in
+  let token = report.A.Pox.token in
+  let last = String.length token - 1 in
+  let flip i =
+    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) token
+  in
+  List.iter
+    (fun (name, token) ->
+       match A.Pox.verify ~key:A.Device.default_key ~expected_er:er
+               { report with A.Pox.token } with
+       | Error _ -> ()
+       | Ok () -> Alcotest.failf "%s token must fail" name)
+    [ ("first byte flipped", flip 0); ("last byte flipped", flip last);
+      ("truncated", String.sub token 0 last); ("extended", token ^ "\000") ];
+  match A.Pox.verify ~key:A.Device.default_key ~expected_er:er report with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "untouched token must verify: %s" e
+
 let test_wrong_key_rejected () =
   let d = build () in
   let er = expected_er d in
@@ -271,6 +293,7 @@ let suites =
        Alcotest.test_case "exec re-earned" `Quick test_reearn_exec_after_failure;
        Alcotest.test_case "challenge freshness" `Quick test_challenge_freshness;
        Alcotest.test_case "forged OR data" `Quick test_forged_or_data;
+       Alcotest.test_case "token edits" `Quick test_token_edits_rejected;
        Alcotest.test_case "wrong key" `Quick test_wrong_key_rejected;
        Alcotest.test_case "layout validation" `Quick test_layout_validation;
        Alcotest.test_case "vrased measures memory" `Quick test_vrased_measures_actual_memory ]) ]

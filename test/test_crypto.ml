@@ -91,6 +91,22 @@ let test_verify () =
   Alcotest.(check bool) "rejects wrong key" false
     (Hmac.verify ~key:"other" ~msg ~tag)
 
+let test_equal () =
+  let tag = Hmac.mac ~key:"k" "m" in
+  let flip i =
+    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x80) else c) tag
+  in
+  let check name expect a b =
+    Alcotest.(check bool) name expect (Hmac.equal a b)
+  in
+  check "equal tokens" true tag (String.sub tag 0 32);
+  check "empty strings" true "" "";
+  check "first byte differs" false tag (flip 0);
+  check "last byte differs" false tag (flip 31);
+  check "truncated" false tag (String.sub tag 0 31);
+  check "extended" false tag (tag ^ "\000");
+  check "empty vs tag" false "" tag
+
 let test_copy_independence () =
   (* [update] mutates in place, so forks must be taken with [copy] — and
      a fork must never disturb its origin or siblings *)
@@ -152,6 +168,29 @@ let prop_partition_equals_oneshot =
        in
        Sha256.finalize ctx = Sha256.digest s)
 
+(* The kernel against the OCaml reference: messages of 0-5 blocks,
+   streamed through [update] in chunks cut at random points, so both
+   the buffered partial block and the multi-block kernel call are hit. *)
+let prop_kernel_equals_reference =
+  QCheck.Test.make ~name:"kernel = reference" ~count:500
+    QCheck.(pair (string_of_size (QCheck.Gen.int_range 0 (5 * 64)))
+              (list_of_size (QCheck.Gen.int_range 0 6) (int_range 0 320)))
+    (fun (s, cuts) ->
+       let n = String.length s in
+       let cuts = List.sort_uniq compare (0 :: n :: List.map (fun c -> min c n) cuts) in
+       let rec chunks = function
+         | a :: (b :: _ as rest) -> String.sub s a (b - a) :: chunks rest
+         | _ -> []
+       in
+       Sha256.finalize (List.fold_left Sha256.update (Sha256.init ()) (chunks cuts))
+       = Sha256.reference_digest s)
+
+let test_kernel_equals_reference =
+  if Sha256.accelerated then QCheck_alcotest.to_alcotest prop_kernel_equals_reference
+  else
+    Alcotest.test_case "kernel = reference" `Quick (fun () ->
+        print_endline "skipped: this CPU has no SHA extensions, so the kernel is not selected")
+
 let prop_distinct_messages_distinct_macs =
   QCheck.Test.make ~name:"mac respects message identity" ~count:200
     QCheck.(pair small_string small_string)
@@ -168,7 +207,9 @@ let suites =
        Alcotest.test_case "mac_parts" `Quick test_mac_parts;
        Alcotest.test_case "ctx copy independence" `Quick test_copy_independence;
        Alcotest.test_case "precomputed key state" `Quick test_key_state;
-       Alcotest.test_case "verify" `Quick test_verify ]
+       Alcotest.test_case "verify" `Quick test_verify;
+       Alcotest.test_case "constant-time equal" `Quick test_equal;
+       test_kernel_equals_reference ]
      @ List.map QCheck_alcotest.to_alcotest
          [ prop_incremental_equals_oneshot; prop_partition_equals_oneshot;
            prop_distinct_messages_distinct_macs ]) ]

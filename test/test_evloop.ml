@@ -72,6 +72,23 @@ let test_timer_cancel backend () =
       Thread.yield ();
       check_bool "only the live timer fired" true (!fired = [ "b" ]))
 
+(* A cancelled timer stays in its wheel slot until the slot comes due;
+   it must not keep its callback's captures alive until then (the
+   gateway's deadline timers capture whole connections). *)
+let test_cancel_releases_callback backend () =
+  with_loop backend (fun loop ->
+      let weak = Weak.create 1 in
+      let arm () =
+        let payload = Bytes.make 64 'x' in
+        Weak.set weak 0 (Some payload);
+        N.Evloop.after loop 60.0 (fun () -> ignore (Bytes.length payload))
+      in
+      let tm = (Sys.opaque_identity arm) () in
+      N.Evloop.cancel loop tm;
+      Gc.full_major ();
+      check_bool "captured value collected" false (Weak.check weak 0);
+      ignore (Sys.opaque_identity tm : N.Evloop.timer))
+
 (* A delay past the level-0 horizon (256 ticks = 2.56 s) exercises the
    wheel cascade: the timer parks in level 1 and must still fire on
    time, not at the wrap. *)
@@ -252,6 +269,7 @@ let suites =
           in
           [ t "timers fire in deadline order" test_timer_order;
             t "cancelled timers never fire" test_timer_cancel;
+            t "cancel releases the callback" test_cancel_releases_callback;
             t "hook source coalesces bursts" test_hook_source_dedup;
             t "cross-thread post wakes a blocked loop" test_cross_thread_post;
             t "concurrent posts all run" test_concurrent_posts_all_run;

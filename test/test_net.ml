@@ -842,6 +842,38 @@ let test_idle_connection_reaped engine =
       check_int "no sessions leaked" 0 stats.N.Server.sessions_active;
       check_int "no conns leaked" 0 stats.N.Server.connections_active)
 
+let test_chatty_session_outlives_deadline engine =
+  (* the read deadline runs from the last frame, not the first: a peer
+     that keeps talking is never reaped, however long its session *)
+  let deadline = 0.3 in
+  let config =
+    { (gateway_config engine) with N.Server.read_deadline = Some deadline }
+  in
+  with_gateway ~config ~engine (fun ~server ~dial ~device:_ ->
+      let conn = dial () in
+      let chan = N.Chan.create conn in
+      N.Chan.send chan
+        (N.Codec.Hello_ex { device_id = "dev-chatty"; window = 4; firmware = "" });
+      (match N.Chan.recv chan ~deadline:2.0 () with
+       | Ok (Some (N.Codec.Welcome _)) -> ()
+       | _ -> Alcotest.fail "no Welcome");
+      (* unknown sequence numbers: each draws a bad-seq verdict and
+         keeps the session open, over ~2 deadlines in all *)
+      let t0 = Unix.gettimeofday () in
+      let frames = ref 0 in
+      while Unix.gettimeofday () -. t0 < 2.0 *. deadline do
+        Thread.delay (deadline /. 6.0);
+        incr frames;
+        N.Chan.send chan (N.Codec.Report_seq { seq = 1000 + !frames; wire = "x" });
+        match N.Chan.recv chan ~deadline:2.0 () with
+        | Ok (Some (N.Codec.Verdict_seq { accepted = false; _ })) -> ()
+        | _ -> Alcotest.failf "frame %d: session cut before its deadline" !frames
+      done;
+      N.Chan.send chan N.Codec.Bye;
+      N.Transport.close conn;
+      let stats = N.Server.stop server in
+      check_int "no timeouts" 0 stats.N.Server.deadline_timeouts)
+
 let test_half_open_fin_no_bye engine =
   (* TCP half-close: the peer FINs its write side without sending Bye
      and keeps its read side open. The gateway must treat the EOF as
@@ -1005,6 +1037,8 @@ let suites =
               test_server_survives_malformed_peers;
             case "survives slow loris" test_server_survives_slow_loris;
             case "idle connection reaped" test_idle_connection_reaped;
+            case "chatty session outlives the deadline"
+              test_chatty_session_outlives_deadline;
             case "half-open FIN without Bye" test_half_open_fin_no_bye;
             case "request_stop unwinds serve_forever"
               test_request_stop_unwinds ])
