@@ -295,7 +295,9 @@ let time_per_call ?(budget = 0.5) f =
 
 (* The shared methodology: each figure is the median of [timing_runs]
    timed runs, and the JSON records the cores, git revision and OCaml
-   version it was measured with. *)
+   version it was measured with. The revision carries a "-dirty" suffix
+   when the tree had uncommitted changes, so such figures are not
+   attributed to the commit. *)
 let timing_runs = 5
 
 let median_time f =
@@ -303,7 +305,7 @@ let median_time f =
   List.nth ts (timing_runs / 2)
 
 let git_rev () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
   | ic ->
     let rev = try input_line ic with End_of_file -> "unknown" in
     ignore (Unix.close_process_in ic);

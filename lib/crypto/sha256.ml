@@ -99,15 +99,14 @@ external ni_available : unit -> bool = "dialed_sha256_ni_available"
 
 let accelerated = ni_available ()
 
-(* message-schedule scratch for [compress], one per domain *)
-let schedule = Domain.DLS.new_key (fun () -> Array.make 64 0)
-
 (* Fold [n] consecutive blocks of [b] from [off] into [h]: in one kernel
-   call when [kernel], else block by block through [compress]. *)
+   call when [kernel], else block by block through [compress]. The
+   schedule scratch is local to the call: a shared one would be
+   overwritten by another thread preempted into the same domain. *)
 let blocks ~kernel h b off n =
   if kernel then ni_blocks h b off n
   else begin
-    let w = Domain.DLS.get schedule in
+    let w = Array.make 64 0 in
     for i = 0 to n - 1 do
       compress h w b (off + (block_size * i))
     done

@@ -191,6 +191,28 @@ let test_kernel_equals_reference =
     Alcotest.test_case "kernel = reference" `Quick (fun () ->
         print_endline "skipped: this CPU has no SHA extensions, so the kernel is not selected")
 
+(* Systhreads of one domain hashing at once through the OCaml path: the
+   tick thread (every 50 ms) preempts them mid-block, so any scratch
+   state shared between contexts would corrupt digests here. The
+   workers run for several ticks. *)
+let test_reference_threads () =
+  let msgs =
+    List.init 4 (fun i -> String.init (16 * 1024) (fun j -> Char.chr ((i * 31 + j) land 0xFF)))
+  in
+  let expected = List.map Sha256.reference_digest msgs in
+  let mismatches = Atomic.make 0 in
+  let deadline = Unix.gettimeofday () +. 0.3 in
+  let worker (msg, want) =
+    while Unix.gettimeofday () < deadline do
+      if not (String.equal (Sha256.reference_digest msg) want) then
+        Atomic.incr mismatches
+    done
+  in
+  List.map (Thread.create worker) (List.combine msgs expected)
+  |> List.iter Thread.join;
+  Alcotest.(check int) "digests that differ from single-threaded" 0
+    (Atomic.get mismatches)
+
 let prop_distinct_messages_distinct_macs =
   QCheck.Test.make ~name:"mac respects message identity" ~count:200
     QCheck.(pair small_string small_string)
@@ -209,7 +231,8 @@ let suites =
        Alcotest.test_case "precomputed key state" `Quick test_key_state;
        Alcotest.test_case "verify" `Quick test_verify;
        Alcotest.test_case "constant-time equal" `Quick test_equal;
-       test_kernel_equals_reference ]
+       test_kernel_equals_reference;
+       Alcotest.test_case "reference across threads" `Quick test_reference_threads ]
      @ List.map QCheck_alcotest.to_alcotest
          [ prop_incremental_equals_oneshot; prop_partition_equals_oneshot;
            prop_distinct_messages_distinct_macs ]) ]
