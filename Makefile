@@ -51,8 +51,9 @@ bench-swarm:
 	dune exec bench/main.exe -- swarm
 
 # CI perf gate: gateway within 1.5x of the engine. On >= 2 cores the
-# baseline is the raw stream rate; on 1 core the co-located
-# attest+replay ceiling (provers share the verifier's core).
+# baseline is the raw stream rate, and a 4096-session churn smoke must
+# run clean; on 1 core the baseline is the co-located attest+replay
+# ceiling (provers share the verifier's core).
 bench-swarm-gate:
 	dune exec bench/main.exe -- swarm-gate
 
@@ -68,8 +69,8 @@ bench-memo-gate:
 	dune exec bench/main.exe -- memo-gate
 
 # Device lifecycle under load: revocation-to-quarantine latency in
-# rounds (both engines) and a staged rollout holding two firmware
-# versions' plans hot in the LRU (BENCH_lifecycle.json)
+# rounds and a staged rollout holding two firmware versions' plans hot
+# in the LRU (BENCH_lifecycle.json)
 bench-lifecycle:
 	dune exec bench/main.exe -- lifecycle
 

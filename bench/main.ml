@@ -293,11 +293,12 @@ let time_per_call ?(budget = 0.5) f =
   done;
   (Unix.gettimeofday () -. t0) /. float_of_int iters
 
-(* The shared methodology: each figure is the median of [timing_runs]
-   timed runs, and the JSON records the cores, git revision and OCaml
-   version it was measured with. The revision carries a "-dirty" suffix
-   when the tree had uncommitted changes, so such figures are not
-   attributed to the commit. *)
+(* The shared methodology: each figure is the median of [runs] timed
+   runs ([timing_runs] unless the experiment says otherwise; a single run
+   is recorded as such), and the JSON records the cores, git revision
+   and OCaml version it was measured with. The revision carries a
+   "-dirty" suffix when the tree had uncommitted changes, so such
+   figures are not attributed to the commit. *)
 let timing_runs = 5
 
 let median_time f =
@@ -312,12 +313,12 @@ let git_rev () =
     rev
   | exception Unix.Unix_error _ -> "unknown"
 
-let methodology_json () =
+let methodology_json ?(runs = timing_runs) () =
   Printf.sprintf
-    "\"methodology\": { \"statistic\": \"median\", \"runs\": %d, \"cores\": %d,\n\
+    "\"methodology\": { \"statistic\": %S, \"runs\": %d, \"cores\": %d,\n\
     \                  \"git_rev\": %S, \"ocaml_version\": %S }"
-    timing_runs (Domain.recommended_domain_count ()) (git_rev ())
-    Sys.ocaml_version
+    (if runs = 1 then "single" else "median") runs
+    (Domain.recommended_domain_count ()) (git_rev ()) Sys.ocaml_version
 
 (* SHA-256 throughput over a 64 KiB buffer, in MB/s: the selected path
    (the SHA-NI kernel when [Sha256.accelerated]) and the OCaml
@@ -437,7 +438,8 @@ let replay_gate () =
 (* Fleet verification: serial vs parallel batch replay throughput, over
    a batch-size sweep, median-of-N wall times, three engine paths:
      serial   — domains=1, per-domain scratch arena
-     spawn    — domains-1 fresh Domain.spawn per call (the legacy path)
+     per_call — a private 4-domain Fleet.Pool made and shut down inside
+                each verify_batch call (no ?pool argument)
      pooled   — long-lived Fleet.Pool, workers + scratches warm across
                 batches
    Parallel speedup is bounded by the cores actually available to the
@@ -496,7 +498,7 @@ let same_verdicts (a : F.Fleet.summary) (b : F.Fleet.summary) =
 type fleet_point = {
   fp_size : int;
   fp_serial : F.Fleet.summary;
-  fp_spawn : F.Fleet.summary;
+  fp_per_call : F.Fleet.summary;
   fp_pooled : F.Fleet.summary;
   fp_identical : bool;
 }
@@ -524,17 +526,17 @@ let fleet_sweep () =
          let serial =
            median_summary (fun () -> F.Fleet.verify_batch ~domains:1 plan batch)
          in
-         let spawn =
+         let per_call =
            median_summary (fun () ->
                F.Fleet.verify_batch ~domains:fleet_domains plan batch)
          in
          let pooled =
            median_summary (fun () -> F.Fleet.verify_batch ~pool plan batch)
          in
-         { fp_size = size; fp_serial = serial; fp_spawn = spawn;
+         { fp_size = size; fp_serial = serial; fp_per_call = per_call;
            fp_pooled = pooled;
            fp_identical =
-             same_verdicts serial spawn && same_verdicts serial pooled })
+             same_verdicts serial per_call && same_verdicts serial pooled })
       fleet_sizes
   in
   (points, plan, pool, all)
@@ -561,7 +563,7 @@ let fleet () =
   List.iter
     (fun p ->
        row p.fp_size "serial" p.fp_serial;
-       row p.fp_size "spawn" p.fp_spawn;
+       row p.fp_size "per_call" p.fp_per_call;
        row p.fp_size "pooled" p.fp_pooled)
     points;
   (* one streaming pass over a 256-report batch on the same pool: the
@@ -584,11 +586,11 @@ let fleet () =
   List.iter
     (fun p ->
        printf
-         "batch %4d: pooled vs serial %.2fx, pooled vs spawn-per-call \
+         "batch %4d: pooled vs serial %.2fx, pooled vs per-call pool \
           %.2fx@."
          p.fp_size
          (speedup_vs p.fp_serial p.fp_pooled)
-         (speedup_vs p.fp_spawn p.fp_pooled))
+         (speedup_vs p.fp_per_call p.fp_pooled))
     points;
   let at size = List.find_opt (fun p -> p.fp_size = size) points in
   let headline =
@@ -596,19 +598,20 @@ let fleet () =
     | Some p -> speedup_vs p.fp_serial p.fp_pooled
     | None -> 0.0
   in
-  let pooled_beats_spawn_64 =
+  let pooled_beats_per_call_64 =
     match at 64 with
     | Some p ->
       p.fp_pooled.F.Fleet.metrics.F.Metrics.wall_seconds
-      < p.fp_spawn.F.Fleet.metrics.F.Metrics.wall_seconds
+      < p.fp_per_call.F.Fleet.metrics.F.Metrics.wall_seconds
     | None -> false
   in
-  printf "pooled strictly beats spawn-per-call at batch 64: %s@."
-    (if pooled_beats_spawn_64 then "yes" else "NO");
+  printf "pooled strictly beats a per-call pool at batch 64: %s@."
+    (if pooled_beats_per_call_64 then "yes" else "NO");
   write_file "BENCH_fleet.json"
     (Printf.sprintf
        "{\n\
        \  \"experiment\": \"fleet_batch_verification\",\n\
+       \  %s,\n\
        \  \"domains\": %d,\n\
        \  \"available_cores\": %d,\n\
        \  \"repetitions\": %d,\n\
@@ -616,28 +619,29 @@ let fleet () =
        \  \"sweep\": [%s\n  ],\n\
        \  \"stream_256\": %s,\n\
        \  \"parallel_speedup\": %.2f,\n\
-       \  \"pooled_beats_spawn_at_64\": %b\n\
+       \  \"pooled_beats_per_call_at_64\": %b\n\
         }\n"
-       fleet_domains cores fleet_reps identical
+       (methodology_json ~runs:fleet_reps ()) fleet_domains cores fleet_reps
+       identical
        (String.concat ","
           (List.map
              (fun p ->
                 Printf.sprintf
                   "\n    { \"batch_size\": %d,\n\
                   \      \"serial\": %s,\n\
-                  \      \"spawn\": %s,\n\
+                  \      \"per_call\": %s,\n\
                   \      \"pooled\": %s,\n\
-                  \      \"pooled_vs_serial\": %.2f, \"pooled_vs_spawn\": \
+                  \      \"pooled_vs_serial\": %.2f, \"pooled_vs_per_call\": \
                    %.2f }"
                   p.fp_size
                   (F.Metrics.to_json p.fp_serial.F.Fleet.metrics)
-                  (F.Metrics.to_json p.fp_spawn.F.Fleet.metrics)
+                  (F.Metrics.to_json p.fp_per_call.F.Fleet.metrics)
                   (F.Metrics.to_json p.fp_pooled.F.Fleet.metrics)
                   (speedup_vs p.fp_serial p.fp_pooled)
-                  (speedup_vs p.fp_spawn p.fp_pooled))
+                  (speedup_vs p.fp_per_call p.fp_pooled))
              points))
        (F.Metrics.to_json streamed.F.Fleet.metrics)
-       headline pooled_beats_spawn_64);
+       headline pooled_beats_per_call_64);
   printf "wrote BENCH_fleet.json@.";
   ignore plan;
   F.Pool.shutdown pool
@@ -1139,13 +1143,11 @@ type swarm_results = {
   sw_replay_us : float;       (* verifier replay cost per report *)
   sw_engine_raw : float;      (* reports/s, pre-attested input *)
   sw_engine_colocated : float;(* reports/s, attest+replay on this host *)
-  sw_loopback : N.Swarm.outcome;     (* 48x16, evloop engine *)
+  sw_loopback : N.Swarm.outcome;     (* 48x16 *)
   sw_loopback_stats : N.Server.stats;
-  sw_threads : N.Swarm.outcome;      (* same load, thread-per-conn engine *)
-  sw_threads_stats : N.Server.stats;
-  sw_churn_4k : N.Swarm.outcome;     (* 4096 held sessions, multiplexed *)
+  sw_churn_4k : N.Swarm.outcome;     (* 4096 held sessions *)
   sw_churn_4k_stats : N.Server.stats;
-  sw_churn_10k : N.Swarm.outcome;    (* 10240 held sessions, multiplexed *)
+  sw_churn_10k : N.Swarm.outcome;    (* 10240 held sessions *)
   sw_churn_10k_stats : N.Server.stats;
   sw_tcp : N.Swarm.outcome;
   sw_tcp_stats : N.Server.stats;
@@ -1226,28 +1228,25 @@ let swarm_measure () =
     let outcome = f () in
     (outcome, N.Server.stop server)
   in
-  (* the same 48x16 load against each server engine: the readiness loop
-     must not cost throughput relative to thread-per-connection *)
-  let saturation engine =
+  (* the saturation run: 48 provers x 16 deep rounds *)
+  let loopback, loopback_stats =
     let listener, dial = N.Transport.loopback_listener () in
-    with_server ~config:{ server_config with N.Server.engine } ~listener
-      (fun () -> N.Swarm.run ~config:swarm_config ~dial ~respond ())
+    with_server ~listener (fun () ->
+        N.Swarm.run ~config:swarm_config ~dial ~respond ())
   in
-  let loopback, loopback_stats = saturation N.Server.Evloop in
-  let threads, threads_stats = saturation N.Server.Threads in
-  (* churn sweeps: every session held open simultaneously (multiplexed
-     provers over 16 worker loops, barrier-released), shallow rounds,
-     memo armed over a folded fleet of 64 log shapes — the c10k shape:
-     held-connection count, not per-session depth, is the load *)
+  (* churn sweeps: every session held open simultaneously (provers over
+     16 worker loops, barrier-released), shallow rounds, memo armed over
+     a folded fleet of 64 log shapes — the c10k shape: held-connection
+     count, not per-session depth, is the load *)
   let churn ~clients ~rounds ~window =
     let config =
       { server_config with
-        N.Server.engine = N.Server.Evloop; max_conns = clients + 64;
+        N.Server.max_conns = clients + 64;
         memo = Some F.Memo.default_config }
     in
     let listener, dial = N.Transport.loopback_listener () in
     with_server ~config ~listener (fun () ->
-        N.Swarm.run_multiplexed
+        N.Swarm.run
           ~config:{ swarm_config with
                     N.Swarm.clients; rounds; window; concurrency = 16;
                     distinct_logs = 64 }
@@ -1271,7 +1270,6 @@ let swarm_measure () =
   { sw_cores = cores; sw_attest_us = attest_us; sw_replay_us = replay_us;
     sw_engine_raw = engine_raw; sw_engine_colocated = engine_colocated;
     sw_loopback = loopback; sw_loopback_stats = loopback_stats;
-    sw_threads = threads; sw_threads_stats = threads_stats;
     sw_churn_4k = churn_4k; sw_churn_4k_stats = churn_4k_stats;
     sw_churn_10k = churn_10k; sw_churn_10k_stats = churn_10k_stats;
     sw_tcp = tcp; sw_tcp_stats = tcp_stats }
@@ -1279,9 +1277,6 @@ let swarm_measure () =
 let swarm_json r =
   let gap_raw = r.sw_engine_raw /. r.sw_loopback.N.Swarm.throughput in
   let gap_col = r.sw_engine_colocated /. r.sw_loopback.N.Swarm.throughput in
-  let evloop_vs_threads =
-    r.sw_loopback.N.Swarm.throughput /. r.sw_threads.N.Swarm.throughput
-  in
   let max_held =
     max r.sw_churn_4k_stats.N.Server.connections_peak
       r.sw_churn_10k_stats.N.Server.connections_peak
@@ -1289,6 +1284,7 @@ let swarm_json r =
   Printf.sprintf
     "{\n\
     \  \"experiment\": \"swarm_saturation\",\n\
+    \  %s,\n\
     \  \"cores\": %d,\n\
     \  \"attest_us\": %.1f,\n\
     \  \"replay_us\": %.1f,\n\
@@ -1296,14 +1292,11 @@ let swarm_json r =
     \  \"engine_colocated_reports_per_sec\": %.1f,\n\
     \  \"gateway_gap_vs_raw_x\": %.3f,\n\
     \  \"gateway_gap_vs_colocated_x\": %.3f,\n\
-    \  \"evloop_vs_threads_x\": %.3f,\n\
     \  \"max_held_connections\": %d,\n\
     \  \"gate_threshold_x\": 1.5,\n\
     \  \"gate_baseline\": \"%s\",\n\
     \  \"loopback\": %s,\n\
     \  \"loopback_server\": %s,\n\
-    \  \"loopback_threads\": %s,\n\
-    \  \"loopback_threads_server\": %s,\n\
     \  \"churn_4k\": %s,\n\
     \  \"churn_4k_server\": %s,\n\
     \  \"churn_10k\": %s,\n\
@@ -1311,13 +1304,11 @@ let swarm_json r =
     \  \"tcp\": %s,\n\
     \  \"tcp_server\": %s\n\
      }\n"
-    r.sw_cores r.sw_attest_us r.sw_replay_us r.sw_engine_raw
-    r.sw_engine_colocated gap_raw gap_col evloop_vs_threads max_held
+    (methodology_json ~runs:1 ()) r.sw_cores r.sw_attest_us r.sw_replay_us
+    r.sw_engine_raw r.sw_engine_colocated gap_raw gap_col max_held
     (if r.sw_cores >= 2 then "raw" else "colocated")
     (N.Swarm.outcome_to_json r.sw_loopback)
     (N.Server.stats_to_json r.sw_loopback_stats)
-    (N.Swarm.outcome_to_json r.sw_threads)
-    (N.Server.stats_to_json r.sw_threads_stats)
     (N.Swarm.outcome_to_json r.sw_churn_4k)
     (N.Server.stats_to_json r.sw_churn_4k_stats)
     (N.Swarm.outcome_to_json r.sw_churn_10k)
@@ -1333,12 +1324,8 @@ let swarm_report r =
   printf "%-48s %10.0f@." "engine, raw stream (reports/s)" r.sw_engine_raw;
   printf "%-48s %10.0f@." "engine, co-located attest+replay (reports/s)"
     r.sw_engine_colocated;
-  printf "%-48s %10.0f@." "gateway swarm, loopback evloop (rounds/s)"
+  printf "%-48s %10.0f@." "gateway swarm, loopback (rounds/s)"
     r.sw_loopback.N.Swarm.throughput;
-  printf "%-48s %10.0f@." "gateway swarm, loopback threads (rounds/s)"
-    r.sw_threads.N.Swarm.throughput;
-  printf "%-48s %10.2f@." "evloop vs threads (x)"
-    (r.sw_loopback.N.Swarm.throughput /. r.sw_threads.N.Swarm.throughput);
   printf "%-48s %10.0f@." "churn, 4096 held sessions (rounds/s)"
     r.sw_churn_4k.N.Swarm.throughput;
   printf "%-48s %10.0f@." "churn, 10240 held sessions (rounds/s)"
@@ -1414,25 +1401,12 @@ let swarm_gate () =
       (Printf.sprintf
          "swarm-gate: gateway %.2fx slower than the %s engine (budget \
           1.5x) on %d cores" gap name cores);
-  (* the evloop checks compare two engine runs and a 4k-session churn
-     smoke; on a single core the scheduler interleaving between swarm
-     workers and the one gateway thread dominates both numbers, so the
-     comparison self-skips below 2 cores *)
+  (* the 4k-session churn smoke: on a single core the scheduler
+     interleaving between swarm workers and the one gateway thread
+     dominates it, so it self-skips below 2 cores *)
   if cores < 2 then
-    printf
-      "gate: evloop-vs-threads and churn checks skipped (%d core)@." cores
+    printf "gate: churn check skipped (%d core)@." cores
   else begin
-    let ratio =
-      r.sw_loopback.N.Swarm.throughput /. r.sw_threads.N.Swarm.throughput
-    in
-    printf "gate: evloop %.0f vs threads %.0f rounds/s = %.2fx@."
-      r.sw_loopback.N.Swarm.throughput r.sw_threads.N.Swarm.throughput
-      ratio;
-    if ratio < 0.95 then
-      failwith
-        (Printf.sprintf
-           "swarm-gate: evloop engine %.2fx of threads at %dx%d (must \
-            not be worse)" ratio swarm_clients swarm_rounds);
     let c = r.sw_churn_4k and cs = r.sw_churn_4k_stats in
     printf "gate: churn smoke peak %d held, %d busy, %d timeouts@."
       cs.N.Server.connections_peak c.N.Swarm.busy_bounces
@@ -1463,8 +1437,7 @@ let swarm_gate () =
       counts how many more verdicts the prover ever received. The
       gateway rechecks the registry immediately before every verdict
       send, so the answer should be ~0 — the session is cut with a
-      typed denial before the next verdict — and must hold identically
-      under both connection engines.
+      typed denial before the next verdict.
 
    2. Staged rollout with two firmware versions live. A registered
       fleet splits deterministically across stable (fire-sensor) and
@@ -1489,7 +1462,7 @@ type revocation_result = {
   rv_midsession_denials : int;(* server-side counter *)
 }
 
-let lifecycle_revocation engine =
+let lifecycle_revocation () =
   let app = Apps.fire_sensor in
   let built = Apps.build app in
   let plan = F.Plan.of_built built in
@@ -1499,7 +1472,7 @@ let lifecycle_revocation engine =
    | Error m -> failwith m);
   let config =
     { N.Server.default_config with
-      N.Server.engine; domains = 2; read_deadline = Some 30.0;
+      N.Server.domains = 2; read_deadline = Some 30.0;
       args = app.Apps.benign_args; lifecycle = Some lc }
   in
   let listener, dial = N.Transport.loopback_listener () in
@@ -1530,10 +1503,17 @@ let lifecycle_revocation engine =
          try N.Transport.close conn with _ -> ())
       ()
   in
-  (* let some verdicts land, then pull the key *)
+  (* let some verdicts land, then pull the key. [lc_attested] counts a
+     verdict once it has been sent — the verdict counters tick before
+     the pre-send registry recheck, so they can run ahead of what the
+     prover receives *)
+  let attested () =
+    match (N.Server.stats server).N.Server.lifecycle with
+    | Some l -> l.N.Server.lc_attested
+    | None -> 0
+  in
   let rec wait spins =
-    let s = N.Server.stats server in
-    let v = s.N.Server.verdicts_accepted + s.N.Server.verdicts_rejected in
+    let v = attested () in
     if v >= 8 || spins > 6000 then v
     else begin Thread.delay 0.005; wait (spins + 1) end
   in
@@ -1656,7 +1636,7 @@ let revocation_json r =
      | None -> "null")
     r.rv_midsession_denials
 
-let lifecycle_json ev th ro =
+let lifecycle_json rv ro =
   let pc =
     match ro.ro_stats.N.Server.plan_cache with
     | Some c -> c
@@ -1665,8 +1645,8 @@ let lifecycle_json ev th ro =
   Printf.sprintf
     "{\n\
     \  \"experiment\": \"lifecycle\",\n\
-    \  \"revocation_evloop\": %s,\n\
-    \  \"revocation_threads\": %s,\n\
+    \  %s,\n\
+    \  \"revocation\": %s,\n\
     \  \"rollout\": {\n\
     \    \"clients\": %d,\n\
     \    \"stale_clients\": %d,\n\
@@ -1678,26 +1658,17 @@ let lifecycle_json ev th ro =
     \    \"server\": %s\n\
     \  }\n\
      }\n"
-    (revocation_json ev) (revocation_json th)
+    (methodology_json ~runs:1 ()) (revocation_json rv)
     ro.ro_clients ro.ro_stale ro.ro_canary_assigned
     pc.F.Plan.cc_misses pc.F.Plan.cc_evictions pc.F.Plan.cc_resident
     (N.Swarm.outcome_to_json ro.ro_outcome)
     (N.Server.stats_to_json ro.ro_stats)
 
-let lifecycle_report ev th ro =
-  let one name r =
-    printf "%-48s %10d@."
-      (Printf.sprintf "revocation latency, %s (rounds)" name)
-      r.rv_latency_rounds;
-    printf "%-48s %10s@."
-      (Printf.sprintf "  denial cause seen by prover (%s)" name)
-      (Option.value r.rv_denied ~default:"none");
-    printf "%-48s %10d@."
-      (Printf.sprintf "  mid-session cuts counted (%s)" name)
-      r.rv_midsession_denials
-  in
-  one "evloop" ev;
-  one "threads" th;
+let lifecycle_report rv ro =
+  printf "%-48s %10d@." "revocation latency (rounds)" rv.rv_latency_rounds;
+  printf "%-48s %10s@." "  denial cause seen by prover"
+    (Option.value rv.rv_denied ~default:"none");
+  printf "%-48s %10d@." "  mid-session cuts counted" rv.rv_midsession_denials;
   let pc = Option.get ro.ro_stats.N.Server.plan_cache in
   printf "%-48s %10d@." "rollout fleet (provers)" ro.ro_clients;
   printf "%-48s %10d@." "  canary cohort (of 64, at 50%)"
@@ -1723,11 +1694,10 @@ let lifecycle_report ev th ro =
 
 let lifecycle_bench () =
   section "Lifecycle: revocation latency and staged rollout";
-  let ev = lifecycle_revocation N.Server.Evloop in
-  let th = lifecycle_revocation N.Server.Threads in
+  let rv = lifecycle_revocation () in
   let ro = lifecycle_rollout () in
-  lifecycle_report ev th ro;
-  write_file "BENCH_lifecycle.json" (lifecycle_json ev th ro);
+  lifecycle_report rv ro;
+  write_file "BENCH_lifecycle.json" (lifecycle_json rv ro);
   printf "wrote BENCH_lifecycle.json@."
 
 (* ------------------------------------------------------------------ *)

@@ -6,12 +6,12 @@
      dialed run      [--app NAME] [--variant V] [--arg N]...
      dialed attest   [--app NAME] [--arg N]...
      dialed fleet    [--app NAME (default fire-sensor)] [--count N]
-                     [--domains D] [--tamper K] [--pool] [--stream]
+                     [--domains D] [--tamper K] [--stream]
      dialed disasm   [--app NAME] [--variant V]
      dialed lint     [--app NAME | --file F | --all] [--variant V] [--json]
                      [--loop-bound K] [--require-bounded]
      dialed serve    [--app NAME] [--port P] [--domains D] [--rate R]
-                     [--max-window W] [--engine evloop|threads] ...
+                     [--max-window W] ...
      dialed prover   [--app NAME] [--host H] [--port P] [--rounds N]
                      [--device-id ID] [--tamper] [--pipeline W]
                      [--firmware V]
@@ -301,17 +301,10 @@ let fleet_cmd =
     let doc = "Tamper with the last K reports (flip one OR log byte each)." in
     Arg.(value & opt int 0 & info [ "tamper" ] ~docv:"K" ~doc)
   in
-  let pool_arg =
-    let doc =
-      "Verify on a long-lived worker pool instead of spawning domains per \
-       call (the production path; workers and scratch arenas stay warm)."
-    in
-    Arg.(value & flag & info [ "pool" ] ~doc)
-  in
   let stream_arg =
     let doc =
       "Use the streaming engine (submit reports one at a time, bounded \
-       in-flight window) instead of one batch call. Implies a pool."
+       in-flight window) instead of one batch call."
     in
     Arg.(value & flag & info [ "stream" ] ~doc)
   in
@@ -323,8 +316,7 @@ let fleet_cmd =
     in
     Arg.(value & flag & info [ "memo" ] ~doc)
   in
-  let run app file entry args count domains tamper use_pool use_stream
-      use_memo =
+  let run app file entry args count domains tamper use_stream use_memo =
     (* a fleet of the paper's fire sensors unless told otherwise *)
     let app =
       match app, file with None, None -> Some "fire-sensor" | _ -> app
@@ -368,11 +360,6 @@ let fleet_cmd =
             let summary =
               if use_stream then
                 F.Fleet.verify_stream ~domains ?memo plan batch
-              else if use_pool then begin
-                let pool = F.Pool.create ~domains () in
-                Fun.protect ~finally:(fun () -> F.Pool.shutdown pool)
-                  (fun () -> F.Fleet.verify_batch ~pool ?memo plan batch)
-              end
               else F.Fleet.verify_batch ~domains ?memo plan batch
             in
             Format.printf "firmware %s@."
@@ -392,7 +379,7 @@ let fleet_cmd =
        ~doc:"Verify a simulated device fleet in parallel (batch replay)")
     Term.(term_result
             (const run $ app_arg $ file_arg $ entry_arg $ args_arg $ count_arg
-             $ domains_arg $ tamper_arg $ pool_arg $ stream_arg $ memo_arg))
+             $ domains_arg $ tamper_arg $ stream_arg $ memo_arg))
 
 let lint_cmd =
   let all_arg =
@@ -570,18 +557,6 @@ let serve_cmd =
     let doc = "Verdict-memo resident-byte ceiling (implies --memo)." in
     Arg.(value & opt (some int) None & info [ "memo-bytes" ] ~docv:"B" ~doc)
   in
-  let engine_arg =
-    let doc =
-      "Connection engine: $(b,evloop) (single-threaded readiness loop, \
-       holds thousands of idle provers) or $(b,threads) (one systhread \
-       per connection)."
-    in
-    let engine_conv =
-      Arg.enum [ ("evloop", N.Server.Evloop); ("threads", N.Server.Threads) ]
-    in
-    Arg.(value & opt engine_conv N.Server.Evloop
-         & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
   let registry_arg =
     let doc = "Device registry journal: replayed at startup, appended to \
                on every lifecycle transition. Arms lifecycle enforcement \
@@ -606,7 +581,7 @@ let serve_cmd =
          & info [ "firmware-plan" ] ~docv:"VERSION=APP" ~doc)
   in
   let run app file entry args port domains window max_window rate burst
-      max_conns deadline duration memo_flag memo_entries memo_bytes engine
+      max_conns deadline duration memo_flag memo_entries memo_bytes
       registry no_anonymous firmware_plans =
     let app =
       match app, file with None, None -> Some "fire-sensor" | _ -> app
@@ -681,7 +656,7 @@ let serve_cmd =
           in
           let config =
             { N.Server.default_config with
-              N.Server.engine; max_conns; domains; window; max_window;
+              N.Server.max_conns; domains; window; max_window;
               rate; burst; args; read_deadline = Some deadline; memo;
               plan_cache = Some pcache; lifecycle; resolve_plan }
           in
@@ -718,8 +693,7 @@ let serve_cmd =
              $ port_arg ~default:4242 $ domains_arg $ window_arg
              $ max_window_arg $ rate_arg $ burst_arg $ max_conns_arg
              $ deadline_arg $ duration_arg $ memo_flag_arg
-             $ memo_entries_arg $ memo_bytes_arg $ engine_arg
-             $ registry_arg $ no_anonymous_arg $ firmware_plan_arg))
+             $ memo_entries_arg $ memo_bytes_arg $ registry_arg $ no_anonymous_arg $ firmware_plan_arg))
 
 let prover_cmd =
   let host_arg =

@@ -15,17 +15,17 @@ type summary = {
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain scratch arenas: every domain that replays reports — pool
-   workers, per-call spawned workers, and the submitting domain itself —
-   reuses replay sandboxes fetched through domain-local storage. Pool
-   workers keep theirs warm across batches; that, not the queue, is
-   where the per-report Memory.create/image-load cost goes.
+   workers and the submitting domain itself — reuses replay sandboxes
+   fetched through domain-local storage. Pool workers keep theirs warm
+   across batches; that, not the queue, is where the per-report
+   Memory.create/image-load cost goes.
 
    The arenas are a checkout pool, not a single per-domain value: a
-   multi-threaded submitter (the network gateway runs one systhread per
-   connection) can have several replays in flight on one domain, since a
-   thread can be preempted mid-replay. Each active replay checks out its
-   own arena; the single-threaded steady state still reuses exactly one
-   arena per domain. *)
+   multi-threaded submitter (several systhreads of one domain calling
+   into the fleet) can have several replays in flight on one domain,
+   since a thread can be preempted mid-replay. Each active replay checks
+   out its own arena; the single-threaded steady state still reuses
+   exactly one arena per domain. *)
 
 let scratch_free = Domain.DLS.new_key (fun () -> ref [])
 let scratch_lock = Mutex.create ()
@@ -48,48 +48,6 @@ let with_scratch f =
         free := s :: !free;
         Mutex.unlock scratch_lock)
     (fun () -> f s)
-
-(* ------------------------------------------------------------------ *)
-(* Chunked work queue for the legacy per-call path: the submitting
-   domain produces index ranges, the worker domains consume them.
-   Closing wakes every blocked consumer.                                *)
-
-module Work_queue = struct
-  type t = {
-    mutex : Mutex.t;
-    nonempty : Condition.t;
-    chunks : (int * int) Queue.t;   (* (first index, length) *)
-    mutable closed : bool;
-  }
-
-  let create () =
-    { mutex = Mutex.create (); nonempty = Condition.create ();
-      chunks = Queue.create (); closed = false }
-
-  let push q chunk =
-    Mutex.lock q.mutex;
-    Queue.add chunk q.chunks;
-    Condition.signal q.nonempty;
-    Mutex.unlock q.mutex
-
-  let close q =
-    Mutex.lock q.mutex;
-    q.closed <- true;
-    Condition.broadcast q.nonempty;
-    Mutex.unlock q.mutex
-
-  (* Blocks until a chunk is available or the queue is closed and drained. *)
-  let take q =
-    Mutex.lock q.mutex;
-    let rec loop () =
-      match Queue.take_opt q.chunks with
-      | Some chunk -> Mutex.unlock q.mutex; Some chunk
-      | None ->
-        if q.closed then begin Mutex.unlock q.mutex; None end
-        else begin Condition.wait q.nonempty q.mutex; loop () end
-    in
-    loop ()
-end
 
 (* ------------------------------------------------------------------ *)
 
@@ -218,48 +176,31 @@ let verify_batch ?pool ?(domains = 1) ?(chunk = default_chunk) ?memo plan
         for i = first to first + len - 1 do
           let device_id, report = reports.(i) in
           (* slots are disjoint per worker; publication happens-before the
-             submitter reads them, via Domain.join / the pool's latch *)
+             submitter reads them, via the pool's latch *)
           results.(i) <- Some (verify_one ?memo:mc vplan scratch device_id report)
         done)
   in
   let ranges =
     List.init n_chunks (fun c -> (c * chunk, min chunk (n - (c * chunk))))
   in
+  let run_on p =
+    (* never split finer than the pool can exploit *)
+    let par = max 1 (min (Pool.domains p) n_chunks) in
+    if par = 1 then begin
+      if n > 0 then verify_range (0, n)
+    end
+    else Pool.run p (List.map (fun r () -> verify_range r) ranges);
+    par
+  in
   let t0 = Unix.gettimeofday () in
   let domains_used =
     match pool with
-    | Some p ->
-      (* never split finer than the pool can exploit *)
-      let par = max 1 (min (Pool.domains p) n_chunks) in
-      if par = 1 then begin
-        if n > 0 then verify_range (0, n)
-      end
-      else Pool.run p (List.map (fun r () -> verify_range r) ranges);
-      par
+    | Some p -> run_on p
     | None ->
-      (* legacy path: spawn fresh worker domains for this one call,
-         never more than there are chunks of work *)
-      let domains = max 1 (min domains n_chunks) in
-      (if domains = 1 then begin
-         if n > 0 then verify_range (0, n)
-       end
-       else begin
-         let q = Work_queue.create () in
-         let worker () =
-           let rec drain () =
-             match Work_queue.take q with
-             | Some range -> verify_range range; drain ()
-             | None -> ()
-           in
-           drain ()
-         in
-         let spawned = List.init (domains - 1) (fun _ -> Domain.spawn worker) in
-         List.iter (Work_queue.push q) ranges;
-         Work_queue.close q;
-         worker ();                      (* the submitting domain works too *)
-         List.iter Domain.join spawned
-       end);
-      domains
+      (* a private pool for this one call; it spawns nothing unless the
+         batch splits into more than one chunk *)
+      let p = Pool.create ~domains () in
+      Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> run_on p)
   in
   let wall_seconds = Unix.gettimeofday () -. t0 in
   let verdicts =
@@ -529,28 +470,6 @@ let stream_poll st =
   let ready = take_ready st in
   Mutex.unlock st.st_mutex;
   ready
-
-let stream_next st =
-  Mutex.lock st.st_mutex;
-  let ready = take_ready st in
-  let ready =
-    if ready <> [] then ready
-    else begin
-      (* every verdict landing broadcasts st_progress, as does
-         stream_wake; one wait, then hand back whatever completed (an
-         empty list on a wake with nothing ready — the caller's loop
-         decides whether to come back) *)
-      Condition.wait st.st_progress st.st_mutex;
-      take_ready st
-    end
-  in
-  Mutex.unlock st.st_mutex;
-  ready
-
-let stream_wake st =
-  Mutex.lock st.st_mutex;
-  Condition.broadcast st.st_progress;
-  Mutex.unlock st.st_mutex
 
 let stream_close st =
   Mutex.lock st.st_mutex;

@@ -6,9 +6,9 @@
     throughput is the bottleneck. This engine shares the per-firmware
     setup — assembled image, expected-ER bytes, resolved annotation
     table — through an immutable plan and spreads the per-report replays
-    over worker domains, either a long-lived {!Pool} (preferred: workers
-    and their scratch arenas persist across batches) or domains spawned
-    per call (the legacy path, kept for comparison and one-shot use).
+    over the worker domains of a {!Pool}: a long-lived one the caller
+    passes in (workers and their scratch arenas persist across batches),
+    or a private one made and shut down by the call.
 
     Every replaying domain reuses a per-domain
     {!Dialed_core.Verifier.scratch} arena via domain-local storage, so
@@ -38,8 +38,9 @@ val verify_batch :
 (** [verify_batch ~pool plan batch] replays every [(device_id, report)]
     pair on the pool's domains (the caller participates) and aggregates
     outcomes; the pool's workers stay warm for the next batch. Without
-    [pool], falls back to spawning [domains - 1] fresh domains for this
-    call ([domains] defaults to 1 — strictly serial, no spawning).
+    [pool], the call runs on a private [Pool.create ~domains] and shuts
+    it down before returning ([domains] defaults to 1 — strictly serial,
+    no spawning).
     Parallelism is capped at the number of chunks so small batches do
     not split below [chunk] reports per task. [chunk] (default 4) is the
     number of reports a worker claims at a time: small enough to balance
@@ -144,17 +145,6 @@ val stream_poll : stream -> verdict list
 (** Verdicts completed since the last poll, in submission order (an
     in-order prefix: a still-running replay blocks later, already
     finished ones). Never blocks. *)
-
-val stream_next : stream -> verdict list
-(** Like {!stream_poll}, but when nothing has completed yet, block until
-    a verdict lands or {!stream_wake} is called — so a dispatcher thread
-    (the gateway's verdict router) can sleep on the stream instead of
-    spin-polling. May return [[]] after a {!stream_wake} (or a spurious
-    wakeup) with nothing ready; callers loop. *)
-
-val stream_wake : stream -> unit
-(** Wake every thread blocked in {!stream_next} (it returns the ready
-    prefix, possibly empty). Used on shutdown to unblock dispatchers. *)
 
 val stream_close : stream -> summary
 (** Drain everything in flight (helping the pool), shut the pool down if

@@ -18,31 +18,15 @@ type t = {
   ready : string Queue.t;       (* decoded frames not yet handed out *)
   rbuf : bytes;
   mutable poisoned : error option;
-  mutable frames_rx : int;
-  mutable frames_tx : int;
-  mutable bytes_rx : int;
-  mutable bytes_tx : int;
 }
 
-let create ?cap c =
-  { c; dec = Frame.decoder ?cap (); ready = Queue.create (); poisoned = None;
-    rbuf = Bytes.create 4096; frames_rx = 0; frames_tx = 0; bytes_rx = 0;
-    bytes_tx = 0 }
+let create c =
+  { c; dec = Frame.decoder (); ready = Queue.create (); poisoned = None;
+    rbuf = Bytes.create 4096 }
 
-let conn t = t.c
-let frames_rx t = t.frames_rx
-let frames_tx t = t.frames_tx
-let bytes_rx t = t.bytes_rx
-let bytes_tx t = t.bytes_tx
-
-let send t msg =
-  let frame = Frame.encode ~cap:(Frame.cap t.dec) (Codec.encode msg) in
-  Transport.send t.c frame;
-  t.frames_tx <- t.frames_tx + 1;
-  t.bytes_tx <- t.bytes_tx + String.length frame
+let send t msg = Transport.send t.c (Frame.encode (Codec.encode msg))
 
 let decode_one t payload =
-  t.frames_rx <- t.frames_rx + 1;
   match Codec.decode payload with
   | Ok msg -> Ok (Some msg)
   | Error e ->
@@ -77,7 +61,6 @@ let recv t ?deadline () =
             Error e
         end
         else begin
-          t.bytes_rx <- t.bytes_rx + n;
           match Frame.feed t.dec (Bytes.sub_string t.rbuf 0 n) with
           | Error e ->
             let e = Frame_error e in

@@ -1,5 +1,6 @@
-(** A framed {!Codec.msg} channel over one {!Transport} connection —
-    the read/decode loop shared by the gateway and the prover client.
+(** A framed {!Codec.msg} channel over one blocking {!Transport}
+    connection — the read/decode loop of the prover {!Client}. (The
+    gateway and the swarm read through {!Evconn} instead.)
 
     [recv] enforces a {e per-message} deadline: the clock starts when the
     call starts, and every underlying read gets only the remaining time.
@@ -17,10 +18,8 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
-val create : ?cap:int -> Transport.conn -> t
-(** [cap] is the per-frame size cap (default {!Frame.default_cap}). *)
-
-val conn : t -> Transport.conn
+val create : Transport.conn -> t
+(** Frames are capped at {!Frame.default_cap}. *)
 
 val send : t -> Codec.msg -> unit
 (** Frame and write one message. Raises {!Transport.Closed} when the
@@ -31,8 +30,3 @@ val recv : t -> ?deadline:float -> unit -> (Codec.msg option, error) result
     {!Transport.Timeout} when [deadline] (seconds for the whole message)
     elapses. After an [Error] the channel is poisoned — the connection
     should be dropped. *)
-
-val frames_rx : t -> int
-val frames_tx : t -> int
-val bytes_rx : t -> int
-val bytes_tx : t -> int

@@ -57,12 +57,14 @@ let recv_msg cfg chan =
 (* The gateway sends a lifecycle [Denied] and then closes the
    connection; a client mid-write can observe the close before it has
    read the pending frame. On a closed send, drain whatever the gateway
-   managed to queue and surface the typed denial if one is there. *)
-let drain_denial chan =
+   managed to queue and surface the typed denial if one is there. The
+   frames queued ahead of it go to [on_frame]: verdicts the gateway sent
+   before the cut were delivered and still count. *)
+let drain_denial ?(on_frame = ignore) chan =
   let rec go () =
     match Chan.recv chan ~deadline:0.2 () with
     | Ok (Some (Codec.Denied { cause; detail })) -> Some (cause, detail)
-    | Ok (Some _) -> go ()
+    | Ok (Some msg) -> on_frame msg; go ()
     | Ok None | Error _ -> None
     | exception Transport.Timeout -> None
     | exception Transport.Closed -> None
@@ -202,12 +204,33 @@ let attest_pipelined ?(config = default_config) ?(window = 8) ?(firmware = "")
   let busy_budget = config.attempts * max rounds 1 in
   let consecutive_timeouts = ref 0 in
   let give_up = ref false in
+  let land_verdict seq accepted findings =
+    if seq >= rounds then
+      violation "Verdict for sequence %d beyond %d rounds" seq rounds;
+    if landed.(seq) then violation "duplicate Verdict for sequence %d" seq;
+    landed.(seq) <- true;
+    let latency =
+      match Hashtbl.find_opt sent_at seq with
+      | Some t0 -> Unix.gettimeofday () -. t0
+      | None -> Float.nan
+    in
+    Hashtbl.remove sent_at seq;
+    results.(seq) <- { p_accepted = accepted; p_findings = findings;
+                       p_latency = latency };
+    incr completed;
+    decr inflight
+  in
   (* same close-vs-write race as the legacy path: a mid-session cut
      lands as [Denied]+close, and our next send may lose the race *)
   let send_or_denied msg =
     try Chan.send chan msg; true
     with Transport.Closed ->
-      (match drain_denial chan with
+      let on_frame = function
+        | Codec.Verdict_seq { seq; accepted; findings } ->
+          land_verdict seq accepted findings
+        | _ -> ()
+      in
+      (match drain_denial ~on_frame chan with
        | Some d -> denied := Some d; false
        | None -> raise Transport.Closed)
   in
@@ -239,20 +262,7 @@ let attest_pipelined ?(config = default_config) ?(window = 8) ?(firmware = "")
          : bool)
     | Some (Codec.Verdict_seq { seq; accepted; findings }) ->
       consecutive_timeouts := 0;
-      if seq >= rounds then
-        violation "Verdict for sequence %d beyond %d rounds" seq rounds;
-      if landed.(seq) then violation "duplicate Verdict for sequence %d" seq;
-      landed.(seq) <- true;
-      let latency =
-        match Hashtbl.find_opt sent_at seq with
-        | Some t0 -> Unix.gettimeofday () -. t0
-        | None -> Float.nan
-      in
-      Hashtbl.remove sent_at seq;
-      results.(seq) <- { p_accepted = accepted; p_findings = findings;
-                         p_latency = latency };
-      incr completed;
-      decr inflight
+      land_verdict seq accepted findings
     | Some (Codec.Busy _) ->
       consecutive_timeouts := 0;
       incr busy;

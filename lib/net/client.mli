@@ -86,7 +86,8 @@ type pipelined = {
           at handshake ([granted = 0], no rounds ran) or cut it
           mid-window — the completed prefix of [results] is preserved,
           which is how revocation-to-quarantine latency is measured in
-          rounds *)
+          rounds. Verdicts the gateway sent before the cut count even
+          when a send of ours meets the closed connection first *)
 }
 
 val attest_pipelined :

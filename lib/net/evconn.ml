@@ -1,4 +1,5 @@
-(* Non-blocking framed connection pump for the event-loop engine.
+(* Non-blocking framed connection pump for event-loop drivers (the
+   gateway and the swarm).
 
    One [t] per connection: readiness events (fd or loopback hook) drain
    the transport into the poisoned incremental {!Frame} decoder and
@@ -124,8 +125,8 @@ and flush t =
     end
 
 let send t msg =
-  (* sends after close are dropped, mirroring the blocking engine's
-     best-effort sends to peers that already vanished *)
+  (* sends after close are dropped: best effort to a peer that already
+     vanished *)
   if not t.closed then begin
     let frame = Frame.encode ~cap:(Frame.cap t.dec) (Codec.encode msg) in
     Queue.add frame t.wq;

@@ -1,4 +1,5 @@
-(** Non-blocking framed connection pump for the {!Evloop} engine.
+(** Non-blocking framed connection pump for {!Evloop} drivers (the
+    gateway and the swarm).
 
     One value per connection: readiness events drain the transport
     through the poisoned incremental {!Frame} decoder and surface
@@ -41,7 +42,7 @@ val attach :
 
 val send : t -> Codec.msg -> unit
 (** Encode, frame, queue and opportunistically flush. Dropped silently
-    after {!close} (the peer is gone; mirrors the blocking engine). *)
+    after {!close} (the peer is gone). *)
 
 val close : t -> unit
 (** Unregister from the loop and close the transport. Idempotent. *)

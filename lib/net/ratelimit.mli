@@ -6,8 +6,9 @@
     verification work any fleet of provers can demand.
 
     The clock is injectable ([?now], seconds) so tests are deterministic;
-    without it the wall clock is used. Internally locked — connection
-    handler threads share one bucket. *)
+    without it the wall clock is used. The gateway gives each session
+    its own bucket, so one flooding prover drains only its own. The
+    bucket is internally locked and safe to share across threads. *)
 
 type t
 

@@ -3,7 +3,7 @@ module A = Dialed_apex
 module F = Dialed_fleet
 module L = Dialed_lifecycle.Lifecycle
 
-type engine = Threads | Evloop
+type engine = Evloop
 
 type config = {
   engine : engine;
@@ -65,34 +65,7 @@ type stats = {
   lifecycle : lifecycle_stats option;
 }
 
-(* ---------------- threads engine: session plumbing ---------------- *)
-
-(* One accepted session, shared between its handler thread (reads the
-   peer, issues challenges, rejects bad rounds) and the server's verdict
-   dispatcher (sends fleet verdicts back). [sx_m] serializes frames onto
-   the connection and guards the round-accounting pair
-   [sx_open_rounds]/[sx_alive]; only the handler increments
-   [sx_open_rounds] (on Request), only round closure decrements it
-   (a dispatched verdict or a handler-side rejection). *)
-type sess = {
-  sx_chan : Chan.t;
-  sx_m : Mutex.t;
-  sx_legacy : bool;            (* single-shot peer: unnumbered frames *)
-  sx_window : int;             (* granted in-flight round ceiling *)
-  sx_device : string;
-  sx_plan : F.Plan.t option;   (* per-firmware verify plan override *)
-  mutable sx_alive : bool;
-  mutable sx_denied : bool;    (* lifecycle cut the session mid-flight *)
-  mutable sx_open_rounds : int;
-}
-
-(* A submitted report waiting for its verdict. The fleet stream yields
-   verdicts in submission order, so a FIFO of these, filled under
-   [disp_m] in stream-submission order, routes each verdict back to the
-   session (and sequence number) that submitted the report. *)
-type pending = { px_sess : sess; px_seq : int }
-
-(* ----------------- evloop engine: connection state ---------------- *)
+(* ----------------------- connection state ----------------------- *)
 
 (* One connection on the event loop: an explicit state machine instead
    of a blocked thread. [ec_sess = None] is the AWAIT_HELLO state; all
@@ -125,27 +98,18 @@ type t = {
   pool : F.Pool.t;
   stream : F.Fleet.stream;
   memo_cache : F.Memo.t option;
-  (* threads-engine dispatcher: FIFO of submitted-not-yet-answered
-     reports *)
-  disp_m : Mutex.t;
-  pending : pending Queue.t;
-  mutable disp_thread : Thread.t option;
-  mutable disp_quit : bool;          (* guarded by [m] *)
-  (* shared mutable state: counters, live connections, lifecycle.
-     Every counter below is only ever read or written with [m] held, so
+  (* shared mutable state: counters and the loop's lifecycle. Every
+     counter below is only ever read or written with [m] held, so
      {!stats} snapshots one mutually-consistent view — a poller can
      never observe a torn pair (e.g. a verdict counted before its
      report). *)
   m : Mutex.t;
   cv : Condition.t;                  (* signalled when [ev_done] flips *)
-  live : (int, Transport.conn) Hashtbl.t;
-  mutable handlers : Thread.t list;
-  mutable accept_thread : Thread.t option;
   mutable next_conn_id : int;
   mutable stopping : bool;
   mutable final : stats option;
-  (* evloop-engine lifecycle (all guarded by [m]; loop internals live
-     inside [run_evloop], never on [t]) *)
+  (* loop lifecycle (all guarded by [m]; loop internals live inside
+     [run_evloop], never on [t]) *)
   mutable loop : Evloop.t option;
   mutable loop_thread : Thread.t option;
   mutable ev_started : bool;
@@ -190,9 +154,9 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
 (* ---------------------------------------------------------------- *)
-(* Lifecycle plumbing, shared by both engines. The registry has its own
-   mutex; it is always taken {e outside} [t.m] (a leaf lock), so the
-   order is lifecycle -> m, never the reverse.                       *)
+(* Lifecycle plumbing. The registry has its own mutex; it is always
+   taken {e outside} [t.m] (a leaf lock), so the order is
+   lifecycle -> m, never the reverse.                                *)
 
 let denial_wire = function
   | L.Unknown_device -> Codec.Unknown_device
@@ -254,34 +218,6 @@ let resolve_session_plan t firmware =
   | Some f when firmware <> "" -> f firmware
   | _ -> None
 
-(* ---------------------------------------------------------------- *)
-(* Sending (threads engine). The handler and the dispatcher both write
-   frames to the same peer; [sx_m] keeps them whole. A dead connection
-   flips [sx_alive] and later sends become no-ops — the dispatcher must
-   not die (or stall the queue) because one peer hung up.            *)
-
-let sess_send t sess msg =
-  Mutex.lock sess.sx_m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock sess.sx_m)
-    (fun () ->
-       if sess.sx_alive then
-         match Chan.send sess.sx_chan msg with
-         | () -> locked t (fun () -> t.c_frames_tx <- t.c_frames_tx + 1)
-         | exception Transport.Closed -> sess.sx_alive <- false
-         | exception Unix.Unix_error _ -> sess.sx_alive <- false)
-
-let close_round sess =
-  Mutex.lock sess.sx_m;
-  sess.sx_open_rounds <- sess.sx_open_rounds - 1;
-  Mutex.unlock sess.sx_m
-
-let open_rounds sess =
-  Mutex.lock sess.sx_m;
-  let n = sess.sx_open_rounds in
-  Mutex.unlock sess.sx_m;
-  n
-
 let verdict_msg (v : F.Fleet.verdict) =
   let findings =
     List.map
@@ -297,73 +233,6 @@ let rejection ~legacy seq kind detail =
   if legacy then Codec.Verdict { accepted = false; findings }
   else Codec.Verdict_seq { seq; accepted = false; findings }
 
-(* ---------------------------------------------------------------- *)
-(* Verdict dispatcher (threads engine): one thread per server that
-   sleeps on the fleet stream and routes each completed verdict back to
-   the session that submitted its report. The stream yields verdicts in
-   global submission order — an interleaving of the per-session
-   submission orders — so every session still sees its own verdicts in
-   FIFO order while sessions overlap freely.                         *)
-
-let dispatch_one t (v : F.Fleet.verdict) =
-  Mutex.lock t.disp_m;
-  let p = Queue.take_opt t.pending in
-  Mutex.unlock t.disp_m;
-  match p with
-  | None -> ()   (* unreachable: pending is enqueued before submission *)
-  | Some { px_sess = sess; px_seq = seq } ->
-    locked t (fun () ->
-        if v.F.Fleet.accepted then
-          t.c_accepted_verdicts <- t.c_accepted_verdicts + 1
-        else t.c_rejected_verdicts <- t.c_rejected_verdicts + 1);
-    (* the quarantine gate runs between the fleet finishing the round
-       and the verdict frame leaving: a revocation that landed while
-       the report was in flight means this verdict is never issued *)
-    let denied =
-      match lifecycle_recheck t sess.sx_device with
-      | Ok () -> false
-      | Error d ->
-        let first =
-          Mutex.lock sess.sx_m;
-          let f = not sess.sx_denied in
-          sess.sx_denied <- true;
-          Mutex.unlock sess.sx_m;
-          f
-        in
-        if first then begin
-          locked t (fun () -> t.c_lc_midsession <- t.c_lc_midsession + 1);
-          sess_send t sess (denial_msg d)
-        end;
-        true
-    in
-    if denied then close_round sess
-    else begin
-      let accepted, findings = verdict_msg v in
-      let msg =
-        if sess.sx_legacy then Codec.Verdict { accepted; findings }
-        else Codec.Verdict_seq { seq; accepted; findings }
-      in
-      sess_send t sess msg;
-      close_round sess;
-      if v.F.Fleet.accepted then lifecycle_attested t sess.sx_device
-    end
-
-let dispatcher_loop t =
-  let rec loop () =
-    let quit = locked t (fun () -> t.disp_quit) in
-    let drained =
-      Mutex.lock t.disp_m;
-      let d = Queue.is_empty t.pending in
-      Mutex.unlock t.disp_m;
-      d
-    in
-    if not (quit && drained) then begin
-      List.iter (dispatch_one t) (F.Fleet.stream_next t.stream);
-      loop ()
-    end
-  in
-  loop ()
-
 let create ?(config = default_config) ~plan listener =
   if config.max_conns < 1 then invalid_arg "Server.create: max_conns < 1";
   if config.domains < 1 then invalid_arg "Server.create: domains < 1";
@@ -377,308 +246,22 @@ let create ?(config = default_config) ~plan listener =
   let stream =
     F.Fleet.stream ~pool ~window:config.window ?memo:memo_cache plan
   in
-  let t =
-    { cfg = config; listener; pool; stream; memo_cache;
-      disp_m = Mutex.create (); pending = Queue.create ();
-      disp_thread = None; disp_quit = false;
-      m = Mutex.create (); cv = Condition.create ();
-      live = Hashtbl.create 16; handlers = [];
-      accept_thread = None; next_conn_id = 0; stopping = false; final = None;
-      loop = None; loop_thread = None; ev_started = false; ev_stop = false;
-      ev_done = false; stop_req = Atomic.make false;
-      c_accepted = 0; c_active = 0; c_peak = 0; c_sessions = 0;
-      c_frames_rx = 0;
-      c_frames_tx = 0; c_bytes_rx = 0; c_bytes_tx = 0; c_requests = 0;
-      c_reports = 0; c_accepted_verdicts = 0; c_rejected_verdicts = 0;
-      c_ratelimited = 0; c_window_overflow = 0; c_bad_seq = 0;
-      c_proto_errors = 0; c_timeouts = 0;
-      c_lc_admitted = 0; c_lc_anonymous = 0; c_lc_denied_unknown = 0;
-      c_lc_denied_revoked = 0; c_lc_denied_quarantined = 0;
-      c_lc_denied_stale = 0; c_lc_midsession = 0; c_lc_attested = 0 }
-  in
-  (* the evloop engine routes verdicts on the loop itself; only the
-     threads engine needs the dispatcher thread *)
-  (match config.engine with
-   | Threads -> t.disp_thread <- Some (Thread.create (fun () -> dispatcher_loop t) ())
-   | Evloop -> ());
-  t
+  { cfg = config; listener; pool; stream; memo_cache;
+    m = Mutex.create (); cv = Condition.create ();
+    next_conn_id = 0; stopping = false; final = None;
+    loop = None; loop_thread = None; ev_started = false; ev_stop = false;
+    ev_done = false; stop_req = Atomic.make false;
+    c_accepted = 0; c_active = 0; c_peak = 0; c_sessions = 0;
+    c_frames_rx = 0;
+    c_frames_tx = 0; c_bytes_rx = 0; c_bytes_tx = 0; c_requests = 0;
+    c_reports = 0; c_accepted_verdicts = 0; c_rejected_verdicts = 0;
+    c_ratelimited = 0; c_window_overflow = 0; c_bad_seq = 0;
+    c_proto_errors = 0; c_timeouts = 0;
+    c_lc_admitted = 0; c_lc_anonymous = 0; c_lc_denied_unknown = 0;
+    c_lc_denied_revoked = 0; c_lc_denied_quarantined = 0;
+    c_lc_denied_stale = 0; c_lc_midsession = 0; c_lc_attested = 0 }
 
-(* ---------------------------------------------------------------- *)
-(* One connection's protocol state machine. Any exit path — clean Bye,
-   EOF, hostile bytes, deadline — lands in the caller's cleanup.
-
-   The windowed-session machine (DESIGN §5e), shared by both engines:
-
-     AWAIT_HELLO --Hello----------> OPEN(legacy, W=1)
-     AWAIT_HELLO --Hello_ex-------> OPEN(pipelined, W=min(req,max))  [Welcome]
-     OPEN: Ready      | open < W  -> issue seq, open+1        [Request(_seq)]
-           Ready      | open >= W -> window overflow          [Busy]
-           Ready      | no token  -> rate limited             [Busy]
-           Report(seq)| issued    -> decode/redeem -> submit or reject(open-1)
-           Report(seq)| unknown   -> bad-seq                  [Verdict(_seq)-]
-           Bye        | open = 0  -> close (clean)
-           Bye        | open > 0  -> protocol error           [Busy] close
-           <verdict from stream>  -> open-1                   [Verdict(_seq)]
-
-   Invariants: 0 <= open <= W at every step; a seq is issued at most
-   once and answered at most once; per-session verdicts leave in issue
-   order (the fleet stream is FIFO and only the dispatcher sends
-   verdicts for submitted rounds). *)
-
-let session_loop t chan =
-  let count f = locked t (fun () -> f t) in
-  (* session state, populated at Hello/Hello_ex *)
-  let sess = ref None in
-  let gate = ref None in
-  let limiter = ref None in
-  let issued : (int, C.Protocol.request) Hashtbl.t = Hashtbl.create 8 in
-  let next_seq = ref 0 in
-  let device = ref "" in
-  let start_session ~legacy ~window ~firmware device_id =
-    let s =
-      { sx_chan = chan; sx_m = Mutex.create (); sx_legacy = legacy;
-        sx_window = window; sx_device = device_id;
-        sx_plan = resolve_session_plan t firmware;
-        sx_alive = true; sx_denied = false; sx_open_rounds = 0 }
-    in
-    sess := Some s;
-    device := device_id;
-    gate :=
-      Some
-        (C.Protocol.make_gate
-           ~seed:(t.cfg.session_seed ^ "/" ^ device_id) ());
-    limiter :=
-      Option.map
-        (fun rate -> Ratelimit.create ~rate ~burst:t.cfg.burst ())
-        t.cfg.rate;
-    locked t (fun () -> t.c_sessions <- t.c_sessions + 1);
-    s
-  in
-  let on_ready s g =
-    let admit =
-      match !limiter with None -> true | Some l -> Ratelimit.try_take l
-    in
-    if not admit then begin
-      (* rate before window: a flooding peer drains its own bucket
-         first, so the rate_limited counter lands on the flooder *)
-      count (fun t -> t.c_ratelimited <- t.c_ratelimited + 1);
-      sess_send t s (Codec.Busy "rate limited")
-    end
-    else if open_rounds s >= s.sx_window then begin
-      count (fun t -> t.c_window_overflow <- t.c_window_overflow + 1);
-      sess_send t s (Codec.Busy "window full")
-    end
-    else begin
-      let seq = !next_seq in
-      incr next_seq;
-      let req = C.Protocol.gate_issue g ~args:t.cfg.args in
-      Hashtbl.replace issued seq req;
-      Mutex.lock s.sx_m;
-      s.sx_open_rounds <- s.sx_open_rounds + 1;
-      Mutex.unlock s.sx_m;
-      count (fun t -> t.c_requests <- t.c_requests + 1);
-      let msg =
-        if s.sx_legacy then
-          Codec.Request
-            { challenge = req.C.Protocol.challenge;
-              args = req.C.Protocol.args }
-        else
-          Codec.Request_seq
-            { seq; challenge = req.C.Protocol.challenge;
-              args = req.C.Protocol.args }
-      in
-      sess_send t s msg
-    end
-  in
-  (* a round that dies in the handler (undecodable report, freshness
-     failure) closes here; a round that reaches the fleet closes in the
-     dispatcher when its verdict is sent *)
-  let reject_round s seq kind detail =
-    close_round s;
-    count (fun t -> t.c_rejected_verdicts <- t.c_rejected_verdicts + 1);
-    sess_send t s (rejection ~legacy:s.sx_legacy seq kind detail)
-  in
-  let on_report s g seq req wire =
-    Hashtbl.remove issued seq;
-    (* with the memo armed, the canonical log digest falls out of the
-       wire decode itself — a future memo hit then never touches the
-       report's OR bytes again *)
-    let decoded =
-      if t.memo_cache = None then
-        Result.map (fun r -> (r, None)) (A.Wire.decode wire)
-      else
-        Result.map (fun (r, d) -> (r, Some d)) (A.Wire.decode_digested wire)
-    in
-    match decoded with
-    | Error e ->
-      reject_round s seq "bad-report" (A.Wire.error_to_string e)
-    | Ok (report, digest) ->
-      match C.Protocol.gate_redeem g req report with
-      | Error reason -> reject_round s seq "bad-token" reason
-      | Ok () ->
-        (* under [disp_m], so FIFO order = stream submission order *)
-        Mutex.lock t.disp_m;
-        Queue.add { px_sess = s; px_seq = seq } t.pending;
-        (match
-           F.Fleet.stream_submit ?digest ?plan:s.sx_plan t.stream !device
-             report
-         with
-         | () -> Mutex.unlock t.disp_m
-         | exception e -> Mutex.unlock t.disp_m; raise e)
-  in
-  (* Handshake denial: no session was started, so answer on the raw
-     channel and let the connection close. *)
-  let deny_handshake d =
-    (try
-       Chan.send chan (denial_msg d);
-       locked t (fun () -> t.c_frames_tx <- t.c_frames_tx + 1)
-     with Transport.Closed | Unix.Unix_error _ -> ())
-  in
-  (* Inbound mid-session gate: [true] = carry on; [false] = the session
-     was cut (Denied sent unless the dispatcher already sent one) and
-     the caller must stop reading. *)
-  let lifecycle_ok s =
-    match lifecycle_recheck t s.sx_device with
-    | Ok () -> true
-    | Error d ->
-      let first =
-        Mutex.lock s.sx_m;
-        let f = not s.sx_denied in
-        s.sx_denied <- true;
-        Mutex.unlock s.sx_m;
-        f
-      in
-      if first then begin
-        locked t (fun () -> t.c_lc_midsession <- t.c_lc_midsession + 1);
-        sess_send t s (denial_msg d)
-      end;
-      false
-  in
-  let rec loop () =
-    match Chan.recv chan ?deadline:t.cfg.read_deadline () with
-    | Ok None -> ()                                  (* peer closed *)
-    | Error _ ->
-      count (fun t -> t.c_proto_errors <- t.c_proto_errors + 1)
-    | exception Transport.Timeout ->
-      (* a peer with every issued challenge answered and rounds still in
-         flight owes us nothing — it is waiting on the verify engine,
-         and killing it would punish our own queueing delay *)
-      (match !sess with
-       | Some s when Hashtbl.length issued = 0 && open_rounds s > 0 ->
-         loop ()
-       | _ -> count (fun t -> t.c_timeouts <- t.c_timeouts + 1))
-    | exception Transport.Closed -> ()
-    | Ok (Some msg) ->
-      count (fun t -> t.c_frames_rx <- t.c_frames_rx + 1);
-      match !sess, !gate, msg with
-      | None, _, Codec.Hello { device_id }
-        when device_id <> "" && String.length device_id <= 128 ->
-        (match lifecycle_admit t ~device_id ~firmware:"" with
-         | Ok () ->
-           ignore (start_session ~legacy:true ~window:1 ~firmware:"" device_id);
-           loop ()
-         | Error d -> deny_handshake d)
-      | None, _, Codec.Hello_ex { device_id; window; firmware }
-        when device_id <> "" && String.length device_id <= 128
-             && window >= 1 ->
-        (match lifecycle_admit t ~device_id ~firmware with
-         | Ok () ->
-           let granted = min window t.cfg.max_window in
-           let s =
-             start_session ~legacy:false ~window:granted ~firmware device_id
-           in
-           sess_send t s (Codec.Welcome { window = granted });
-           loop ()
-         | Error d -> deny_handshake d)
-      | None, _, _ ->
-        (* anything before a well-formed Hello is a protocol violation *)
-        count (fun t -> t.c_proto_errors <- t.c_proto_errors + 1)
-      | Some _, _, (Codec.Hello _ | Codec.Hello_ex _) ->
-        count (fun t -> t.c_proto_errors <- t.c_proto_errors + 1)
-      | Some s, _, Codec.Bye ->
-        if not s.sx_legacy && open_rounds s > 0 then begin
-          (* Bye with rounds still open abandons work the peer asked
-             for: answer with a typed refusal, then drop the session.
-             In-flight verdicts are discarded at dispatch ([sx_alive]). *)
-          count (fun t -> t.c_proto_errors <- t.c_proto_errors + 1);
-          sess_send t s (Codec.Busy "bye with rounds in flight")
-        end
-      | Some s, Some g, Codec.Ready ->
-        if lifecycle_ok s then begin on_ready s g; loop () end
-      | Some s, Some g, Codec.Report wire ->
-        if lifecycle_ok s then begin
-          count (fun t -> t.c_reports <- t.c_reports + 1);
-          (* a legacy session has at most one issued challenge *)
-          (match Hashtbl.fold (fun k v _ -> Some (k, v)) issued None with
-           | None ->
-             count (fun t ->
-                 t.c_rejected_verdicts <- t.c_rejected_verdicts + 1);
-             sess_send t s
-               (rejection ~legacy:s.sx_legacy 0 "bad-token"
-                  "no outstanding challenge")
-           | Some (seq, req) -> on_report s g seq req wire);
-          loop ()
-        end
-      | Some s, Some g, Codec.Report_seq { seq; wire } ->
-        if lifecycle_ok s then begin
-          count (fun t -> t.c_reports <- t.c_reports + 1);
-          if s.sx_legacy then begin
-            (* numbered frames on a single-shot session: hostile *)
-            count (fun t -> t.c_proto_errors <- t.c_proto_errors + 1)
-          end
-          else begin
-            (match Hashtbl.find_opt issued seq with
-             | None ->
-               (* never issued, or already answered: typed rejection, no
-                  round accounting (no round is open under that seq) *)
-               count (fun t ->
-                   t.c_bad_seq <- t.c_bad_seq + 1;
-                   t.c_rejected_verdicts <- t.c_rejected_verdicts + 1);
-               sess_send t s
-                 (rejection ~legacy:s.sx_legacy seq "bad-seq"
-                    "unknown or already-answered sequence number")
-             | Some req -> on_report s g seq req wire);
-            loop ()
-          end
-        end
-      | Some _, None, _ -> assert false   (* gate set with sess *)
-      | Some _, _,
-        ( Codec.Request _ | Codec.Verdict _ | Codec.Busy _
-        | Codec.Welcome _ | Codec.Request_seq _ | Codec.Verdict_seq _
-        | Codec.Denied _ ) ->
-        (* server-to-client messages arriving at the server *)
-        count (fun t -> t.c_proto_errors <- t.c_proto_errors + 1)
-  in
-  let finish () =
-    (match !sess with
-     | Some s ->
-       Mutex.lock s.sx_m;
-       s.sx_alive <- false;
-       Mutex.unlock s.sx_m
-     | None -> ());
-    locked t (fun () ->
-        t.c_bytes_rx <- t.c_bytes_rx + Chan.bytes_rx chan;
-        t.c_bytes_tx <- t.c_bytes_tx + Chan.bytes_tx chan;
-        if !sess <> None then t.c_sessions <- t.c_sessions - 1)
-  in
-  Fun.protect ~finally:finish loop
-
-let handle t conn_id conn =
-  let chan = Chan.create ~cap:t.cfg.max_frame conn in
-  let cleanup () =
-    (try Transport.close conn with _ -> ());
-    locked t (fun () ->
-        Hashtbl.remove t.live conn_id;
-        t.c_active <- t.c_active - 1)
-  in
-  Fun.protect ~finally:cleanup (fun () ->
-      try session_loop t chan with
-      | Transport.Closed -> ()
-      | Transport.Timeout ->
-        locked t (fun () -> t.c_timeouts <- t.c_timeouts + 1)
-      | Unix.Unix_error _ -> ())
-
-(* Admission control, shared by both engines: called with [m] held. *)
+(* Admission control: called with [m] held. *)
 let admit_locked t =
   if t.stopping then `Refuse "shutting down"
   else if t.c_active >= t.cfg.max_conns then `Refuse "server full"
@@ -702,39 +285,32 @@ let refuse t conn reason =
       if reason = "server full" then
         t.c_ratelimited <- t.c_ratelimited + 1)
 
-let accept_loop t =
-  let rec loop () =
-    match Transport.accept t.listener with
-    | exception Transport.Closed -> ()
-    | exception Unix.Unix_error _ ->
-      if not (Atomic.get t.stop_req || locked t (fun () -> t.stopping))
-      then loop ()
-    | conn ->
-      let admitted =
-        locked t (fun () ->
-            match admit_locked t with
-            | `Admit id ->
-              Hashtbl.replace t.live id conn;
-              `Admit id
-            | `Refuse _ as r -> r)
-      in
-      (match admitted with
-       | `Refuse reason -> refuse t conn reason
-       | `Admit id ->
-         let th = Thread.create (fun () -> handle t id conn) () in
-         locked t (fun () -> t.handlers <- th :: t.handlers));
-      loop ()
-  in
-  loop ()
-
 (* ---------------------------------------------------------------- *)
-(* The evloop engine: every connection is an [econn] state machine on a
-   single readiness loop (DESIGN §5g). Reads pump through {!Evconn}
-   into the same session machine as above; replay work still goes to
-   the fleet pool via the stream, but verdict completion wakes the loop
-   (self-pipe via [stream_on_progress]) instead of a dispatcher thread.
+(* The gateway loop: every connection is an [econn] state machine on a
+   single readiness loop (DESIGN §5g). Reads pump through {!Evconn};
+   replay work goes to the fleet pool via the stream, and verdict
+   completion wakes the loop (self-pipe via [stream_on_progress]).
    When the stream window is full, reports wait in a loop-local FIFO —
-   backpressure without blocking the loop.
+   backpressure without blocking the loop. Any exit path — clean Bye,
+   EOF, hostile bytes, deadline — lands in [close_conn].
+
+   The windowed-session machine (DESIGN §5e):
+
+     AWAIT_HELLO --Hello----------> OPEN(legacy, W=1)
+     AWAIT_HELLO --Hello_ex-------> OPEN(pipelined, W=min(req,max))  [Welcome]
+     OPEN: Ready      | open < W  -> issue seq, open+1        [Request(_seq)]
+           Ready      | open >= W -> window overflow          [Busy]
+           Ready      | no token  -> rate limited             [Busy]
+           Report(seq)| issued    -> decode/redeem -> submit or reject(open-1)
+           Report(seq)| unknown   -> bad-seq                  [Verdict(_seq)-]
+           Bye        | open = 0  -> close (clean)
+           Bye        | open > 0  -> protocol error           [Busy] close
+           <verdict from stream>  -> open-1                   [Verdict(_seq)]
+
+   Invariants: 0 <= open <= W at every step; a seq is issued at most
+   once and answered at most once; per-session verdicts leave in issue
+   order (the fleet stream and the wait queue are FIFO, and only
+   [drain_verdicts] sends verdicts for submitted rounds).
 
    Everything inside [run_evloop] is loop-thread-only; only the shared
    counters (under [t.m]) and the stream cross threads.              *)
@@ -768,7 +344,7 @@ let run_evloop t =
       if not (Evconn.is_closed ev) then begin
         Evconn.send ev msg;
         (* a send that discovered a dead peer closed the pump; count
-           only frames that were actually queued (threads parity) *)
+           only frames that were actually queued *)
         if not (Evconn.is_closed ev) then
           count (fun t -> t.c_frames_tx <- t.c_frames_tx + 1)
       end
@@ -816,7 +392,7 @@ let run_evloop t =
         | Some es when Hashtbl.length es.es_issued = 0 && es.es_open > 0 ->
           (* every issued challenge answered, verdicts still queued in the
              engine: the peer owes us nothing — re-arm instead of killing
-             it for our own queueing delay (threads-engine exemption) *)
+             it for our own queueing delay *)
           arm_deadline ec
         | _ ->
           count (fun t -> t.c_timeouts <- t.c_timeouts + 1);
@@ -967,8 +543,8 @@ let run_evloop t =
     count (fun t -> t.c_sessions <- t.c_sessions + 1);
     es
   in
-  (* Inbound mid-session gate, mirror of the threads engine's: [true] =
-     carry on, [false] = session cut (Denied sent, connection closing). *)
+  (* Inbound mid-session gate: [true] = carry on, [false] = session cut
+     (Denied sent, connection closing). *)
   let lifecycle_ok ec es =
     match lifecycle_recheck t es.es_device with
     | Ok () -> true
@@ -1080,7 +656,7 @@ let run_evloop t =
      (* dials that raced the hook installation *)
      Evloop.post loop accept_burst
    | None ->
-     invalid_arg "Server: evloop engine needs a readiness-capable listener");
+     invalid_arg "Server: the listener has no readiness support");
   F.Fleet.stream_on_progress t.stream
     (Some (Evloop.hook_source loop drain_verdicts));
   Evloop.run loop ~stop:(fun () ->
@@ -1094,8 +670,8 @@ let run_evloop t =
    | None -> ());
   let all = Hashtbl.fold (fun _ ec acc -> ec :: acc) conns [] in
   List.iter (fun ec -> close_conn ec) all;
-  (* verdicts for submitted-but-unanswered reports are dropped, exactly
-     like the threads engine's sends to dead peers *)
+  (* verdicts for submitted-but-unanswered reports are dropped, like
+     any send to a closed connection *)
   Queue.clear pending;
   Queue.clear waiting;
   Evloop.close loop;
@@ -1107,25 +683,16 @@ let run_evloop t =
 (* ---------------------------------------------------------------- *)
 
 let serve_forever t =
-  match t.cfg.engine with
-  | Threads -> accept_loop t
-  | Evloop ->
-    locked t (fun () ->
-        if t.ev_started then invalid_arg "Server.serve_forever: running";
-        t.ev_started <- true);
-    run_evloop t
+  locked t (fun () ->
+      if t.ev_started then invalid_arg "Server.serve_forever: running";
+      t.ev_started <- true);
+  run_evloop t
 
 let start t =
-  match t.cfg.engine with
-  | Threads ->
-    locked t (fun () ->
-        if t.accept_thread <> None then invalid_arg "Server.start: running";
-        t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ()))
-  | Evloop ->
-    locked t (fun () ->
-        if t.ev_started then invalid_arg "Server.start: running";
-        t.ev_started <- true;
-        t.loop_thread <- Some (Thread.create (fun () -> run_evloop t) ()))
+  locked t (fun () ->
+      if t.ev_started then invalid_arg "Server.start: running";
+      t.ev_started <- true;
+      t.loop_thread <- Some (Thread.create (fun () -> run_evloop t) ()))
 
 (* call with [m] held: one critical section, one consistent view *)
 let snapshot t verify memo plan_cache =
@@ -1174,15 +741,15 @@ let stats t =
     locked t (fun () -> snapshot t verify memo plan_cache)
 
 (* Async-signal-safe stop request: no OCaml mutexes, so it can run from
-   a signal handler — including one delivered to the loop (or accept)
-   thread itself, the [serve_forever] + SIGINT case where calling
+   a signal handler — including one delivered to the loop thread
+   itself, the [serve_forever] + SIGINT case where calling
    [stop] would self-deadlock waiting for a cleanup that can never run.
-   The engine unwinds and [serve_forever] returns; the caller then runs
+   The loop unwinds and [serve_forever] returns; the caller then runs
    [stop] normally to finish teardown and collect final stats. *)
 let request_stop t =
   Atomic.set t.stop_req true;
-  (* closing the listener bounces a blocked [accept] with [Closed] and
-     stops new dials; [Evloop.wake] is atomics + a pipe write *)
+  (* closing the listener stops new dials; [Evloop.wake] is atomics + a
+     pipe write *)
   (try Transport.shutdown t.listener with _ -> ());
   match t.loop with
   | Some l -> Evloop.wake l
@@ -1197,42 +764,22 @@ let stop t =
   | None ->
     (* no new connections *)
     Transport.shutdown t.listener;
-    (match t.cfg.engine with
-     | Threads ->
-       (match locked t (fun () -> t.accept_thread) with
-        | Some th -> Thread.join th
-        | None -> ());
-       (* cut every live connection; handlers observe EOF/Closed and
-          exit *)
-       let conns =
-         locked t (fun () ->
-             Hashtbl.fold (fun _ c acc -> c :: acc) t.live [])
-       in
-       List.iter (fun c -> try Transport.close c with _ -> ()) conns;
-       let handlers = locked t (fun () -> t.handlers) in
-       List.iter Thread.join handlers;
-       (* the dispatcher drains whatever the dead handlers left in
-          flight (sends to closed peers are dropped), then exits *)
-       locked t (fun () -> t.disp_quit <- true);
-       F.Fleet.stream_wake t.stream;
-       (match t.disp_thread with Some th -> Thread.join th | None -> ())
-     | Evloop ->
-       let started =
-         locked t (fun () ->
-             t.ev_stop <- true;
-             (match t.loop with Some l -> Evloop.wake l | None -> ());
-             t.ev_started)
-       in
-       if started then begin
-         (* the loop thread runs its own cleanup (closing connections
-            needs loop state); wait for it before touching the stream *)
-         Mutex.lock t.m;
-         while not t.ev_done do Condition.wait t.cv t.m done;
-         Mutex.unlock t.m
-       end;
-       (match locked t (fun () -> t.loop_thread) with
-        | Some th -> Thread.join th
-        | None -> ()));
+    let started =
+      locked t (fun () ->
+          t.ev_stop <- true;
+          (match t.loop with Some l -> Evloop.wake l | None -> ());
+          t.ev_started)
+    in
+    if started then begin
+      (* the loop thread runs its own cleanup (closing connections needs
+         loop state); wait for it before touching the stream *)
+      Mutex.lock t.m;
+      while not t.ev_done do Condition.wait t.cv t.m done;
+      Mutex.unlock t.m
+    end;
+    (match locked t (fun () -> t.loop_thread) with
+     | Some th -> Thread.join th
+     | None -> ());
     (* everything submitted has been dispatched or dropped, so closing
        the stream cannot block on lost work *)
     let summary = F.Fleet.stream_close t.stream in

@@ -2,13 +2,9 @@
     listener, issues challenges, and judges framed PoX reports through
     the fleet verification engine.
 
-    Two interchangeable connection engines drive the {e same} session
-    state machine, wire behavior, and counters (pinned by the
-    dual-engine corpus in [test_net] and a QCheck equivalence suite):
-
-    {b [Evloop]} (default) — one readiness event loop (epoll, or
-    poll(2) where epoll is unavailable) on a single thread runs every
-    connection as an explicit state machine (DESIGN §5g):
+    One readiness event loop (epoll, or poll(2) where epoll is
+    unavailable) on a single thread runs every connection as an
+    explicit state machine (DESIGN §5g):
 
     {v
       event loop ──► accept burst ──► econn state machines
@@ -22,25 +18,13 @@
       stream progress ──self-pipe──► loop drains verdicts → Verdict[_seq]
     v}
 
-    Memory per idle connection is one [econn] record, a frame decoder,
-    and an empty write queue — no stack, no thread — which is what lets
-    a single domain hold 10k concurrent provers. Replay work still runs
-    on the fleet pool's domains; verdict completion wakes the loop over
-    a self-pipe instead of a dispatcher thread. When the fleet stream's
-    window is full, reports queue at the session layer (loop-local
-    FIFO) so backpressure never blocks the loop.
-
-    {b [Threads]} (legacy, selectable) — one systhread per connection
-    plus a verdict-dispatcher thread sleeping on the stream:
-
-    {v
-      accept loop ──► handler (1 systhread per connection)
-                        │  (same session machine as above)
-                        │  Report[_seq] → Fleet.stream_submit (blocking)
-                        └─ rejections / Busy frames back to the prover
-      dispatcher  ◄── Fleet.stream_next (verdicts, submission order)
-                        └─ Verdict[_seq] frames back to each session
-    v}
+    Memory per idle connection is one connection record, a frame
+    decoder, and an empty write queue — no stack, no thread — which is
+    what lets a single domain hold 10k concurrent provers. Replay work
+    runs on the fleet pool's domains; verdict completion wakes the loop
+    over a self-pipe. When the fleet stream's window is full, reports
+    queue at the session layer (loop-local FIFO) so backpressure never
+    blocks the loop.
 
     Sessions are {e windowed}: a peer that greets with [Hello_ex]
     negotiates up to [max_window] rounds in flight and its verdicts are
@@ -49,12 +33,10 @@
     the same machine with a window of 1 and unnumbered frames —
     wire-compatible with single-shot clients. Per-session FIFO verdict
     order is preserved (the fleet stream yields in submission order,
-    and the evloop engine keeps its wait queue FIFO so submission order
-    extends arrival order); cross-session order is whatever the engine
-    produces.
+    and the wait queue is FIFO so submission order extends arrival
+    order); cross-session order is whatever the engine produces.
 
-    Defenses, all of them counted in {!stats} and enforced identically
-    by both engines:
+    Defenses, all of them counted in {!stats}:
     - hard frame cap and typed decode errors ({!Frame}/{!Codec}) — a
       hostile byte stream closes its own connection, never the gateway;
     - per-message read deadlines (slow-loris: drip-feeding a frame
@@ -68,22 +50,24 @@
     - reports for never-issued or already-answered sequence numbers get
       a typed rejection and bump [bad_seq];
     - a connection ceiling ([max_conns]) answered with [Busy];
-    - a bounded per-connection write queue (evloop engine): a peer that
-      requests verdicts but never reads them cannot buffer the gateway
-      into the ground;
+    - a bounded per-connection write queue: a peer that requests
+      verdicts but never reads them cannot buffer the gateway into the
+      ground;
     - challenge freshness per connection via
       {!Dialed_core.Protocol.gate} — replayed or cross-session reports
       are rejected before any replay work is spent on them.
 
     Verification runs on a {!Dialed_fleet.Fleet.stream} whose bounded
-    in-flight window applies backpressure to the handlers. *)
+    in-flight window applies backpressure to the sessions. *)
 
-type engine =
-  | Threads  (** one systhread per connection + dispatcher thread *)
-  | Evloop   (** single-threaded readiness loop over {!Evloop} *)
+type engine = Evloop
+(** The gateway has one connection engine, the readiness loop over
+    {!Evloop}. The type and [config.engine] remain, single-valued, so
+    configurations that name the engine keep compiling; neither is an
+    option. *)
 
 type config = {
-  engine : engine;            (** connection engine; default [Evloop] *)
+  engine : engine;            (** always [Evloop] *)
   max_frame : int;            (** per-frame byte cap (framing layer) *)
   read_deadline : float option;
       (** seconds a peer may take to complete one message *)
@@ -132,7 +116,7 @@ type config = {
 }
 
 val default_config : config
-(** Evloop engine, 1 MiB frames, 10 s deadline, 64 connections,
+(** 1 MiB frames, 10 s deadline, 64 connections,
     2 domains, stream window 32, session window 32, no rate limit,
     empty args, memo off. *)
 
@@ -189,32 +173,28 @@ type stats = {
 
 val create : ?config:config -> plan:Dialed_fleet.Plan.t ->
   Transport.listener -> t
-(** The gateway owns the listener, a private fleet pool/stream, and —
-    under the [Threads] engine — a verdict-dispatcher thread, from
-    [create] until {!stop}. Under [Evloop] the loop itself routes
-    verdicts and no dispatcher exists. *)
+(** The gateway owns the listener and a private fleet pool/stream from
+    [create] until {!stop}. *)
 
 val start : t -> unit
-(** Spawn the engine (accept loop, or event loop) in a background
-    thread and return. *)
+(** Spawn the event loop in a background thread and return. *)
 
 val serve_forever : t -> unit
-(** Run the engine on the calling thread; returns when {!stop} or
+(** Run the event loop on the calling thread; returns when {!stop} or
     {!request_stop} is called. *)
 
 val request_stop : t -> unit
-(** Ask the engine to unwind, without blocking and without taking any
+(** Ask the event loop to unwind, without blocking and without taking any
     OCaml lock: safe from a signal handler, even one delivered to the
     thread running {!serve_forever} (where calling {!stop} directly
     would self-deadlock — it waits for a cleanup that thread can never
     reach while suspended in the handler). Closes the listener and
-    wakes the engine; once {!serve_forever} returns, call {!stop} to
+    wakes the loop; once {!serve_forever} returns, call {!stop} to
     finish teardown and collect final stats. *)
 
 val stop : t -> stats
-(** Shut the listener, close every live connection, stop the engine
-    (joining handler threads, or waking and joining the event loop),
-    close the fleet stream, and return the final stats. Idempotent
+(** Shut the listener, close every live connection, wake and join the
+    event loop, close the fleet stream, and return the final stats. Idempotent
     (later calls return the same final stats). *)
 
 val stats : t -> stats

@@ -121,80 +121,12 @@ let aggregate ~clients ~clients_per_thread ~wall results =
     clients_per_thread;
     latencies }
 
-let run ?(config = default_config) ~dial ~respond () =
-  if config.clients < 0 then invalid_arg "Swarm.run: clients < 0";
-  if config.concurrency < 1 then invalid_arg "Swarm.run: concurrency < 1";
-  let results = Array.make config.clients (Died "never ran") in
-  let next = ref 0 in
-  let next_m = Mutex.create () in
-  let take () =
-    Mutex.lock next_m;
-    let i = !next in
-    if i < config.clients then incr next;
-    Mutex.unlock next_m;
-    if i < config.clients then Some i else None
-  in
-  let drive i =
-    let device_id = Printf.sprintf "%s-%04d" config.device_prefix i in
-    (* repeat-heavy traffic: fold the fleet onto [distinct_logs] path
-       shapes so every shape is driven by clients/distinct_logs provers
-       (0 = every prover its own shape, the memo-hostile extreme) *)
-    let shape =
-      if config.distinct_logs <= 0 then i else i mod config.distinct_logs
-    in
-    let cfg =
-      { config.client with
-        Client.jitter_seed =
-          Printf.sprintf "%s|%d" config.client.Client.jitter_seed i }
-    in
-    match dial () with
-    | exception e -> results.(i) <- Died (Printexc.to_string e)
-    | conn ->
-      let close () = try Transport.close conn with _ -> () in
-      (match
-         Client.attest_pipelined ~config:cfg ~window:config.window
-           ~firmware:(config.firmware i)
-           ~respond:(respond ~client:i ~shape)
-           ~device:(fun () ->
-               invalid_arg "Swarm.run: respond must produce the report")
-           ~device_id ~rounds:config.rounds conn
-       with
-       | session -> close (); results.(i) <- Finished session
-       | exception Client.Protocol_violation msg ->
-         close ();
-         results.(i) <- Died ("protocol violation: " ^ msg)
-       | exception Transport.Closed ->
-         close ();
-         results.(i) <- Died "connection closed by gateway"
-       | exception Transport.Timeout ->
-         close ();
-         results.(i) <- Died "transport timeout")
-  in
-  let worker () =
-    let rec go () =
-      match take () with
-      | None -> ()
-      | Some i -> drive i; go ()
-    in
-    go ()
-  in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init (min config.concurrency (max config.clients 1)) (fun _ ->
-        Thread.create worker ())
-  in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  (* thread-per-client mode: each worker holds one session at a time *)
-  aggregate ~clients:config.clients ~clients_per_thread:1 ~wall results
-
 (* ------------------------------------------------------------------ *)
-(* Multiplexed mode: N provers over M worker threads, each worker an
-   {!Evloop} driving its share of the provers as non-blocking state
-   machines over {!Evconn}. This is how the swarm *holds* sessions
-   instead of merely completing them: thread-per-client mode can only
-   keep [concurrency] connections open at once, multiplexed mode keeps
-   all [clients] open simultaneously — the c10k load shape.
+(* The driver: N provers over M worker threads, each worker an {!Evloop}
+   driving its share of the provers as non-blocking state machines over
+   {!Evconn}. This is how the swarm *holds* sessions instead of merely
+   completing them: all [clients] connections stay open at once — the
+   c10k load shape.
 
    A cross-worker barrier after dial + Hello_ex/Welcome makes the hold
    real: no prover starts its rounds until every prover (or its corpse)
@@ -270,13 +202,12 @@ let mx_arrive bar =
   Mutex.unlock bar.bar_m;
   List.iter (fun f -> f ()) release
 
-let run_multiplexed ?(config = default_config) ~dial ~respond () =
-  if config.clients < 0 then invalid_arg "Swarm.run_multiplexed: clients < 0";
-  if config.concurrency < 1 then
-    invalid_arg "Swarm.run_multiplexed: concurrency < 1";
-  if config.rounds < 0 then invalid_arg "Swarm.run_multiplexed: rounds < 0";
+let run ?(config = default_config) ~dial ~respond () =
+  if config.clients < 0 then invalid_arg "Swarm.run: clients < 0";
+  if config.concurrency < 1 then invalid_arg "Swarm.run: concurrency < 1";
+  if config.rounds < 0 then invalid_arg "Swarm.run: rounds < 0";
   if config.client.Client.attempts < 1 then
-    invalid_arg "Swarm.run_multiplexed: attempts < 1";
+    invalid_arg "Swarm.run: attempts < 1";
   let n = config.clients in
   let workers = max 1 (min config.concurrency (max n 1)) in
   let clients_per_thread = (n + workers - 1) / workers in
@@ -301,7 +232,12 @@ let run_multiplexed ?(config = default_config) ~dial ~respond () =
       | None -> ()
     in
     let die p detail =
-      if p.mx_phase <> Mx_done then begin
+      if p.mx_phase = Mx_done then
+        (* a finished prover's Bye met a connection the gateway already
+           closed (it denied the session): nothing is left to flush, and
+           an unclosed connection would hold the worker loop forever *)
+        Option.iter Evconn.close p.mx_ev
+      else begin
         let at_barrier = p.mx_phase = Mx_welcome in
         p.mx_phase <- Mx_done;
         cancel_timers p;

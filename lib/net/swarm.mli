@@ -2,10 +2,12 @@
     attestation sessions against one gateway, from a bounded pool of
     worker threads.
 
-    Each simulated prover runs one {!Client.attest_pipelined} session
-    over its own connection; [concurrency] worker threads pull prover
-    indices off a shared queue, so [clients] can far exceed the thread
-    count. The aggregate outcome reports saturation throughput and the
+    Each simulated prover runs one pipelined session over its own
+    connection, with the per-prover behavior of
+    {!Client.attest_pipelined}; [concurrency] worker threads each run
+    an {!Evloop} that multiplexes a share of the provers, so [clients]
+    can far exceed the thread count and every session is held open at
+    once. The aggregate outcome reports saturation throughput and the
     latency distribution (per-round report→verdict time), which is what
     the swarm experiment plots against the raw fleet-engine rate.
 
@@ -17,7 +19,7 @@ type config = {
   clients : int;            (** simulated provers (one session each) *)
   rounds : int;             (** attestation rounds per prover *)
   window : int;             (** per-session window to request *)
-  concurrency : int;        (** worker threads driving the provers *)
+  concurrency : int;        (** worker threads (event loops) *)
   device_prefix : string;   (** device ids are [prefix-%04d] *)
   distinct_logs : int;
       (** fold the fleet onto this many execution-path shapes: prover
@@ -57,9 +59,8 @@ type outcome = {
   wall_seconds : float;
   throughput : float;       (** completed rounds per second *)
   clients_per_thread : int;
-      (** sessions each worker thread holds open simultaneously: [1]
-          for {!run} (a worker drives one prover at a time),
-          [ceil (clients / workers)] for {!run_multiplexed} *)
+      (** sessions each worker thread holds open simultaneously:
+          [ceil (clients / workers)] *)
   latencies : float array;  (** sorted report→verdict times, seconds *)
 }
 
@@ -86,35 +87,26 @@ val run :
     state). [shape] is the prover's log-shape index under
     [distinct_logs]; a responder that varies device inputs by [shape]
     (and ignores [client] otherwise) makes the repeat ratio real.
-    A prover whose session raises ({!Client.Protocol_violation},
-    [Transport.Closed], a failed dial) is counted in [clients_failed];
-    the rest of the swarm keeps running. A prover the gateway denies
-    (lifecycle registry) is {e not} a failure: it lands in
+
+    Each of the [concurrency] worker threads runs an {!Evloop} that
+    multiplexes its share of the provers ([client i] is owned by
+    [worker (i mod concurrency)]) as non-blocking state machines, so
+    all [clients] sessions are held {e open simultaneously} — the c10k
+    load shape: 10k provers over 16 threads. After every prover has
+    dialed and completed its [Hello_ex]/[Welcome] handshake (or died
+    trying), a cross-worker barrier releases the fleet at once, so the
+    gateway's peak-connection counter provably reaches [clients] before
+    the first round is played. Per-prover behavior (window top-up, Busy
+    backoff with the same jittered delays, reply deadlines, give-up
+    rules) mirrors {!Client.attest_pipelined}; deadlines and backoffs
+    are loop timers rather than blocking waits.
+
+    A prover whose session fails (a failed dial, a protocol violation,
+    the gateway closing on it) is counted in [clients_failed]; the rest
+    of the swarm keeps running. A prover the gateway denies (lifecycle
+    registry) is {e not} a failure: it lands in
     [clients_denied]/[denied_by_cause], and only its completed prefix
     of rounds is counted in the accepted/rejected totals. *)
-
-val run_multiplexed :
-  ?config:config ->
-  dial:(unit -> Transport.conn) ->
-  respond:(client:int -> shape:int -> seq:int ->
-           Dialed_core.Protocol.request -> Dialed_apex.Pox.report) ->
-  unit -> outcome
-(** Like {!run}, but each of the [concurrency] worker threads runs an
-    {!Evloop} that multiplexes its share of the provers ([client i] is
-    owned by [worker (i mod concurrency)]) as non-blocking state
-    machines — so all [clients] sessions are held {e open
-    simultaneously} instead of at most [concurrency] at a time. This is
-    the c10k load shape: 10k provers over 16 threads.
-
-    After every prover has dialed and completed its
-    [Hello_ex]/[Welcome] handshake (or died trying), a cross-worker
-    barrier releases the fleet at once, so the gateway's
-    peak-connection counter provably reaches [clients] before the first
-    round is played. Per-prover behavior (window top-up, Busy backoff
-    with the same jittered delays, reply deadlines, give-up rules)
-    mirrors {!Client.attest_pipelined}; the semantics differ only in
-    that deadlines and backoffs are loop timers rather than blocking
-    waits. Failure accounting matches {!run}. *)
 
 val latency_p : outcome -> float -> float
 (** [latency_p o 99.0] = the p99 round latency in seconds (0 when no

@@ -39,14 +39,12 @@ let try_send conn s pos len =
 let on_readable conn hook = conn.on_readable_impl hook
 
 type listener = {
-  accept_impl : unit -> conn;
   shutdown_impl : unit -> unit;
   listener_readiness : readiness option;
   try_accept_impl : unit -> conn option;
   on_acceptable_impl : (unit -> unit) option -> unit;
 }
 
-let accept l = l.accept_impl ()
 let shutdown l = l.shutdown_impl ()
 let listener_readiness l = l.listener_readiness
 let try_accept l = l.try_accept_impl ()
@@ -299,27 +297,9 @@ let loopback () =
 
 let loopback_listener () =
   let m = Mutex.create () in
-  let c = Condition.create () in
   let backlog : conn Queue.t = Queue.create () in
   let closed = ref false in
   let hook : (unit -> unit) option ref = ref None in
-  let accept_impl () =
-    Mutex.lock m;
-    let rec wait () =
-      match Queue.take_opt backlog with
-      | Some conn -> Mutex.unlock m; conn
-      | None ->
-        if !closed then begin
-          Mutex.unlock m;
-          raise Closed
-        end
-        else begin
-          Condition.wait c m;
-          wait ()
-        end
-    in
-    wait ()
-  in
   let try_accept_impl () =
     Mutex.lock m;
     match Queue.take_opt backlog with
@@ -332,7 +312,6 @@ let loopback_listener () =
   let shutdown_impl () =
     Mutex.lock m;
     closed := true;
-    Condition.broadcast c;
     let h = !hook in
     Mutex.unlock m;
     run_hook h
@@ -350,14 +329,13 @@ let loopback_listener () =
       raise Closed
     end;
     Queue.add server_end backlog;
-    Condition.signal c;
     let h = !hook in
     Mutex.unlock m;
     run_hook h;
     client_end
   in
-  ( { accept_impl; shutdown_impl; listener_readiness = Some Hook;
-      try_accept_impl; on_acceptable_impl },
+  ( { shutdown_impl; listener_readiness = Some Hook; try_accept_impl;
+      on_acceptable_impl },
     dial )
 
 (* ---------------------------------------------------------------- *)
@@ -454,12 +432,6 @@ let tcp_listener ?(backlog = 16) ?(host = "127.0.0.1") ~port () =
     in
     of_fd ~peer_name peer_fd
   in
-  let accept_impl () =
-    match Unix.accept fd with
-    | accepted -> wrap_accepted accepted
-    | exception Unix.Unix_error ((EBADF | EINVAL | ECONNABORTED), _, _)
-      when !closed -> raise Closed
-  in
   let nonblock_set = ref false in
   let try_accept_impl () =
     if not !nonblock_set then begin
@@ -467,13 +439,7 @@ let tcp_listener ?(backlog = 16) ?(host = "127.0.0.1") ~port () =
       nonblock_set := true
     end;
     match Unix.accept fd with
-    | accepted ->
-      let conn = wrap_accepted accepted in
-      (* accepted fds inherit the listener's non-blocking flag on some
-         systems but not others; clear it so blocking engines work *)
-      Unix.clear_nonblock
-        (match conn.readiness with Some (Fd pfd) -> pfd | _ -> assert false);
-      Some conn
+    | accepted -> Some (wrap_accepted accepted)
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> None
     | exception Unix.Unix_error (ECONNABORTED, _, _) when not !closed -> None
     | exception Unix.Unix_error ((EBADF | EINVAL | ECONNABORTED), _, _)
@@ -482,13 +448,11 @@ let tcp_listener ?(backlog = 16) ?(host = "127.0.0.1") ~port () =
   let shutdown_impl () =
     if not !closed then begin
       closed := true;
-      (* wake a blocked accept *)
       (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
       try Unix.close fd with Unix.Unix_error _ -> ()
     end
   in
-  ( { accept_impl; shutdown_impl; listener_readiness = Some (Fd fd);
-      try_accept_impl;
+  ( { shutdown_impl; listener_readiness = Some (Fd fd); try_accept_impl;
       on_acceptable_impl =
         (fun _ -> invalid_arg "Transport.on_acceptable: fd-backed listener") },
     bound_port )

@@ -10,11 +10,10 @@
 
     Two driving styles coexist:
     {ul
-    {- {e blocking}: {!recv}/{!send}, used by the thread-per-connection
-       engine and the blocking client;}
+    {- {e blocking}: {!recv}/{!send}, used by the blocking {!Client};}
     {- {e readiness}: {!try_recv}/{!try_send} plus either a pollable
        file descriptor ({!Fd}) or a writer-invoked callback ({!Hook}),
-       used by the {!Evloop} engine.}}
+       used by the gateway's {!Evloop} and the swarm driver.}}
 
     Loopback connections and listeners are internally locked and safe to
     drive from multiple threads; Unix-socket connections carry the usual
@@ -27,7 +26,7 @@ exception Timeout
 (** A read outlived its deadline. *)
 
 exception Closed
-(** Write on (or accept from) an endpoint that was closed locally. *)
+(** Write on (or accept from) an endpoint that was closed. *)
 
 type conn
 
@@ -83,12 +82,8 @@ val on_readable : conn -> (unit -> unit) option -> unit
 
 type listener
 
-val accept : listener -> conn
-(** Block for the next inbound connection. Raises {!Closed} once
-    {!shutdown} has been called (also from inside a blocked accept). *)
-
 val shutdown : listener -> unit
-(** Stop accepting; wakes blocked accepts. Idempotent. *)
+(** Stop accepting. Idempotent. *)
 
 val listener_readiness : listener -> readiness option
 (** How an event loop can learn this listener has pending
@@ -97,8 +92,9 @@ val listener_readiness : listener -> readiness option
 val try_accept : listener -> conn option
 (** Non-blocking accept: [None] when no connection is pending (the
     first call puts an fd-backed listener in non-blocking mode).
-    Accepted socket connections are left {e blocking}; the evloop engine
-    calls {!set_nonblock} itself. Raises {!Closed} after {!shutdown}. *)
+    Whether an accepted socket inherits that mode is up to the system;
+    an event loop calls {!set_nonblock} itself. Raises {!Closed} after
+    {!shutdown}. *)
 
 val on_acceptable : listener -> (unit -> unit) option -> unit
 (** Register the pending-connection callback of a {!Hook} listener;
@@ -112,8 +108,8 @@ val loopback : unit -> conn * conn
 
 val loopback_listener : unit -> listener * (unit -> conn)
 (** A loopback acceptor and its dial function: each [dial ()] yields the
-    client end and queues the server end for {!accept}. [dial] raises
-    {!Closed} after {!shutdown}. *)
+    client end and queues the server end for {!try_accept}. [dial]
+    raises {!Closed} after {!shutdown}. *)
 
 (** {2 Unix sockets} *)
 

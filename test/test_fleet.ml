@@ -203,7 +203,7 @@ let verdict_keys (s : F.Fleet.summary) =
 let test_pool_reuse () =
   (* one long-lived pool across several batches: the pooled path (warm
      workers, reused scratch arenas) must match both the strictly serial
-     path and the legacy spawn-per-call path, verdict for verdict *)
+     path and a private per-call pool, verdict for verdict *)
   let built = Lazy.force vuln_built in
   let plan = F.Plan.of_built built in
   let pool = F.Pool.create ~domains:3 () in
@@ -213,11 +213,11 @@ let test_pool_reuse () =
     (fun n ->
        let batch = mixed_batch built n in
        let serial = F.Fleet.verify_batch ~domains:1 plan batch in
-       let spawned = F.Fleet.verify_batch ~domains:3 ~chunk:2 plan batch in
+       let per_call = F.Fleet.verify_batch ~domains:3 ~chunk:2 plan batch in
        let pooled = F.Fleet.verify_batch ~pool ~chunk:2 plan batch in
        check_bool
-         (Printf.sprintf "batch %d: serial = spawn-per-call" n) true
-         (verdict_keys serial = verdict_keys spawned);
+         (Printf.sprintf "batch %d: serial = per-call pool" n) true
+         (verdict_keys serial = verdict_keys per_call);
        check_bool (Printf.sprintf "batch %d: serial = pooled" n) true
          (verdict_keys serial = verdict_keys pooled))
     [ 12; 16; 8 ];
@@ -304,59 +304,6 @@ let test_stream_matches_batch () =
   match F.Fleet.stream_submit st "late" (snd (List.hd batch)) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "submit on a closed stream accepted"
-
-let test_stream_next_blocks_and_wakes () =
-  let built = Lazy.force vuln_built in
-  let plan = F.Plan.of_built built in
-  let batch = mixed_batch built 6 in
-  (* pooled stream: a consumer thread sleeps in stream_next while the
-     submitter feeds reports; every verdict must come out exactly once
-     and in submission order *)
-  let pool = F.Pool.create ~domains:2 () in
-  let st = F.Fleet.stream ~pool ~window:2 plan in
-  let out = ref [] in
-  let out_m = Mutex.create () in
-  let quit = ref false in
-  let consumer =
-    Thread.create
-      (fun () ->
-         let rec go () =
-           let vs = F.Fleet.stream_next st in
-           Mutex.lock out_m;
-           out := !out @ vs;
-           let stop = !quit && vs = [] in
-           Mutex.unlock out_m;
-           if not stop then go ()
-         in
-         go ())
-      ()
-  in
-  List.iter (fun (id, r) -> F.Fleet.stream_submit st id r) batch;
-  (* wait for the consumer to drain everything *)
-  let rec wait n =
-    let drained =
-      Mutex.lock out_m;
-      let d = List.length !out = List.length batch in
-      Mutex.unlock out_m;
-      d
-    in
-    if (not drained) && n > 0 then (Thread.delay 0.01; wait (n - 1))
-  in
-  wait 500;
-  Mutex.lock out_m;
-  quit := true;
-  Mutex.unlock out_m;
-  F.Fleet.stream_wake st;
-  Thread.join consumer;
-  check_bool "stream_next yields submission order" true
-    (List.map (fun (v : F.Fleet.verdict) -> v.F.Fleet.device_id) !out
-     = List.map fst batch);
-  let final = F.Fleet.stream_close st in
-  check_int "close keeps no polled verdict" 0
-    (List.length final.F.Fleet.verdicts);
-  check_int "close metrics count every report" (List.length batch)
-    final.F.Fleet.metrics.F.Metrics.batch_size;
-  F.Pool.shutdown pool
 
 (* A long-lived stream whose verdicts are polled as they land (the
    gateway's pattern) must not keep them: its reachable heap after 10k
@@ -488,8 +435,6 @@ let suites =
          test_pool_across_plans;
        Alcotest.test_case "stream matches batch" `Quick
          test_stream_matches_batch;
-       Alcotest.test_case "stream_next blocks and wakes" `Quick
-         test_stream_next_blocks_and_wakes;
        Alcotest.test_case "stream retention bounded" `Quick
          test_stream_retention_bounded;
        Alcotest.test_case "rejects_by_kind keeps findingless rejects" `Quick

@@ -1,9 +1,9 @@
 (* The device lifecycle layer: registry state machine, revocation
    sets, staged firmware rollout and the append-only journal — first as
    a unit corpus against the registry alone, then end-to-end through
-   BOTH gateway engines (a revoked or quarantined device must be turned
-   away identically by the evloop and threads engines, including a
-   revocation landing mid-pipelined-window). *)
+   the gateway (a revoked or quarantined device must be turned away
+   with a typed cause, including a revocation landing
+   mid-pipelined-window). *)
 
 module A = Dialed_apex
 module C = Dialed_core
@@ -332,27 +332,26 @@ let qcheck_no_silent_release =
          ops)
 
 (* ------------------------------------------------------------- *)
-(* The same rules enforced end-to-end through the gateway, under
-   BOTH engines.                                                   *)
+(* The same rules enforced end-to-end through the gateway.         *)
 
 let lc_stats (stats : N.Server.stats) =
   match stats.N.Server.lifecycle with
   | Some l -> l
   | None -> Alcotest.fail "no lifecycle section in stats"
 
-let lifecycle_config ?resolve_plan ?plan_cache engine lc =
-  let base = Test_net.gateway_config engine in
+let lifecycle_config ?resolve_plan ?plan_cache lc =
+  let base = Test_net.gateway_config in
   { base with
     N.Server.lifecycle = Some lc;
     resolve_plan;
     plan_cache =
       (match plan_cache with Some _ -> plan_cache | None -> base.N.Server.plan_cache) }
 
-let test_gw_revoked_at_handshake engine =
+let test_gw_revoked_at_handshake () =
   let lc = L.create () in
   reg lc "dev-r" "k-r";
   ignore (L.revoke_key lc "k-r" : int);
-  Test_net.with_gateway ~config:(lifecycle_config engine lc) ~engine
+  Test_net.with_gateway ~config:(lifecycle_config lc)
     (fun ~server ~dial ~device ->
        (* pipelined greeting: the denial is data, not an exception *)
        let conn = dial () in
@@ -385,11 +384,11 @@ let test_gw_revoked_at_handshake engine =
        check_int "nothing admitted" 0 l.N.Server.lc_admitted;
        check_int "no verdicts issued" 0 stats.N.Server.verdicts_accepted)
 
-let test_gw_stale_firmware engine =
+let test_gw_stale_firmware () =
   let lc = L.create () in
   reg lc "dev-fw" "k-fw";
   L.set_stable lc "2.0";
-  Test_net.with_gateway ~config:(lifecycle_config engine lc) ~engine
+  Test_net.with_gateway ~config:(lifecycle_config lc)
     (fun ~server ~dial ~device ->
        let conn = dial () in
        let session =
@@ -422,13 +421,13 @@ let test_gw_stale_firmware engine =
        check_int "one admission" 1 l.N.Server.lc_admitted;
        check_int "three credited verdicts" 3 l.N.Server.lc_attested)
 
-let test_gw_midsession_revocation engine =
+let test_gw_midsession_revocation () =
   (* the window is granted, a round completes, THEN the key is pulled:
      the very next frame gets a typed Denied and no verdict is ever
      delivered past the revocation *)
   let lc = L.create () in
   reg lc "dev-mid" "k-mid";
-  Test_net.with_gateway ~config:(lifecycle_config engine lc) ~engine
+  Test_net.with_gateway ~config:(lifecycle_config lc)
     (fun ~server ~dial ~device ->
        let conn = dial () in
        let chan = N.Chan.create conn in
@@ -481,11 +480,11 @@ let test_gw_midsession_revocation engine =
        check_int "only the pre-revocation verdict credited" 1
          l.N.Server.lc_attested)
 
-let test_gw_quarantine_release engine =
+let test_gw_quarantine_release () =
   let lc = L.create () in
   reg lc "dev-q" "k-q";
   ignore (L.quarantine lc "dev-q" : bool);
-  Test_net.with_gateway ~config:(lifecycle_config engine lc) ~engine
+  Test_net.with_gateway ~config:(lifecycle_config lc)
     (fun ~server ~dial ~device ->
        let conn = dial () in
        let session =
@@ -518,12 +517,12 @@ let test_gw_quarantine_release engine =
        check_int "one quarantine denial" 1 l.N.Server.lc_denied_quarantined;
        check_int "one admission" 1 l.N.Server.lc_admitted)
 
-let test_gw_anonymous_policy engine =
+let test_gw_anonymous_policy () =
   (* open registry: peers outside the registry are served and counted
      as anonymous, never credited as attested *)
   let lc = L.create () in
   reg lc "dev-known" "k";
-  Test_net.with_gateway ~config:(lifecycle_config engine lc) ~engine
+  Test_net.with_gateway ~config:(lifecycle_config lc)
     (fun ~server ~dial ~device ->
        List.iter
          (fun id ->
@@ -543,7 +542,7 @@ let test_gw_anonymous_policy engine =
   (* closed registry: same traffic, unknowns now bounce *)
   let lc = L.create ~allow_anonymous:false () in
   reg lc "dev-known" "k";
-  Test_net.with_gateway ~config:(lifecycle_config engine lc) ~engine
+  Test_net.with_gateway ~config:(lifecycle_config lc)
     (fun ~server ~dial ~device ->
        let conn = dial () in
        let session =
@@ -567,7 +566,7 @@ let test_gw_anonymous_policy engine =
        check_int "unknown denial counted" 1 l.N.Server.lc_denied_unknown;
        check_int "no anonymous sessions" 0 l.N.Server.lc_anonymous)
 
-let test_gw_staged_rollout engine =
+let test_gw_staged_rollout () =
   (* two firmware versions live at once: the canary cohort's reports
      verify against the canary app's plan, everyone else against the
      stable plan, and both plans stay resident in the operator's LRU *)
@@ -599,7 +598,7 @@ let test_gw_staged_rollout engine =
     | _ -> None
   in
   let config =
-    lifecycle_config ~resolve_plan ~plan_cache:pcache engine lc
+    lifecycle_config ~resolve_plan ~plan_cache:pcache lc
   in
   let listener, dial = N.Transport.loopback_listener () in
   let server = N.Server.create ~config ~plan:stable_plan listener in
@@ -664,18 +663,12 @@ let suites =
        Alcotest.test_case "journal torn line" `Quick test_journal_torn_line;
        QCheck_alcotest.to_alcotest qcheck_no_silent_release ]);
     ("lifecycle-gateway",
-     (* the full lifecycle corpus, once per engine: both engines must
-        turn away the same peers with the same typed causes *)
-     List.concat_map
-       (fun (tag, engine) ->
-          let case name f =
-            Alcotest.test_case (name ^ " [" ^ tag ^ "]") `Quick
-              (fun () -> f engine)
-          in
-          [ case "revoked at handshake" test_gw_revoked_at_handshake;
-            case "stale firmware" test_gw_stale_firmware;
-            case "revoked mid-window" test_gw_midsession_revocation;
-            case "quarantine and release" test_gw_quarantine_release;
-            case "anonymous policy" test_gw_anonymous_policy;
-            case "staged rollout" test_gw_staged_rollout ])
-       [ ("evloop", N.Server.Evloop); ("threads", N.Server.Threads) ]) ]
+     [ Alcotest.test_case "revoked at handshake" `Quick
+         test_gw_revoked_at_handshake;
+       Alcotest.test_case "stale firmware" `Quick test_gw_stale_firmware;
+       Alcotest.test_case "revoked mid-window" `Quick
+         test_gw_midsession_revocation;
+       Alcotest.test_case "quarantine and release" `Quick
+         test_gw_quarantine_release;
+       Alcotest.test_case "anonymous policy" `Quick test_gw_anonymous_policy;
+       Alcotest.test_case "staged rollout" `Quick test_gw_staged_rollout ]) ]

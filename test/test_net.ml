@@ -214,15 +214,15 @@ let test_socketpair_roundtrip () =
 
 let test_tcp_roundtrip () =
   let listener, port = N.Transport.tcp_listener ~port:0 () in
-  let accepted = ref None in
-  let th =
-    Thread.create (fun () -> accepted := Some (N.Transport.accept listener)) ()
-  in
   let client = N.Transport.tcp_connect ~host:"127.0.0.1" ~port () in
-  Thread.join th;
-  (match !accepted with
-   | Some server -> exercise_conn_pair (client, server)
-   | None -> Alcotest.fail "accept did not complete");
+  (* the connect completed into the kernel backlog; collect it *)
+  let rec accept n =
+    match N.Transport.try_accept listener with
+    | Some server -> server
+    | None when n > 0 -> Thread.delay 0.01; accept (n - 1)
+    | None -> Alcotest.fail "accept did not complete"
+  in
+  exercise_conn_pair (client, accept 500);
   N.Transport.shutdown listener
 
 let test_deadlines_fire () =
@@ -289,18 +289,12 @@ let build_app () =
   C.Pipeline.build ~variant:C.Pipeline.Full ~data:compiled.Dialed_minic.Minic.data
     ~op:compiled.Dialed_minic.Minic.op ~or_min:fire_sensor.Apps.or_min ()
 
-(* every gateway test below runs under BOTH engines: the evloop and
-   threads engines must be observationally identical, and the hostile
-   corpus is the proof *)
-let gateway_config engine =
+let gateway_config =
   { N.Server.default_config with
-    N.Server.engine; domains = 1; window = 4; read_deadline = Some 2.0;
+    N.Server.domains = 1; window = 4; read_deadline = Some 2.0;
     args = fire_sensor.Apps.benign_args }
 
-let with_gateway ?config ~engine f =
-  let config =
-    match config with Some c -> c | None -> gateway_config engine
-  in
+let with_gateway ?(config = gateway_config) f =
   let built = build_app () in
   let plan = F.Plan.of_built built in
   let listener, dial = N.Transport.loopback_listener () in
@@ -320,8 +314,8 @@ let client_config =
     N.Client.read_deadline = Some 2.0; backoff_base = 0.01;
     backoff_cap = 0.05 }
 
-let test_e2e_loopback engine =
-  with_gateway ~engine (fun ~server ~dial ~device ->
+let test_e2e_loopback () =
+  with_gateway (fun ~server ~dial ~device ->
       let conn = dial () in
       let rounds =
         N.Client.attest_rounds ~config:client_config ~device
@@ -342,11 +336,11 @@ let test_e2e_loopback engine =
       check_int "no conns left" 0 stats.N.Server.connections_active;
       check_int "fleet agrees" 3 stats.N.Server.verify.F.Metrics.accepted)
 
-let test_e2e_tcp engine =
+let test_e2e_tcp () =
   let built = build_app () in
   let plan = F.Plan.of_built built in
   let listener, port = N.Transport.tcp_listener ~port:0 () in
-  let server = N.Server.create ~config:(gateway_config engine) ~plan listener in
+  let server = N.Server.create ~config:gateway_config ~plan listener in
   N.Server.start server;
   let device () =
     let d = C.Pipeline.device built in
@@ -368,8 +362,8 @@ let test_e2e_tcp engine =
        let stats = N.Server.stats server in
        check_int "two verdicts over tcp" 2 stats.N.Server.verdicts_accepted)
 
-let test_e2e_two_provers engine =
-  with_gateway ~engine (fun ~server:_ ~dial ~device ->
+let test_e2e_two_provers () =
+  with_gateway (fun ~server:_ ~dial ~device ->
       let run id () =
         let conn = dial () in
         let rounds =
@@ -387,8 +381,8 @@ let test_e2e_two_provers engine =
       check_bool "prover a all accepted" true !ok_a;
       check_bool "prover b all accepted" true !ok_b)
 
-let test_e2e_tampered_report_rejected engine =
-  with_gateway ~engine (fun ~server ~dial ~device ->
+let test_e2e_tampered_report_rejected () =
+  with_gateway (fun ~server ~dial ~device ->
       let mangle (r : A.Pox.report) =
         let b = Bytes.of_string r.A.Pox.or_data in
         let j = Bytes.length b / 2 in
@@ -411,10 +405,10 @@ let test_e2e_tampered_report_rejected engine =
       let stats = N.Server.stop server in
       check_int "rejected counted" 1 stats.N.Server.verdicts_rejected)
 
-let test_e2e_wire_replay_rejected engine =
+let test_e2e_wire_replay_rejected () =
   (* a prover that answers the second challenge with the first round's
      report: freshness gate rejects it without any replay work *)
-  with_gateway ~engine (fun ~server ~dial ~device ->
+  with_gateway (fun ~server ~dial ~device ->
       let conn = dial () in
       let chan = N.Chan.create conn in
       let recv () =
@@ -458,11 +452,11 @@ let test_e2e_wire_replay_rejected engine =
       check_int "only honest report replayed" 1
         stats.N.Server.verify.F.Metrics.batch_size)
 
-let test_e2e_rate_limited_busy engine =
+let test_e2e_rate_limited_busy () =
   let config =
-    { (gateway_config engine) with N.Server.rate = Some 0.000001; burst = 1.0 }
+    { gateway_config with N.Server.rate = Some 0.000001; burst = 1.0 }
   in
-  with_gateway ~config ~engine (fun ~server ~dial ~device:_ ->
+  with_gateway ~config (fun ~server ~dial ~device:_ ->
       let conn = dial () in
       let chan = N.Chan.create conn in
       N.Chan.send chan (N.Codec.Hello { device_id = "dev-greedy" });
@@ -478,9 +472,9 @@ let test_e2e_rate_limited_busy engine =
       let stats = N.Server.stop server in
       check_int "rate limited counted" 1 stats.N.Server.rate_limited)
 
-let test_e2e_max_conns_busy engine =
-  let config = { (gateway_config engine) with N.Server.max_conns = 1 } in
-  with_gateway ~config ~engine (fun ~server:_ ~dial ~device ->
+let test_e2e_max_conns_busy () =
+  let config = { gateway_config with N.Server.max_conns = 1 } in
+  with_gateway ~config (fun ~server:_ ~dial ~device ->
       (* occupy the only slot with a live session *)
       let first = dial () in
       let chan = N.Chan.create first in
@@ -519,8 +513,8 @@ let test_e2e_max_conns_busy engine =
 (* ------------------------------------------------------------- *)
 (* Pipelined sessions.                                             *)
 
-let test_e2e_pipelined_loopback engine =
-  with_gateway ~engine (fun ~server ~dial ~device ->
+let test_e2e_pipelined_loopback () =
+  with_gateway (fun ~server ~dial ~device ->
       let conn = dial () in
       let session =
         N.Client.attest_pipelined ~config:client_config ~window:4 ~device
@@ -544,9 +538,9 @@ let test_e2e_pipelined_loopback engine =
       check_int "no bad seq" 0 stats.N.Server.bad_seq;
       check_int "no sessions left" 0 stats.N.Server.sessions_active)
 
-let test_e2e_pipelined_window_clamped engine =
-  let config = { (gateway_config engine) with N.Server.max_window = 2 } in
-  with_gateway ~config ~engine (fun ~server:_ ~dial ~device ->
+let test_e2e_pipelined_window_clamped () =
+  let config = { gateway_config with N.Server.max_window = 2 } in
+  with_gateway ~config (fun ~server:_ ~dial ~device ->
       let conn = dial () in
       let session =
         N.Client.attest_pipelined ~config:client_config ~window:16 ~device
@@ -559,11 +553,11 @@ let test_e2e_pipelined_window_clamped engine =
            (fun (r : N.Client.pipelined_round) -> r.N.Client.p_accepted)
            session.N.Client.results))
 
-let test_e2e_pipelined_tamper_per_round engine =
+let test_e2e_pipelined_tamper_per_round () =
   (* tamper exactly rounds 1 and 3 of 5: the verdict array must show
      rejections at those indexes and acceptances elsewhere — windowed
      dispatch must not mix rounds up *)
-  with_gateway ~engine (fun ~server ~dial ~device ->
+  with_gateway (fun ~server ~dial ~device ->
       let tampered = [ 1; 3 ] in
       let respond ~seq req =
         let report, _ = C.Protocol.prover_execute (device ()) req in
@@ -599,8 +593,8 @@ let pipelined_handshake chan ~device_id ~window =
   | Ok (Some (N.Codec.Welcome { window = w })) -> w
   | _ -> Alcotest.fail "no Welcome"
 
-let test_hostile_bad_seq_reports engine =
-  with_gateway ~engine (fun ~server ~dial ~device ->
+let test_hostile_bad_seq_reports () =
+  with_gateway (fun ~server ~dial ~device ->
       let conn = dial () in
       let chan = N.Chan.create conn in
       let recv () =
@@ -646,8 +640,8 @@ let test_hostile_bad_seq_reports engine =
       check_int "engine saw one report" 1
         stats.N.Server.verify.F.Metrics.batch_size)
 
-let test_hostile_window_flood_and_bye engine =
-  with_gateway ~engine (fun ~server ~dial ~device ->
+let test_hostile_window_flood_and_bye () =
+  with_gateway (fun ~server ~dial ~device ->
       let conn = dial () in
       let chan = N.Chan.create conn in
       let granted = pipelined_handshake chan ~device_id:"dev-flood" ~window:4 in
@@ -698,8 +692,8 @@ let test_hostile_window_flood_and_bye engine =
       check_bool "hostile Bye counted" true (stats.N.Server.protocol_errors >= 1);
       check_int "no sessions leaked" 0 stats.N.Server.sessions_active)
 
-let test_hostile_seq_frames_on_legacy_session engine =
-  with_gateway ~engine (fun ~server ~dial ~device ->
+let test_hostile_seq_frames_on_legacy_session () =
+  with_gateway (fun ~server ~dial ~device ->
       let conn = dial () in
       let chan = N.Chan.create conn in
       N.Chan.send chan (N.Codec.Hello { device_id = "dev-old" });
@@ -728,11 +722,11 @@ let test_hostile_seq_frames_on_legacy_session engine =
 (* ------------------------------------------------------------- *)
 (* Hostile peers: the gateway must shed them and keep serving.     *)
 
-let test_server_survives_malformed_peers engine =
+let test_server_survives_malformed_peers () =
   let config =
-    { (gateway_config engine) with N.Server.read_deadline = Some 0.15; max_frame = 4096 }
+    { gateway_config with N.Server.read_deadline = Some 0.15; max_frame = 4096 }
   in
-  with_gateway ~config ~engine (fun ~server ~dial ~device ->
+  with_gateway ~config (fun ~server ~dial ~device ->
       let attack bytes =
         let conn = dial () in
         (try N.Transport.send conn bytes with N.Transport.Closed -> ());
@@ -783,9 +777,9 @@ let test_server_survives_malformed_peers engine =
       check_int "no sessions leaked" 0 stats.N.Server.sessions_active;
       check_int "no conns leaked" 0 stats.N.Server.connections_active)
 
-let test_server_survives_slow_loris engine =
-  let config = { (gateway_config engine) with N.Server.read_deadline = Some 0.1 } in
-  with_gateway ~config ~engine (fun ~server ~dial ~device ->
+let test_server_survives_slow_loris () =
+  let config = { gateway_config with N.Server.read_deadline = Some 0.1 } in
+  with_gateway ~config (fun ~server ~dial ~device ->
       let conn = dial () in
       (* a valid Hello, then a frame header that never completes *)
       let chan = N.Chan.create conn in
@@ -816,13 +810,13 @@ let test_server_survives_slow_loris engine =
 (* ------------------------------------------------------------- *)
 (* Idle reaping and half-open connections.                         *)
 
-let test_idle_connection_reaped engine =
+let test_idle_connection_reaped () =
   (* a peer that opens a session and then falls silent is reaped at
      the read deadline — idle sockets must not accumulate *)
   let config =
-    { (gateway_config engine) with N.Server.read_deadline = Some 0.1 }
+    { gateway_config with N.Server.read_deadline = Some 0.1 }
   in
-  with_gateway ~config ~engine (fun ~server ~dial ~device:_ ->
+  with_gateway ~config (fun ~server ~dial ~device:_ ->
       let conn = dial () in
       let chan = N.Chan.create conn in
       N.Chan.send chan (N.Codec.Hello_ex { device_id = "dev-idle"; window = 4; firmware = "" });
@@ -842,14 +836,14 @@ let test_idle_connection_reaped engine =
       check_int "no sessions leaked" 0 stats.N.Server.sessions_active;
       check_int "no conns leaked" 0 stats.N.Server.connections_active)
 
-let test_chatty_session_outlives_deadline engine =
+let test_chatty_session_outlives_deadline () =
   (* the read deadline runs from the last frame, not the first: a peer
      that keeps talking is never reaped, however long its session *)
   let deadline = 0.3 in
   let config =
-    { (gateway_config engine) with N.Server.read_deadline = Some deadline }
+    { gateway_config with N.Server.read_deadline = Some deadline }
   in
-  with_gateway ~config ~engine (fun ~server ~dial ~device:_ ->
+  with_gateway ~config (fun ~server ~dial ~device:_ ->
       let conn = dial () in
       let chan = N.Chan.create conn in
       N.Chan.send chan
@@ -874,7 +868,7 @@ let test_chatty_session_outlives_deadline engine =
       let stats = N.Server.stop server in
       check_int "no timeouts" 0 stats.N.Server.deadline_timeouts)
 
-let test_half_open_fin_no_bye engine =
+let test_half_open_fin_no_bye () =
   (* TCP half-close: the peer FINs its write side without sending Bye
      and keeps its read side open. The gateway must treat the EOF as
      the end of the session and release the connection — a half-open
@@ -883,7 +877,7 @@ let test_half_open_fin_no_bye engine =
   let plan = F.Plan.of_built built in
   let listener, port = N.Transport.tcp_listener ~port:0 () in
   let server =
-    N.Server.create ~config:(gateway_config engine) ~plan listener
+    N.Server.create ~config:gateway_config ~plan listener
   in
   N.Server.start server;
   Fun.protect
@@ -930,7 +924,7 @@ let test_half_open_fin_no_bye engine =
        (* a clean FIN is EOF, not a protocol violation *)
        check_int "FIN is not an error" 0 stats.N.Server.protocol_errors)
 
-let test_request_stop_unwinds engine =
+let test_request_stop_unwinds () =
   (* request_stop is the signal-handler path: lock-free, closes the
      listener, and makes serve_forever return so the caller can run
      the full stop for teardown + stats. A regression here shows up as
@@ -940,7 +934,7 @@ let test_request_stop_unwinds engine =
   let plan = F.Plan.of_built built in
   let listener, port = N.Transport.tcp_listener ~port:0 () in
   let server =
-    N.Server.create ~config:(gateway_config engine) ~plan listener
+    N.Server.create ~config:gateway_config ~plan listener
   in
   let unwound = Atomic.make false in
   let th =
@@ -996,6 +990,55 @@ let test_backoff_deterministic () =
     (N.Client.backoff_delay cfg ~attempt:1
      <> N.Client.backoff_delay other ~attempt:1)
 
+(* A mid-window cut that races the prover's own send: the gateway
+   answers rounds 0 and 1 and sends [Denied] before the Report for round
+   1 leaves, so that send finds the connection closed. The verdicts
+   queued ahead of the denial were delivered and must count. *)
+let test_cut_keeps_delivered_verdicts () =
+  let device =
+    let built = build_app () in
+    fun () ->
+      let d = C.Pipeline.device built in
+      fire_sensor.Apps.setup d;
+      d
+  in
+  let conn, gw = N.Transport.loopback () in
+  let gw_chan = N.Chan.create gw in
+  let request seq =
+    N.Codec.Request_seq
+      { seq; challenge = Printf.sprintf "cut-%d" seq;
+        args = fire_sensor.Apps.benign_args }
+  in
+  let verdict seq = N.Codec.Verdict_seq { seq; accepted = true; findings = [] } in
+  List.iter (N.Chan.send gw_chan)
+    [ N.Codec.Welcome { window = 2 }; request 0; request 1 ];
+  let respond ~seq req =
+    if seq = 1 then begin
+      List.iter (N.Chan.send gw_chan)
+        [ verdict 0; verdict 1;
+          N.Codec.Denied { cause = N.Codec.Revoked; detail = "key revoked" } ];
+      N.Transport.close gw
+    end;
+    fst (C.Protocol.prover_execute (device ()) req)
+  in
+  let session =
+    N.Client.attest_pipelined ~config:client_config ~window:2 ~respond ~device
+      ~device_id:"dev-cut" ~rounds:4 conn
+  in
+  N.Transport.close conn;
+  check_bool "cut surfaced as a denial" true
+    (match session.N.Client.denied with
+     | Some (N.Codec.Revoked, _) -> true
+     | _ -> false);
+  Array.iteri
+    (fun i (r : N.Client.pipelined_round) ->
+       let delivered = i < 2 in
+       check_bool (Printf.sprintf "round %d accepted" i) delivered
+         r.N.Client.p_accepted;
+       check_bool (Printf.sprintf "round %d latency" i) delivered
+         (Float.is_finite r.N.Client.p_latency))
+    session.N.Client.results
+
 let suites =
   [ ("net-frame",
      [ Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
@@ -1018,48 +1061,42 @@ let suites =
        Alcotest.test_case "slow loris times out" `Quick
          test_chan_slow_loris_times_out ]);
     ("net-gateway",
-     (* the full corpus, once per engine: identical observable behavior
-        is the contract *)
-     List.concat_map
-       (fun (tag, engine) ->
-          let case name f =
-            Alcotest.test_case (name ^ " [" ^ tag ^ "]") `Quick
-              (fun () -> f engine)
-          in
-          [ case "e2e loopback" test_e2e_loopback;
-            case "e2e tcp" test_e2e_tcp;
-            case "two provers" test_e2e_two_provers;
-            case "tamper rejected" test_e2e_tampered_report_rejected;
-            case "wire replay rejected" test_e2e_wire_replay_rejected;
-            case "rate limit Busy" test_e2e_rate_limited_busy;
-            case "max conns Busy" test_e2e_max_conns_busy;
-            case "survives malformed peers"
-              test_server_survives_malformed_peers;
-            case "survives slow loris" test_server_survives_slow_loris;
-            case "idle connection reaped" test_idle_connection_reaped;
-            case "chatty session outlives the deadline"
-              test_chatty_session_outlives_deadline;
-            case "half-open FIN without Bye" test_half_open_fin_no_bye;
-            case "request_stop unwinds serve_forever"
-              test_request_stop_unwinds ])
-       [ ("evloop", N.Server.Evloop); ("threads", N.Server.Threads) ]);
+     [ Alcotest.test_case "e2e loopback" `Quick test_e2e_loopback;
+       Alcotest.test_case "e2e tcp" `Quick test_e2e_tcp;
+       Alcotest.test_case "two provers" `Quick test_e2e_two_provers;
+       Alcotest.test_case "tamper rejected" `Quick
+         test_e2e_tampered_report_rejected;
+       Alcotest.test_case "wire replay rejected" `Quick
+         test_e2e_wire_replay_rejected;
+       Alcotest.test_case "rate limit Busy" `Quick test_e2e_rate_limited_busy;
+       Alcotest.test_case "max conns Busy" `Quick test_e2e_max_conns_busy;
+       Alcotest.test_case "survives malformed peers" `Quick
+         test_server_survives_malformed_peers;
+       Alcotest.test_case "survives slow loris" `Quick
+         test_server_survives_slow_loris;
+       Alcotest.test_case "idle connection reaped" `Quick
+         test_idle_connection_reaped;
+       Alcotest.test_case "chatty session outlives the deadline" `Quick
+         test_chatty_session_outlives_deadline;
+       Alcotest.test_case "half-open FIN without Bye" `Quick
+         test_half_open_fin_no_bye;
+       Alcotest.test_case "request_stop unwinds serve_forever" `Quick
+         test_request_stop_unwinds ]);
     ("net-pipelined",
-     List.concat_map
-       (fun (tag, engine) ->
-          let case name f =
-            Alcotest.test_case (name ^ " [" ^ tag ^ "]") `Quick
-              (fun () -> f engine)
-          in
-          [ case "e2e pipelined loopback" test_e2e_pipelined_loopback;
-            case "window clamped by server" test_e2e_pipelined_window_clamped;
-            case "per-round tamper isolated"
-              test_e2e_pipelined_tamper_per_round;
-            case "bad sequence numbers rejected" test_hostile_bad_seq_reports;
-            case "window flood and hostile Bye"
-              test_hostile_window_flood_and_bye;
-            case "seq frames on legacy session"
-              test_hostile_seq_frames_on_legacy_session ])
-       [ ("evloop", N.Server.Evloop); ("threads", N.Server.Threads) ]);
+     [ Alcotest.test_case "e2e pipelined loopback" `Quick
+         test_e2e_pipelined_loopback;
+       Alcotest.test_case "window clamped by server" `Quick
+         test_e2e_pipelined_window_clamped;
+       Alcotest.test_case "per-round tamper isolated" `Quick
+         test_e2e_pipelined_tamper_per_round;
+       Alcotest.test_case "bad sequence numbers rejected" `Quick
+         test_hostile_bad_seq_reports;
+       Alcotest.test_case "window flood and hostile Bye" `Quick
+         test_hostile_window_flood_and_bye;
+       Alcotest.test_case "seq frames on legacy session" `Quick
+         test_hostile_seq_frames_on_legacy_session ]);
     ("net-client",
      [ Alcotest.test_case "backoff deterministic" `Quick
-         test_backoff_deterministic ]) ]
+         test_backoff_deterministic;
+       Alcotest.test_case "cut keeps delivered verdicts" `Quick
+         test_cut_keeps_delivered_verdicts ]) ]

@@ -8,6 +8,7 @@ module A = Dialed_apex
 module C = Dialed_core
 module F = Dialed_fleet
 module N = Dialed_net
+module L = Dialed_lifecycle.Lifecycle
 module Apps = Dialed_apps.Apps
 
 let check_int = Alcotest.(check int)
@@ -31,15 +32,12 @@ let make_device () =
   fire_sensor.Apps.setup d;
   d
 
-let gateway_config engine =
+let gateway_config =
   { N.Server.default_config with
-    N.Server.engine; domains = 1; window = 4; read_deadline = Some 5.0;
+    N.Server.domains = 1; window = 4; read_deadline = Some 5.0;
     max_conns = 128; args = fire_sensor.Apps.benign_args }
 
-let with_gateway ?config ~engine f =
-  let config =
-    match config with Some c -> c | None -> gateway_config engine
-  in
+let with_gateway ?(config = gateway_config) f =
   let plan = F.Plan.of_built (Lazy.force built) in
   let listener, dial = N.Transport.loopback_listener () in
   let server = N.Server.create ~config ~plan listener in
@@ -104,71 +102,24 @@ let pipelined_run ~dial ~tamper ~window rounds =
           round_key r.N.Client.p_accepted r.N.Client.p_findings)
        session.N.Client.results)
 
-let prop_pipelined_equals_sequential ~tag engine =
+let prop_pipelined_equals_sequential =
   QCheck.Test.make
-    ~name:
-      (Printf.sprintf
-         "pipelined session = sequential single-shot (verdicts and order) [%s]"
-         tag)
+    ~name:"pipelined session = sequential single-shot (verdicts and order)"
     ~count:8
     QCheck.(pair (int_range 1 5) (list_of_size (Gen.int_range 1 6) bool))
     (fun (window, tamper_list) ->
        let rounds = List.length tamper_list in
        let tamper = Array.of_list tamper_list in
-       with_gateway ~engine (fun ~server:_ ~dial ->
+       with_gateway (fun ~server:_ ~dial ->
            let seq = sequential_run ~dial ~tamper rounds in
            let pipe = pipelined_run ~dial ~tamper ~window rounds in
            seq = pipe))
 
-(* The two server engines must be observationally interchangeable: the
-   same tampered session yields the same verdicts in the same order
-   (list equality subsumes multiset equality) whichever engine serves
-   it. *)
-let prop_engines_equivalent =
-  QCheck.Test.make
-    ~name:"evloop gateway = threads gateway (verdicts and order)"
-    ~count:6
-    QCheck.(pair (int_range 1 5) (list_of_size (Gen.int_range 1 6) bool))
-    (fun (window, tamper_list) ->
-       let rounds = List.length tamper_list in
-       let tamper = Array.of_list tamper_list in
-       let under engine =
-         with_gateway ~engine (fun ~server:_ ~dial ->
-             ( sequential_run ~dial ~tamper rounds,
-               pipelined_run ~dial ~tamper ~window rounds ))
-       in
-       under N.Server.Evloop = under N.Server.Threads)
-
-(* --------------------------------------------------------------- *)
-(* Swarm smoke: many provers over loopback, all accepted.            *)
-
-let test_swarm_loopback engine () =
-  with_gateway ~engine (fun ~server ~dial ->
-      let config =
-        { N.Swarm.default_config with
-          N.Swarm.clients = 12; rounds = 3; window = 4; concurrency = 6;
-          client = client_config }
-      in
-      let respond ~client:_ ~shape:_ =
-        N.Swarm.cheap_responder ~build:make_device ()
-      in
-      let outcome = N.Swarm.run ~config ~dial ~respond () in
-      check_int "no client failed" 0 outcome.N.Swarm.clients_failed;
-      check_int "all rounds accepted" 36 outcome.N.Swarm.rounds_accepted;
-      check_int "nothing rejected" 0 outcome.N.Swarm.rounds_rejected;
-      check_bool "throughput measured" true (outcome.N.Swarm.throughput > 0.0);
-      check_int "every latency recorded" 36
-        (Array.length outcome.N.Swarm.latencies);
-      check_bool "p99 >= p50" true
-        (N.Swarm.latency_p outcome 99.0 >= N.Swarm.latency_p outcome 50.0);
-      let stats = N.Server.stop server in
-      check_int "server agrees on accepts" 36 stats.N.Server.verdicts_accepted)
-
 (* With the cheap responder each prover's reports share one execution,
    but every report is still individually replayed by the engine:
    batch_size = clients * rounds, not clients. *)
-let test_swarm_engine_sees_all_reports engine () =
-  with_gateway ~engine (fun ~server ~dial ->
+let test_swarm_engine_sees_all_reports () =
+  with_gateway (fun ~server ~dial ->
       let config =
         { N.Swarm.default_config with
           N.Swarm.clients = 3; rounds = 2; window = 2; concurrency = 3;
@@ -187,11 +138,11 @@ let test_swarm_engine_sees_all_reports engine () =
 (* Fairness: per-session rate limiting lands on the flooder, never on
    the honest provers sharing the gateway.                           *)
 
-let test_fairness_flooder_vs_honest engine () =
+let test_fairness_flooder_vs_honest () =
   let config =
-    { (gateway_config engine) with N.Server.rate = Some 4.0; burst = 2.0 }
+    { gateway_config with N.Server.rate = Some 4.0; burst = 2.0 }
   in
-  with_gateway ~config ~engine (fun ~server ~dial ->
+  with_gateway ~config (fun ~server ~dial ->
       let honest_failures = Atomic.make 0 in
       let honest_busy = Atomic.make 0 in
       let honest n =
@@ -261,8 +212,8 @@ let test_fairness_flooder_vs_honest engine () =
 (* Stats under concurrency: poll the snapshot while a swarm runs and
    assert cross-counter invariants in every observation.             *)
 
-let test_stats_snapshot_consistent_under_load engine () =
-  with_gateway ~engine (fun ~server ~dial ->
+let test_stats_snapshot_consistent_under_load () =
+  with_gateway (fun ~server ~dial ->
       let stop_polling = Atomic.make false in
       let violations = ref [] in
       let polls = ref 0 in
@@ -315,11 +266,11 @@ let test_stats_snapshot_consistent_under_load engine () =
         (s.N.Server.verdicts_accepted + s.N.Server.verdicts_rejected))
 
 (* --------------------------------------------------------------- *)
-(* Multiplexed swarm: every session held open simultaneously by a few
+(* Swarm smoke: every session held open simultaneously by a few
    evloop-driven worker threads — the c10k load shape, scaled down.   *)
 
-let test_swarm_multiplexed engine () =
-  with_gateway ~engine (fun ~server ~dial ->
+let test_swarm_multiplexed () =
+  with_gateway (fun ~server ~dial ->
       let config =
         { N.Swarm.default_config with
           N.Swarm.clients = 12; rounds = 3; window = 4; concurrency = 4;
@@ -328,14 +279,17 @@ let test_swarm_multiplexed engine () =
       let respond ~client:_ ~shape:_ =
         N.Swarm.cheap_responder ~build:make_device ()
       in
-      let outcome = N.Swarm.run_multiplexed ~config ~dial ~respond () in
+      let outcome = N.Swarm.run ~config ~dial ~respond () in
       check_int "no client failed" 0 outcome.N.Swarm.clients_failed;
       check_int "all rounds accepted" 36 outcome.N.Swarm.rounds_accepted;
       check_int "nothing rejected" 0 outcome.N.Swarm.rounds_rejected;
       check_int "sessions multiplexed per thread" 3
         outcome.N.Swarm.clients_per_thread;
+      check_bool "throughput measured" true (outcome.N.Swarm.throughput > 0.0);
       check_int "every latency recorded" 36
         (Array.length outcome.N.Swarm.latencies);
+      check_bool "p99 >= p50" true
+        (N.Swarm.latency_p outcome 99.0 >= N.Swarm.latency_p outcome 50.0);
       let stats = N.Server.stop server in
       check_int "server agrees on accepts" 36
         stats.N.Server.verdicts_accepted;
@@ -345,7 +299,7 @@ let test_swarm_multiplexed engine () =
         (stats.N.Server.connections_peak >= 12))
 
 let test_swarm_multiplexed_tampered () =
-  with_gateway ~engine:N.Server.Evloop (fun ~server:_ ~dial ->
+  with_gateway (fun ~server:_ ~dial ->
       let config =
         { N.Swarm.default_config with
           N.Swarm.clients = 4; rounds = 2; window = 2; concurrency = 2;
@@ -357,30 +311,52 @@ let test_swarm_multiplexed_tampered () =
           let r = inner ~seq req in
           if client = 0 && seq = 0 then flip_or_data r else r
       in
-      let outcome = N.Swarm.run_multiplexed ~config ~dial ~respond () in
+      let outcome = N.Swarm.run ~config ~dial ~respond () in
       check_int "no client failed" 0 outcome.N.Swarm.clients_failed;
       check_int "one round rejected" 1 outcome.N.Swarm.rounds_rejected;
       check_int "rest accepted" 7 outcome.N.Swarm.rounds_accepted)
 
-let engines = [ ("evloop", N.Server.Evloop); ("threads", N.Server.Threads) ]
+(* A prover the gateway denies at handshake finishes with its denial:
+   the Bye it sends on the way out meets a connection the gateway has
+   already closed, and that must not hold its worker loop open. *)
+let test_swarm_denied_provers_finish () =
+  let lc = L.create ~allow_anonymous:false () in
+  for i = 0 to 3 do
+    match
+      L.register lc ~id:(Printf.sprintf "deny-%04d" i)
+        ~key_id:(Printf.sprintf "k-%d" i)
+    with
+    | Ok () -> ()
+    | Error m -> Alcotest.fail m
+  done;
+  let config = { gateway_config with N.Server.lifecycle = Some lc } in
+  with_gateway ~config (fun ~server:_ ~dial ->
+      let config =
+        { N.Swarm.default_config with
+          N.Swarm.clients = 6; rounds = 2; window = 2; concurrency = 2;
+          device_prefix = "deny"; client = client_config }
+      in
+      let respond ~client:_ ~shape:_ =
+        N.Swarm.cheap_responder ~build:make_device ()
+      in
+      let outcome = N.Swarm.run ~config ~dial ~respond () in
+      check_int "unregistered provers denied" 2 outcome.N.Swarm.clients_denied;
+      check_int "no client failed" 0 outcome.N.Swarm.clients_failed;
+      check_int "registered provers accepted" 8
+        outcome.N.Swarm.rounds_accepted)
 
 let suites =
   [ ("net-swarm",
-     List.concat_map
-       (fun (tag, engine) ->
-          let t name f =
-            Alcotest.test_case (name ^ " [" ^ tag ^ "]") `Quick (f engine)
-          in
-          [ QCheck_alcotest.to_alcotest
-              (prop_pipelined_equals_sequential ~tag engine);
-            t "swarm over loopback" test_swarm_loopback;
-            t "engine sees every report" test_swarm_engine_sees_all_reports;
-            t "flooder cannot starve honest provers"
-              test_fairness_flooder_vs_honest;
-            t "stats consistent under load"
-              test_stats_snapshot_consistent_under_load;
-            t "multiplexed swarm holds all sessions" test_swarm_multiplexed ])
-       engines
-     @ [ QCheck_alcotest.to_alcotest prop_engines_equivalent;
-         Alcotest.test_case "multiplexed swarm surfaces rejections" `Quick
-           test_swarm_multiplexed_tampered ]) ]
+     [ QCheck_alcotest.to_alcotest prop_pipelined_equals_sequential;
+       Alcotest.test_case "engine sees every report" `Quick
+         test_swarm_engine_sees_all_reports;
+       Alcotest.test_case "flooder cannot starve honest provers" `Quick
+         test_fairness_flooder_vs_honest;
+       Alcotest.test_case "stats consistent under load" `Quick
+         test_stats_snapshot_consistent_under_load;
+       Alcotest.test_case "multiplexed swarm holds all sessions" `Quick
+         test_swarm_multiplexed;
+       Alcotest.test_case "multiplexed swarm surfaces rejections" `Quick
+         test_swarm_multiplexed_tampered;
+       Alcotest.test_case "denied provers finish" `Quick
+         test_swarm_denied_provers_finish ]) ]
