@@ -126,9 +126,9 @@ val stream_try_submit :
 val stream_on_progress : stream -> (unit -> unit) option -> unit
 (** Register (or clear) a callback invoked after {e each} verdict lands,
     from the worker domain that produced it, outside the stream's lock
-    — safe to call back into the stream. The event loop points this at
-    a self-pipe wakeup so verdict completion re-arms the loop without a
-    dedicated dispatcher thread. *)
+    — safe to call back into the stream. The gateway points this at
+    its event loop's self-pipe wakeup, so verdict completion re-arms
+    the loop, which then collects with {!stream_poll}. *)
 
 val stream_pending : stream -> int
 (** Reports submitted whose verdicts have not landed yet. *)
