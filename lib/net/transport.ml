@@ -344,7 +344,15 @@ let loopback_listener () =
    surface as end-of-stream rather than exceptions, because a hostile
    peer resetting the connection is normal gateway input.            *)
 
+(* A write to a socket whose peer has gone raises SIGPIPE, whose default
+   action kills the process: a gateway would die with every session it
+   holds because one peer reset its connection. Ignored, the write fails
+   with EPIPE instead, which surfaces below as [Closed]. *)
+let ignore_sigpipe =
+  lazy (if Sys.unix then Sys.set_signal Sys.sigpipe Sys.Signal_ignore)
+
 let of_fd ~peer_name fd =
+  Lazy.force ignore_sigpipe;
   let closed = ref false in
   let recv_impl ~deadline buf pos len =
     (match deadline with

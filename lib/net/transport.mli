@@ -20,7 +20,11 @@
     file-descriptor caveats (one reader at a time). Deadline waits ride
     on [poll(2)] (sockets) or a condition variable plus a shared timer
     thread (loopback) — no [Unix.select], so nothing breaks past
-    [FD_SETSIZE] fds, and no polling sleeps. *)
+    [FD_SETSIZE] fds, and no polling sleeps.
+
+    The first socket connection a process opens sets SIGPIPE to be
+    ignored, so a write to a peer that has gone raises {!Closed} instead
+    of killing the process. *)
 
 exception Timeout
 (** A read outlived its deadline. *)

@@ -227,6 +227,23 @@ let test_pool_reuse () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "verify_batch on a shut-down pool accepted"
 
+let test_per_call_pool_released () =
+  (* without [?pool] each call runs on a private pool and joins its
+     workers before returning: 80 calls spawn 160 worker domains in all,
+     more than the runtime can hold live at once (128), so a call that
+     left its workers parked would make a later spawn fail *)
+  let built = Lazy.force vuln_built in
+  let plan = F.Plan.of_built built in
+  let batch = mixed_batch built 4 in
+  let serial = verdict_keys (F.Fleet.verify_batch ~domains:1 plan batch) in
+  for i = 1 to 80 do
+    let s = F.Fleet.verify_batch ~domains:3 ~chunk:1 plan batch in
+    check_int (Printf.sprintf "call %d ran 3-way" i) 3
+      s.F.Fleet.metrics.F.Metrics.domains;
+    check_bool (Printf.sprintf "call %d = serial" i) true
+      (verdict_keys s = serial)
+  done
+
 let test_pool_across_plans () =
   (* the same pool (hence the same per-domain scratch arenas) serves two
      different firmwares back to back: each arena must rebind cleanly,
@@ -431,6 +448,8 @@ let suites =
        Alcotest.test_case "cached plan verifies" `Quick
          test_cached_plan_verifies;
        Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse;
+       Alcotest.test_case "per-call pool released" `Quick
+         test_per_call_pool_released;
        Alcotest.test_case "pool rebinds scratch across plans" `Quick
          test_pool_across_plans;
        Alcotest.test_case "stream matches batch" `Quick

@@ -1,9 +1,9 @@
 (* The device lifecycle layer: registry state machine, revocation
    sets, staged firmware rollout and the append-only journal — first as
    a unit corpus against the registry alone, then end-to-end through
-   the gateway (a revoked or quarantined device must be turned away
-   with a typed cause, including a revocation landing
-   mid-pipelined-window). *)
+   the gateway over both transports (a revoked or quarantined device
+   must be turned away with a typed cause, including a revocation
+   landing mid-pipelined-window). *)
 
 module A = Dialed_apex
 module C = Dialed_core
@@ -332,7 +332,8 @@ let qcheck_no_silent_release =
          ops)
 
 (* ------------------------------------------------------------- *)
-(* The same rules enforced end-to-end through the gateway.         *)
+(* The same rules enforced end-to-end through the gateway, over the
+   loopback and over TCP.                                          *)
 
 let lc_stats (stats : N.Server.stats) =
   match stats.N.Server.lifecycle with
@@ -347,11 +348,11 @@ let lifecycle_config ?resolve_plan ?plan_cache lc =
     plan_cache =
       (match plan_cache with Some _ -> plan_cache | None -> base.N.Server.plan_cache) }
 
-let test_gw_revoked_at_handshake () =
+let test_gw_revoked_at_handshake transport =
   let lc = L.create () in
   reg lc "dev-r" "k-r";
   ignore (L.revoke_key lc "k-r" : int);
-  Test_net.with_gateway ~config:(lifecycle_config lc)
+  Test_net.with_gateway ~config:(lifecycle_config lc) ~transport
     (fun ~server ~dial ~device ->
        (* pipelined greeting: the denial is data, not an exception *)
        let conn = dial () in
@@ -384,11 +385,11 @@ let test_gw_revoked_at_handshake () =
        check_int "nothing admitted" 0 l.N.Server.lc_admitted;
        check_int "no verdicts issued" 0 stats.N.Server.verdicts_accepted)
 
-let test_gw_stale_firmware () =
+let test_gw_stale_firmware transport =
   let lc = L.create () in
   reg lc "dev-fw" "k-fw";
   L.set_stable lc "2.0";
-  Test_net.with_gateway ~config:(lifecycle_config lc)
+  Test_net.with_gateway ~config:(lifecycle_config lc) ~transport
     (fun ~server ~dial ~device ->
        let conn = dial () in
        let session =
@@ -421,13 +422,13 @@ let test_gw_stale_firmware () =
        check_int "one admission" 1 l.N.Server.lc_admitted;
        check_int "three credited verdicts" 3 l.N.Server.lc_attested)
 
-let test_gw_midsession_revocation () =
+let test_gw_midsession_revocation transport =
   (* the window is granted, a round completes, THEN the key is pulled:
      the very next frame gets a typed Denied and no verdict is ever
      delivered past the revocation *)
   let lc = L.create () in
   reg lc "dev-mid" "k-mid";
-  Test_net.with_gateway ~config:(lifecycle_config lc)
+  Test_net.with_gateway ~config:(lifecycle_config lc) ~transport
     (fun ~server ~dial ~device ->
        let conn = dial () in
        let chan = N.Chan.create conn in
@@ -480,11 +481,11 @@ let test_gw_midsession_revocation () =
        check_int "only the pre-revocation verdict credited" 1
          l.N.Server.lc_attested)
 
-let test_gw_quarantine_release () =
+let test_gw_quarantine_release transport =
   let lc = L.create () in
   reg lc "dev-q" "k-q";
   ignore (L.quarantine lc "dev-q" : bool);
-  Test_net.with_gateway ~config:(lifecycle_config lc)
+  Test_net.with_gateway ~config:(lifecycle_config lc) ~transport
     (fun ~server ~dial ~device ->
        let conn = dial () in
        let session =
@@ -517,12 +518,12 @@ let test_gw_quarantine_release () =
        check_int "one quarantine denial" 1 l.N.Server.lc_denied_quarantined;
        check_int "one admission" 1 l.N.Server.lc_admitted)
 
-let test_gw_anonymous_policy () =
+let test_gw_anonymous_policy transport =
   (* open registry: peers outside the registry are served and counted
      as anonymous, never credited as attested *)
   let lc = L.create () in
   reg lc "dev-known" "k";
-  Test_net.with_gateway ~config:(lifecycle_config lc)
+  Test_net.with_gateway ~config:(lifecycle_config lc) ~transport
     (fun ~server ~dial ~device ->
        List.iter
          (fun id ->
@@ -542,7 +543,7 @@ let test_gw_anonymous_policy () =
   (* closed registry: same traffic, unknowns now bounce *)
   let lc = L.create ~allow_anonymous:false () in
   reg lc "dev-known" "k";
-  Test_net.with_gateway ~config:(lifecycle_config lc)
+  Test_net.with_gateway ~config:(lifecycle_config lc) ~transport
     (fun ~server ~dial ~device ->
        let conn = dial () in
        let session =
@@ -566,7 +567,7 @@ let test_gw_anonymous_policy () =
        check_int "unknown denial counted" 1 l.N.Server.lc_denied_unknown;
        check_int "no anonymous sessions" 0 l.N.Server.lc_anonymous)
 
-let test_gw_staged_rollout () =
+let test_gw_staged_rollout transport =
   (* two firmware versions live at once: the canary cohort's reports
      verify against the canary app's plan, everyone else against the
      stable plan, and both plans stay resident in the operator's LRU *)
@@ -600,7 +601,7 @@ let test_gw_staged_rollout () =
   let config =
     lifecycle_config ~resolve_plan ~plan_cache:pcache lc
   in
-  let listener, dial = N.Transport.loopback_listener () in
+  let listener, dial = Test_net.listen transport in
   let server = N.Server.create ~config ~plan:stable_plan listener in
   N.Server.start server;
   Fun.protect
@@ -663,12 +664,10 @@ let suites =
        Alcotest.test_case "journal torn line" `Quick test_journal_torn_line;
        QCheck_alcotest.to_alcotest qcheck_no_silent_release ]);
     ("lifecycle-gateway",
-     [ Alcotest.test_case "revoked at handshake" `Quick
-         test_gw_revoked_at_handshake;
-       Alcotest.test_case "stale firmware" `Quick test_gw_stale_firmware;
-       Alcotest.test_case "revoked mid-window" `Quick
-         test_gw_midsession_revocation;
-       Alcotest.test_case "quarantine and release" `Quick
-         test_gw_quarantine_release;
-       Alcotest.test_case "anonymous policy" `Quick test_gw_anonymous_policy;
-       Alcotest.test_case "staged rollout" `Quick test_gw_staged_rollout ]) ]
+     Test_net.over_transports
+       [ ("revoked at handshake", test_gw_revoked_at_handshake);
+         ("stale firmware", test_gw_stale_firmware);
+         ("revoked mid-window", test_gw_midsession_revocation);
+         ("quarantine and release", test_gw_quarantine_release);
+         ("anonymous policy", test_gw_anonymous_policy);
+         ("staged rollout", test_gw_staged_rollout) ]) ]

@@ -212,18 +212,71 @@ let test_loopback_roundtrip () = exercise_conn_pair (N.Transport.loopback ())
 let test_socketpair_roundtrip () =
   exercise_conn_pair (N.Transport.socketpair ())
 
-let test_tcp_roundtrip () =
-  let listener, port = N.Transport.tcp_listener ~port:0 () in
-  let client = N.Transport.tcp_connect ~host:"127.0.0.1" ~port () in
-  (* the connect completed into the kernel backlog; collect it *)
-  let rec accept n =
+(* The two listeners the gateway's event loop serves: the in-memory
+   loopback, whose readiness is a hook the writer runs, and TCP, whose
+   readiness comes from epoll/poll on the socket. Only the second sees
+   partial writes, resets and kernel buffering, so every gateway case
+   below runs over both. *)
+type transport = Loopback | Tcp
+
+let transports = [ ("loopback", Loopback); ("tcp", Tcp) ]
+
+(* one case per transport, tagged with the transport's name *)
+let over_transports cases =
+  List.concat_map
+    (fun (tag, transport) ->
+       List.map
+         (fun (name, f) ->
+            Alcotest.test_case (name ^ " [" ^ tag ^ "]") `Quick
+              (fun () -> f transport))
+         cases)
+    transports
+
+let listen = function
+  | Loopback -> N.Transport.loopback_listener ()
+  | Tcp ->
+    let listener, port = N.Transport.tcp_listener ~port:0 () in
+    (listener, fun () -> N.Transport.tcp_connect ~host:"127.0.0.1" ~port ())
+
+(* a dial has completed into the listener's backlog (the kernel's, for
+   TCP, which may lag the connect by a moment); collect it *)
+let accept_within listener =
+  let rec go n =
     match N.Transport.try_accept listener with
     | Some server -> server
-    | None when n > 0 -> Thread.delay 0.01; accept (n - 1)
+    | None when n > 0 -> Thread.delay 0.01; go (n - 1)
     | None -> Alcotest.fail "accept did not complete"
   in
-  exercise_conn_pair (client, accept 500);
+  go 500
+
+let test_tcp_roundtrip () =
+  let listener, dial = listen Tcp in
+  let client = dial () in
+  exercise_conn_pair (client, accept_within listener);
   N.Transport.shutdown listener
+
+let test_try_accept transport =
+  (* accepting never blocks: [try_accept] answers at once when nothing
+     is pending, hands over each dial exactly once, and fails typed
+     once the listener is shut *)
+  let listener, dial = listen transport in
+  check_bool "nothing pending" true (N.Transport.try_accept listener = None);
+  let client = dial () in
+  let server = accept_within listener in
+  check_bool "backlog drained" true (N.Transport.try_accept listener = None);
+  N.Transport.send client "x";
+  check_bool "accepted the dialed peer" true (recv_all server 1 = "x");
+  N.Transport.close client;
+  N.Transport.close server;
+  N.Transport.shutdown listener;
+  (match N.Transport.try_accept listener with
+   | exception N.Transport.Closed -> ()
+   | _ -> Alcotest.fail "accepted after shutdown");
+  match dial () with
+  | conn ->
+    N.Transport.close conn;
+    Alcotest.fail "dialed a shut listener"
+  | exception (N.Transport.Closed | Unix.Unix_error _) -> ()
 
 let test_deadlines_fire () =
   let test_pair (a, b) =
@@ -294,10 +347,10 @@ let gateway_config =
     N.Server.domains = 1; window = 4; read_deadline = Some 2.0;
     args = fire_sensor.Apps.benign_args }
 
-let with_gateway ?(config = gateway_config) f =
+let with_gateway ?(config = gateway_config) ~transport f =
   let built = build_app () in
   let plan = F.Plan.of_built built in
-  let listener, dial = N.Transport.loopback_listener () in
+  let listener, dial = listen transport in
   let server = N.Server.create ~config ~plan listener in
   N.Server.start server;
   let device () =
@@ -314,8 +367,8 @@ let client_config =
     N.Client.read_deadline = Some 2.0; backoff_base = 0.01;
     backoff_cap = 0.05 }
 
-let test_e2e_loopback () =
-  with_gateway (fun ~server ~dial ~device ->
+let test_e2e_rounds transport =
+  with_gateway ~transport (fun ~server ~dial ~device ->
       let conn = dial () in
       let rounds =
         N.Client.attest_rounds ~config:client_config ~device
@@ -336,34 +389,8 @@ let test_e2e_loopback () =
       check_int "no conns left" 0 stats.N.Server.connections_active;
       check_int "fleet agrees" 3 stats.N.Server.verify.F.Metrics.accepted)
 
-let test_e2e_tcp () =
-  let built = build_app () in
-  let plan = F.Plan.of_built built in
-  let listener, port = N.Transport.tcp_listener ~port:0 () in
-  let server = N.Server.create ~config:gateway_config ~plan listener in
-  N.Server.start server;
-  let device () =
-    let d = C.Pipeline.device built in
-    fire_sensor.Apps.setup d;
-    d
-  in
-  Fun.protect
-    ~finally:(fun () -> ignore (N.Server.stop server))
-    (fun () ->
-       let conn = N.Transport.tcp_connect ~host:"127.0.0.1" ~port () in
-       let rounds =
-         N.Client.attest_rounds ~config:client_config ~device
-           ~device_id:"dev-tcp" ~rounds:2 conn
-       in
-       N.Transport.close conn;
-       check_bool "both accepted" true
-         (List.for_all (fun (r : N.Client.round) -> r.N.Client.accepted)
-            rounds);
-       let stats = N.Server.stats server in
-       check_int "two verdicts over tcp" 2 stats.N.Server.verdicts_accepted)
-
-let test_e2e_two_provers () =
-  with_gateway (fun ~server:_ ~dial ~device ->
+let test_e2e_two_provers transport =
+  with_gateway ~transport (fun ~server:_ ~dial ~device ->
       let run id () =
         let conn = dial () in
         let rounds =
@@ -381,8 +408,8 @@ let test_e2e_two_provers () =
       check_bool "prover a all accepted" true !ok_a;
       check_bool "prover b all accepted" true !ok_b)
 
-let test_e2e_tampered_report_rejected () =
-  with_gateway (fun ~server ~dial ~device ->
+let test_e2e_tampered_report_rejected transport =
+  with_gateway ~transport (fun ~server ~dial ~device ->
       let mangle (r : A.Pox.report) =
         let b = Bytes.of_string r.A.Pox.or_data in
         let j = Bytes.length b / 2 in
@@ -405,10 +432,10 @@ let test_e2e_tampered_report_rejected () =
       let stats = N.Server.stop server in
       check_int "rejected counted" 1 stats.N.Server.verdicts_rejected)
 
-let test_e2e_wire_replay_rejected () =
+let test_e2e_wire_replay_rejected transport =
   (* a prover that answers the second challenge with the first round's
      report: freshness gate rejects it without any replay work *)
-  with_gateway (fun ~server ~dial ~device ->
+  with_gateway ~transport (fun ~server ~dial ~device ->
       let conn = dial () in
       let chan = N.Chan.create conn in
       let recv () =
@@ -452,11 +479,11 @@ let test_e2e_wire_replay_rejected () =
       check_int "only honest report replayed" 1
         stats.N.Server.verify.F.Metrics.batch_size)
 
-let test_e2e_rate_limited_busy () =
+let test_e2e_rate_limited_busy transport =
   let config =
     { gateway_config with N.Server.rate = Some 0.000001; burst = 1.0 }
   in
-  with_gateway ~config (fun ~server ~dial ~device:_ ->
+  with_gateway ~config ~transport (fun ~server ~dial ~device:_ ->
       let conn = dial () in
       let chan = N.Chan.create conn in
       N.Chan.send chan (N.Codec.Hello { device_id = "dev-greedy" });
@@ -472,9 +499,9 @@ let test_e2e_rate_limited_busy () =
       let stats = N.Server.stop server in
       check_int "rate limited counted" 1 stats.N.Server.rate_limited)
 
-let test_e2e_max_conns_busy () =
+let test_e2e_max_conns_busy transport =
   let config = { gateway_config with N.Server.max_conns = 1 } in
-  with_gateway ~config (fun ~server:_ ~dial ~device ->
+  with_gateway ~config ~transport (fun ~server:_ ~dial ~device ->
       (* occupy the only slot with a live session *)
       let first = dial () in
       let chan = N.Chan.create first in
@@ -513,8 +540,8 @@ let test_e2e_max_conns_busy () =
 (* ------------------------------------------------------------- *)
 (* Pipelined sessions.                                             *)
 
-let test_e2e_pipelined_loopback () =
-  with_gateway (fun ~server ~dial ~device ->
+let test_e2e_pipelined transport =
+  with_gateway ~transport (fun ~server ~dial ~device ->
       let conn = dial () in
       let session =
         N.Client.attest_pipelined ~config:client_config ~window:4 ~device
@@ -538,9 +565,9 @@ let test_e2e_pipelined_loopback () =
       check_int "no bad seq" 0 stats.N.Server.bad_seq;
       check_int "no sessions left" 0 stats.N.Server.sessions_active)
 
-let test_e2e_pipelined_window_clamped () =
+let test_e2e_pipelined_window_clamped transport =
   let config = { gateway_config with N.Server.max_window = 2 } in
-  with_gateway ~config (fun ~server:_ ~dial ~device ->
+  with_gateway ~config ~transport (fun ~server:_ ~dial ~device ->
       let conn = dial () in
       let session =
         N.Client.attest_pipelined ~config:client_config ~window:16 ~device
@@ -553,11 +580,11 @@ let test_e2e_pipelined_window_clamped () =
            (fun (r : N.Client.pipelined_round) -> r.N.Client.p_accepted)
            session.N.Client.results))
 
-let test_e2e_pipelined_tamper_per_round () =
+let test_e2e_pipelined_tamper_per_round transport =
   (* tamper exactly rounds 1 and 3 of 5: the verdict array must show
      rejections at those indexes and acceptances elsewhere — windowed
      dispatch must not mix rounds up *)
-  with_gateway (fun ~server ~dial ~device ->
+  with_gateway ~transport (fun ~server ~dial ~device ->
       let tampered = [ 1; 3 ] in
       let respond ~seq req =
         let report, _ = C.Protocol.prover_execute (device ()) req in
@@ -593,8 +620,8 @@ let pipelined_handshake chan ~device_id ~window =
   | Ok (Some (N.Codec.Welcome { window = w })) -> w
   | _ -> Alcotest.fail "no Welcome"
 
-let test_hostile_bad_seq_reports () =
-  with_gateway (fun ~server ~dial ~device ->
+let test_hostile_bad_seq_reports transport =
+  with_gateway ~transport (fun ~server ~dial ~device ->
       let conn = dial () in
       let chan = N.Chan.create conn in
       let recv () =
@@ -640,8 +667,8 @@ let test_hostile_bad_seq_reports () =
       check_int "engine saw one report" 1
         stats.N.Server.verify.F.Metrics.batch_size)
 
-let test_hostile_window_flood_and_bye () =
-  with_gateway (fun ~server ~dial ~device ->
+let test_hostile_window_flood_and_bye transport =
+  with_gateway ~transport (fun ~server ~dial ~device ->
       let conn = dial () in
       let chan = N.Chan.create conn in
       let granted = pipelined_handshake chan ~device_id:"dev-flood" ~window:4 in
@@ -692,8 +719,8 @@ let test_hostile_window_flood_and_bye () =
       check_bool "hostile Bye counted" true (stats.N.Server.protocol_errors >= 1);
       check_int "no sessions leaked" 0 stats.N.Server.sessions_active)
 
-let test_hostile_seq_frames_on_legacy_session () =
-  with_gateway (fun ~server ~dial ~device ->
+let test_hostile_seq_frames_on_legacy_session transport =
+  with_gateway ~transport (fun ~server ~dial ~device ->
       let conn = dial () in
       let chan = N.Chan.create conn in
       N.Chan.send chan (N.Codec.Hello { device_id = "dev-old" });
@@ -722,11 +749,11 @@ let test_hostile_seq_frames_on_legacy_session () =
 (* ------------------------------------------------------------- *)
 (* Hostile peers: the gateway must shed them and keep serving.     *)
 
-let test_server_survives_malformed_peers () =
+let test_server_survives_malformed_peers transport =
   let config =
     { gateway_config with N.Server.read_deadline = Some 0.15; max_frame = 4096 }
   in
-  with_gateway ~config (fun ~server ~dial ~device ->
+  with_gateway ~config ~transport (fun ~server ~dial ~device ->
       let attack bytes =
         let conn = dial () in
         (try N.Transport.send conn bytes with N.Transport.Closed -> ());
@@ -777,9 +804,9 @@ let test_server_survives_malformed_peers () =
       check_int "no sessions leaked" 0 stats.N.Server.sessions_active;
       check_int "no conns leaked" 0 stats.N.Server.connections_active)
 
-let test_server_survives_slow_loris () =
+let test_server_survives_slow_loris transport =
   let config = { gateway_config with N.Server.read_deadline = Some 0.1 } in
-  with_gateway ~config (fun ~server ~dial ~device ->
+  with_gateway ~config ~transport (fun ~server ~dial ~device ->
       let conn = dial () in
       (* a valid Hello, then a frame header that never completes *)
       let chan = N.Chan.create conn in
@@ -810,13 +837,13 @@ let test_server_survives_slow_loris () =
 (* ------------------------------------------------------------- *)
 (* Idle reaping and half-open connections.                         *)
 
-let test_idle_connection_reaped () =
+let test_idle_connection_reaped transport =
   (* a peer that opens a session and then falls silent is reaped at
      the read deadline — idle sockets must not accumulate *)
   let config =
     { gateway_config with N.Server.read_deadline = Some 0.1 }
   in
-  with_gateway ~config (fun ~server ~dial ~device:_ ->
+  with_gateway ~config ~transport (fun ~server ~dial ~device:_ ->
       let conn = dial () in
       let chan = N.Chan.create conn in
       N.Chan.send chan (N.Codec.Hello_ex { device_id = "dev-idle"; window = 4; firmware = "" });
@@ -836,14 +863,14 @@ let test_idle_connection_reaped () =
       check_int "no sessions leaked" 0 stats.N.Server.sessions_active;
       check_int "no conns leaked" 0 stats.N.Server.connections_active)
 
-let test_chatty_session_outlives_deadline () =
+let test_chatty_session_outlives_deadline transport =
   (* the read deadline runs from the last frame, not the first: a peer
      that keeps talking is never reaped, however long its session *)
   let deadline = 0.3 in
   let config =
     { gateway_config with N.Server.read_deadline = Some deadline }
   in
-  with_gateway ~config (fun ~server ~dial ~device:_ ->
+  with_gateway ~config ~transport (fun ~server ~dial ~device:_ ->
       let conn = dial () in
       let chan = N.Chan.create conn in
       N.Chan.send chan
@@ -924,7 +951,7 @@ let test_half_open_fin_no_bye () =
        (* a clean FIN is EOF, not a protocol violation *)
        check_int "FIN is not an error" 0 stats.N.Server.protocol_errors)
 
-let test_request_stop_unwinds () =
+let test_request_stop_unwinds transport =
   (* request_stop is the signal-handler path: lock-free, closes the
      listener, and makes serve_forever return so the caller can run
      the full stop for teardown + stats. A regression here shows up as
@@ -932,7 +959,7 @@ let test_request_stop_unwinds () =
      from the serving thread and self-deadlock). *)
   let built = build_app () in
   let plan = F.Plan.of_built built in
-  let listener, port = N.Transport.tcp_listener ~port:0 () in
+  let listener, dial = listen transport in
   let server =
     N.Server.create ~config:gateway_config ~plan listener
   in
@@ -942,7 +969,7 @@ let test_request_stop_unwinds () =
       (fun () -> N.Server.serve_forever server; Atomic.set unwound true) ()
   in
   (* prove the engine is actually serving before pulling the plug *)
-  let conn = N.Transport.tcp_connect ~host:"127.0.0.1" ~port () in
+  let conn = dial () in
   let chan = N.Chan.create conn in
   N.Chan.send chan (N.Codec.Hello_ex { device_id = "dev-sig"; window = 2; firmware = "" });
   (match N.Chan.recv chan ~deadline:5.0 () with
@@ -956,12 +983,12 @@ let test_request_stop_unwinds () =
   check_bool "serve_forever returned" true (Atomic.get unwound);
   Thread.join th;
   N.Transport.close conn;
-  (* new dials are refused: the listener socket is gone *)
-  (match N.Transport.tcp_connect ~host:"127.0.0.1" ~port () with
+  (* new dials are refused: the listener is gone *)
+  (match dial () with
    | conn2 ->
      N.Transport.close conn2;
      Alcotest.fail "listener still accepting after request_stop"
-   | exception Unix.Unix_error (_, _, _) -> ());
+   | exception (N.Transport.Closed | Unix.Unix_error _) -> ());
   let stats = N.Server.stop server in
   check_int "no sessions leaked" 0 stats.N.Server.sessions_active;
   check_int "no conns leaked" 0 stats.N.Server.connections_active
@@ -1055,46 +1082,38 @@ let suites =
      [ Alcotest.test_case "loopback" `Quick test_loopback_roundtrip;
        Alcotest.test_case "socketpair" `Quick test_socketpair_roundtrip;
        Alcotest.test_case "tcp" `Quick test_tcp_roundtrip;
-       Alcotest.test_case "deadlines" `Quick test_deadlines_fire ]);
+       Alcotest.test_case "deadlines" `Quick test_deadlines_fire ]
+     @ over_transports [ ("try_accept", test_try_accept) ]);
     ("net-chan",
      [ Alcotest.test_case "roundtrip" `Quick test_chan_roundtrip;
        Alcotest.test_case "slow loris times out" `Quick
          test_chan_slow_loris_times_out ]);
     ("net-gateway",
-     [ Alcotest.test_case "e2e loopback" `Quick test_e2e_loopback;
-       Alcotest.test_case "e2e tcp" `Quick test_e2e_tcp;
-       Alcotest.test_case "two provers" `Quick test_e2e_two_provers;
-       Alcotest.test_case "tamper rejected" `Quick
-         test_e2e_tampered_report_rejected;
-       Alcotest.test_case "wire replay rejected" `Quick
-         test_e2e_wire_replay_rejected;
-       Alcotest.test_case "rate limit Busy" `Quick test_e2e_rate_limited_busy;
-       Alcotest.test_case "max conns Busy" `Quick test_e2e_max_conns_busy;
-       Alcotest.test_case "survives malformed peers" `Quick
-         test_server_survives_malformed_peers;
-       Alcotest.test_case "survives slow loris" `Quick
-         test_server_survives_slow_loris;
-       Alcotest.test_case "idle connection reaped" `Quick
-         test_idle_connection_reaped;
-       Alcotest.test_case "chatty session outlives the deadline" `Quick
-         test_chatty_session_outlives_deadline;
-       Alcotest.test_case "half-open FIN without Bye" `Quick
-         test_half_open_fin_no_bye;
-       Alcotest.test_case "request_stop unwinds serve_forever" `Quick
-         test_request_stop_unwinds ]);
+     (* the full corpus, once per transport *)
+     over_transports
+       [ ("e2e rounds", test_e2e_rounds);
+         ("two provers", test_e2e_two_provers);
+         ("tamper rejected", test_e2e_tampered_report_rejected);
+         ("wire replay rejected", test_e2e_wire_replay_rejected);
+         ("rate limit Busy", test_e2e_rate_limited_busy);
+         ("max conns Busy", test_e2e_max_conns_busy);
+         ("survives malformed peers", test_server_survives_malformed_peers);
+         ("survives slow loris", test_server_survives_slow_loris);
+         ("idle connection reaped", test_idle_connection_reaped);
+         ("chatty session outlives the deadline",
+          test_chatty_session_outlives_deadline);
+         ("request_stop unwinds serve_forever", test_request_stop_unwinds) ]
+     @ [ Alcotest.test_case "half-open FIN without Bye" `Quick
+           test_half_open_fin_no_bye ]);
     ("net-pipelined",
-     [ Alcotest.test_case "e2e pipelined loopback" `Quick
-         test_e2e_pipelined_loopback;
-       Alcotest.test_case "window clamped by server" `Quick
-         test_e2e_pipelined_window_clamped;
-       Alcotest.test_case "per-round tamper isolated" `Quick
-         test_e2e_pipelined_tamper_per_round;
-       Alcotest.test_case "bad sequence numbers rejected" `Quick
-         test_hostile_bad_seq_reports;
-       Alcotest.test_case "window flood and hostile Bye" `Quick
-         test_hostile_window_flood_and_bye;
-       Alcotest.test_case "seq frames on legacy session" `Quick
-         test_hostile_seq_frames_on_legacy_session ]);
+     over_transports
+       [ ("e2e pipelined", test_e2e_pipelined);
+         ("window clamped by server", test_e2e_pipelined_window_clamped);
+         ("per-round tamper isolated", test_e2e_pipelined_tamper_per_round);
+         ("bad sequence numbers rejected", test_hostile_bad_seq_reports);
+         ("window flood and hostile Bye", test_hostile_window_flood_and_bye);
+         ("seq frames on legacy session",
+          test_hostile_seq_frames_on_legacy_session) ]);
     ("net-client",
      [ Alcotest.test_case "backoff deterministic" `Quick
          test_backoff_deterministic;

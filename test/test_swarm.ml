@@ -2,7 +2,7 @@
    windowed session machine must be observationally identical to the
    single-shot protocol (same verdicts, same per-session order), stay
    fair under a flooding peer, and keep its stats snapshot consistent
-   while a swarm hammers it. *)
+   while a swarm hammers it — over the loopback and over TCP. *)
 
 module A = Dialed_apex
 module C = Dialed_core
@@ -37,9 +37,9 @@ let gateway_config =
     N.Server.domains = 1; window = 4; read_deadline = Some 5.0;
     max_conns = 128; args = fire_sensor.Apps.benign_args }
 
-let with_gateway ?(config = gateway_config) f =
+let with_gateway ?(config = gateway_config) ~transport f =
   let plan = F.Plan.of_built (Lazy.force built) in
-  let listener, dial = N.Transport.loopback_listener () in
+  let listener, dial = Test_net.listen transport in
   let server = N.Server.create ~config ~plan listener in
   N.Server.start server;
   Fun.protect
@@ -102,15 +102,17 @@ let pipelined_run ~dial ~tamper ~window rounds =
           round_key r.N.Client.p_accepted r.N.Client.p_findings)
        session.N.Client.results)
 
-let prop_pipelined_equals_sequential =
+let prop_pipelined_equals_sequential (tag, transport) =
   QCheck.Test.make
-    ~name:"pipelined session = sequential single-shot (verdicts and order)"
+    ~name:
+      ("pipelined session = sequential single-shot (verdicts and order) ["
+       ^ tag ^ "]")
     ~count:8
     QCheck.(pair (int_range 1 5) (list_of_size (Gen.int_range 1 6) bool))
     (fun (window, tamper_list) ->
        let rounds = List.length tamper_list in
        let tamper = Array.of_list tamper_list in
-       with_gateway (fun ~server:_ ~dial ->
+       with_gateway ~transport (fun ~server:_ ~dial ->
            let seq = sequential_run ~dial ~tamper rounds in
            let pipe = pipelined_run ~dial ~tamper ~window rounds in
            seq = pipe))
@@ -118,8 +120,8 @@ let prop_pipelined_equals_sequential =
 (* With the cheap responder each prover's reports share one execution,
    but every report is still individually replayed by the engine:
    batch_size = clients * rounds, not clients. *)
-let test_swarm_engine_sees_all_reports () =
-  with_gateway (fun ~server ~dial ->
+let test_swarm_engine_sees_all_reports transport =
+  with_gateway ~transport (fun ~server ~dial ->
       let config =
         { N.Swarm.default_config with
           N.Swarm.clients = 3; rounds = 2; window = 2; concurrency = 3;
@@ -138,11 +140,11 @@ let test_swarm_engine_sees_all_reports () =
 (* Fairness: per-session rate limiting lands on the flooder, never on
    the honest provers sharing the gateway.                           *)
 
-let test_fairness_flooder_vs_honest () =
+let test_fairness_flooder_vs_honest transport =
   let config =
     { gateway_config with N.Server.rate = Some 4.0; burst = 2.0 }
   in
-  with_gateway ~config (fun ~server ~dial ->
+  with_gateway ~config ~transport (fun ~server ~dial ->
       let honest_failures = Atomic.make 0 in
       let honest_busy = Atomic.make 0 in
       let honest n =
@@ -212,8 +214,8 @@ let test_fairness_flooder_vs_honest () =
 (* Stats under concurrency: poll the snapshot while a swarm runs and
    assert cross-counter invariants in every observation.             *)
 
-let test_stats_snapshot_consistent_under_load () =
-  with_gateway (fun ~server ~dial ->
+let test_stats_snapshot_consistent_under_load transport =
+  with_gateway ~transport (fun ~server ~dial ->
       let stop_polling = Atomic.make false in
       let violations = ref [] in
       let polls = ref 0 in
@@ -269,8 +271,8 @@ let test_stats_snapshot_consistent_under_load () =
 (* Swarm smoke: every session held open simultaneously by a few
    evloop-driven worker threads — the c10k load shape, scaled down.   *)
 
-let test_swarm_multiplexed () =
-  with_gateway (fun ~server ~dial ->
+let test_swarm_multiplexed transport =
+  with_gateway ~transport (fun ~server ~dial ->
       let config =
         { N.Swarm.default_config with
           N.Swarm.clients = 12; rounds = 3; window = 4; concurrency = 4;
@@ -298,8 +300,8 @@ let test_swarm_multiplexed () =
       check_bool "peak connections >= clients" true
         (stats.N.Server.connections_peak >= 12))
 
-let test_swarm_multiplexed_tampered () =
-  with_gateway (fun ~server:_ ~dial ->
+let test_swarm_multiplexed_tampered transport =
+  with_gateway ~transport (fun ~server:_ ~dial ->
       let config =
         { N.Swarm.default_config with
           N.Swarm.clients = 4; rounds = 2; window = 2; concurrency = 2;
@@ -319,7 +321,7 @@ let test_swarm_multiplexed_tampered () =
 (* A prover the gateway denies at handshake finishes with its denial:
    the Bye it sends on the way out meets a connection the gateway has
    already closed, and that must not hold its worker loop open. *)
-let test_swarm_denied_provers_finish () =
+let test_swarm_denied_provers_finish transport =
   let lc = L.create ~allow_anonymous:false () in
   for i = 0 to 3 do
     match
@@ -330,7 +332,7 @@ let test_swarm_denied_provers_finish () =
     | Error m -> Alcotest.fail m
   done;
   let config = { gateway_config with N.Server.lifecycle = Some lc } in
-  with_gateway ~config (fun ~server:_ ~dial ->
+  with_gateway ~config ~transport (fun ~server:_ ~dial ->
       let config =
         { N.Swarm.default_config with
           N.Swarm.clients = 6; rounds = 2; window = 2; concurrency = 2;
@@ -347,16 +349,16 @@ let test_swarm_denied_provers_finish () =
 
 let suites =
   [ ("net-swarm",
-     [ QCheck_alcotest.to_alcotest prop_pipelined_equals_sequential;
-       Alcotest.test_case "engine sees every report" `Quick
-         test_swarm_engine_sees_all_reports;
-       Alcotest.test_case "flooder cannot starve honest provers" `Quick
-         test_fairness_flooder_vs_honest;
-       Alcotest.test_case "stats consistent under load" `Quick
-         test_stats_snapshot_consistent_under_load;
-       Alcotest.test_case "multiplexed swarm holds all sessions" `Quick
-         test_swarm_multiplexed;
-       Alcotest.test_case "multiplexed swarm surfaces rejections" `Quick
-         test_swarm_multiplexed_tampered;
-       Alcotest.test_case "denied provers finish" `Quick
-         test_swarm_denied_provers_finish ]) ]
+     List.map
+       (fun t -> QCheck_alcotest.to_alcotest (prop_pipelined_equals_sequential t))
+       Test_net.transports
+     @ Test_net.over_transports
+         [ ("engine sees every report", test_swarm_engine_sees_all_reports);
+           ("flooder cannot starve honest provers",
+            test_fairness_flooder_vs_honest);
+           ("stats consistent under load",
+            test_stats_snapshot_consistent_under_load);
+           ("multiplexed swarm holds all sessions", test_swarm_multiplexed);
+           ("multiplexed swarm surfaces rejections",
+            test_swarm_multiplexed_tampered);
+           ("denied provers finish", test_swarm_denied_provers_finish) ]) ]
