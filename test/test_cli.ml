@@ -75,6 +75,59 @@ let test_serve_smoke () =
   (* ephemeral port, fixed duration: starts, serves nothing, exits 0 *)
   check_code "serve window" 0 "serve --port 0 --duration 0.2 --domains 1"
 
+(* A live gateway for the prover cases: [serve --port 0] names its bound
+   port on its first line and serves until SIGINT, after which it prints
+   its stats and exits 0. *)
+let with_gateway args f =
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process cli
+      (Array.of_list ([ cli; "serve"; "--port"; "0" ] @ args))
+      Unix.stdin out_w null
+  in
+  Unix.close out_w;
+  Unix.close null;
+  let ic = Unix.in_channel_of_descr out_r in
+  let stop () =
+    Unix.kill pid Sys.sigint;
+    let rec reap n =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when n > 0 -> Unix.sleepf 0.05; reap (n - 1)
+      | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.fail "gateway ignored SIGINT"
+      | _, status -> status
+    in
+    let status = reap 200 in
+    close_in ic;
+    Alcotest.(check bool) "gateway exits 0 on SIGINT" true
+      (status = Unix.WEXITED 0)
+  in
+  match
+    Scanf.sscanf (input_line ic) "gateway: firmware %_s on 127.0.0.1:%d" Fun.id
+  with
+  | port -> Fun.protect ~finally:stop (fun () -> f port)
+  | exception e -> stop (); raise e
+
+let test_prover_exit_codes () =
+  with_gateway [] (fun port ->
+      let prover what expected args =
+        check_code what expected (Printf.sprintf "prover --port %d %s" port args)
+      in
+      prover "legacy accepted" 0 "--rounds 2";
+      prover "legacy tampered" 1 "--rounds 2 --tamper";
+      prover "pipelined accepted" 0 "--rounds 3 --pipeline 2";
+      prover "pipelined tampered" 1 "--rounds 2 --pipeline 2 --tamper";
+      prover "firmware without --pipeline" 2 "--rounds 1 --firmware 1.0");
+  with_gateway [ "--no-anonymous" ] (fun port ->
+      let prover what args =
+        check_code what 1 (Printf.sprintf "prover --port %d %s" port args)
+      in
+      prover "legacy denied" "--rounds 1";
+      prover "pipelined denied" "--rounds 1 --pipeline 2")
+
 let suites =
   [ ("cli-exit-codes",
      [ Alcotest.test_case "success -> 0" `Quick test_success_is_zero;
@@ -83,4 +136,6 @@ let suites =
        Alcotest.test_case "help/version -> 0" `Quick test_help_is_zero;
        Alcotest.test_case "lint flags" `Quick test_lint_flags;
        Alcotest.test_case "lint sarif output" `Quick test_lint_sarif_output;
-       Alcotest.test_case "serve smoke" `Quick test_serve_smoke ]) ]
+       Alcotest.test_case "serve smoke" `Quick test_serve_smoke;
+       Alcotest.test_case "prover against a live gateway" `Quick
+         test_prover_exit_codes ]) ]
