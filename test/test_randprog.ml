@@ -342,17 +342,28 @@ let prop_selective_soundness =
          QCheck.Test.fail_reportf
            "selective build failed its own dataflow audit:\n%s\n%s" source
            (Format.asprintf "%a" S.Report.pp audit);
-       (* benign runs: both disciplines accept *)
+       (* benign runs: both disciplines accept. A run that stops with
+          its log pointer below or_min filled the OR log; when the full
+          discipline does, the program cannot be attested at all, and
+          the case is discarded like an overrunning build. *)
        let benign built =
          let device = C.Pipeline.device built in
          let run = A.Device.run_operation ~args:[ 5; 9 ] device in
-         run.A.Device.completed
-         &&
-         let report = A.Device.attest device ~challenge:"sel-benign" in
-         (C.Verifier.verify_plan (C.Verifier.plan built) report)
-           .C.Verifier.accepted
+         if not run.A.Device.completed then
+           if M.Cpu.get_reg (A.Device.cpu device) 4
+              < built.C.Pipeline.layout.A.Layout.or_min
+           then `Log_full
+           else `Rejected
+         else
+           let report = A.Device.attest device ~challenge:"sel-benign" in
+           if (C.Verifier.verify_plan (C.Verifier.plan built) report)
+                .C.Verifier.accepted
+           then `Accepted
+           else `Rejected
        in
-       if not (benign full && benign sel) then
+       let benign_full = benign full in
+       if benign_full = `Log_full then QCheck.assume_fail ();
+       if benign_full <> `Accepted || benign sel <> `Accepted then
          QCheck.Test.fail_reportf "benign run rejected:\n%s" source;
        (* per-critical tampering: identical verdicts *)
        List.iter
@@ -373,10 +384,23 @@ let prop_selective_soundness =
          criticals;
        true)
 
+(* seeds whose generated programs fill the OR log in the benign run,
+   once miscounted as rejections *)
+let selective_soundness_pins =
+  List.map
+    (fun seed ->
+       let name, speed, run =
+         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |])
+           prop_selective_soundness
+       in
+       (Printf.sprintf "%s [seed %d]" name seed, speed, run))
+    [ 429; 960; 1659 ]
+
 let suites =
   [ ("random-programs",
      List.map QCheck_alcotest.to_alcotest
        [ prop_variants_agree; prop_benign_runs_verify;
          prop_tampered_log_never_verifies;
          prop_cfa_walker_validates_random_paths;
-         prop_selective_soundness ]) ]
+         prop_selective_soundness ]
+     @ selective_soundness_pins) ]
