@@ -585,6 +585,10 @@ let run_evloop t =
     | Some es, Codec.Report wire ->
       if lifecycle_ok ec es then begin
         count (fun t -> t.c_reports <- t.c_reports + 1);
+        (* a pipelined session names its round; an unnumbered report
+           there is as hostile as a numbered one on a legacy session *)
+        if not es.es_legacy then proto_error ec
+        else
         match Hashtbl.fold (fun k v _ -> Some (k, v)) es.es_issued None with
         | None ->
           count (fun t ->

@@ -746,6 +746,38 @@ let test_hostile_seq_frames_on_legacy_session transport =
       let stats = N.Server.stop server in
       check_bool "violation counted" true (stats.N.Server.protocol_errors >= 1))
 
+let test_hostile_unsequenced_report transport =
+  (* rounds 0 and 1 outstanding, round 0's honest report sent without
+     its number: the gateway cannot tell which round it answers, so it
+     drops the session instead of judging it against either *)
+  with_gateway ~transport (fun ~server ~dial ~device ->
+      let conn = dial () in
+      let chan = N.Chan.create conn in
+      let _ = pipelined_handshake chan ~device_id:"dev-unseq" ~window:4 in
+      N.Chan.send chan N.Codec.Ready;
+      N.Chan.send chan N.Codec.Ready;
+      let requests =
+        List.init 2 (fun _ ->
+            match N.Chan.recv chan ~deadline:2.0 () with
+            | Ok (Some (N.Codec.Request_seq { seq; challenge; args })) ->
+              (seq, { C.Protocol.challenge; args })
+            | _ -> Alcotest.fail "expected Request#seq")
+      in
+      let report, _ =
+        C.Protocol.prover_execute (device ()) (List.assoc 0 requests)
+      in
+      N.Chan.send chan (N.Codec.Report (A.Wire.encode report));
+      (match N.Chan.recv chan ~deadline:2.0 () with
+       | Ok None | Error _ -> ()
+       | exception N.Transport.Closed -> ()
+       | Ok (Some m) ->
+         Alcotest.failf "expected drop, got %a" N.Codec.pp_msg m);
+      N.Transport.close conn;
+      let stats = N.Server.stop server in
+      check_bool "violation counted" true (stats.N.Server.protocol_errors >= 1);
+      check_int "nothing reached the engine" 0
+        stats.N.Server.verify.F.Metrics.batch_size)
+
 (* ------------------------------------------------------------- *)
 (* Hostile peers: the gateway must shed them and keep serving.     *)
 
@@ -1113,7 +1145,9 @@ let suites =
          ("bad sequence numbers rejected", test_hostile_bad_seq_reports);
          ("window flood and hostile Bye", test_hostile_window_flood_and_bye);
          ("seq frames on legacy session",
-          test_hostile_seq_frames_on_legacy_session) ]);
+          test_hostile_seq_frames_on_legacy_session);
+         ("unsequenced report on pipelined session",
+          test_hostile_unsequenced_report) ]);
     ("net-client",
      [ Alcotest.test_case "backoff deterministic" `Quick
          test_backoff_deterministic;
