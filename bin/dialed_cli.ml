@@ -736,6 +736,11 @@ let prover_cmd =
         | Error e -> Error e
         | Ok (source, entry, a) ->
           if rounds < 1 then Error (`Msg "--rounds must be positive")
+          else if Option.fold ~none:false ~some:(fun w -> w < 1) pipeline then
+            Error (`Msg "--pipeline must be >= 1")
+          else if pipeline = None && firmware <> "" then
+            Error (`Msg "--firmware requires --pipeline (legacy Hello \
+                         carries no firmware claim)")
           else begin
             let built = build_from source entry a C.Pipeline.Full in
             let device () =
@@ -758,73 +763,42 @@ let prover_cmd =
             let conn = N.Transport.tcp_connect ~host ~port () in
             Fun.protect ~finally:(fun () -> N.Transport.close conn)
               (fun () ->
-                 match pipeline with
-                 | Some window ->
-                   if window < 1 then Error (`Msg "--pipeline must be >= 1")
-                   else begin
-                     let session =
-                       N.Client.attest_pipelined ~config ~window ~firmware
-                         ~device ~device_id ~rounds conn
-                     in
-                     Format.printf "pipelined session: window %d granted@."
-                       session.N.Client.granted;
-                     (match session.N.Client.denied with
-                      | Some (cause, detail) ->
-                        Format.printf "session denied: %s (%s)@."
-                          (N.Codec.denial_to_string cause) detail
-                      | None -> ());
-                     Array.iteri
-                       (fun i (r : N.Client.pipelined_round) ->
-                          Format.printf "round %d: %s (%.1f ms)@." i
-                            (if r.N.Client.p_accepted then "accepted"
-                             else "rejected")
-                            (1000.0 *. r.N.Client.p_latency);
-                          List.iter
-                            (fun (kind, detail) ->
-                               Format.printf "  [%s] %s@." kind detail)
-                            r.N.Client.p_findings)
-                       session.N.Client.results;
-                     let all_ok =
-                       session.N.Client.denied = None
-                       && Array.for_all
-                            (fun (r : N.Client.pipelined_round) ->
-                               r.N.Client.p_accepted)
-                            session.N.Client.results
-                     in
-                     Ok (if all_ok then 0 else 1)
-                   end
-                 | None ->
-                   if firmware <> "" then
-                     Error (`Msg "--firmware requires --pipeline (legacy \
-                                  Hello carries no firmware claim)")
-                   else
-                   match
+                 let session =
+                   match pipeline with
+                   | Some window ->
+                     N.Client.attest_pipelined ~config ~window ~firmware
+                       ~device ~device_id ~rounds conn
+                   | None ->
                      N.Client.attest_rounds ~config ~device ~device_id
                        ~rounds conn
-                   with
-                   | exception N.Client.Denied (cause, detail) ->
-                     Format.printf "session denied: %s (%s)@."
-                       (N.Codec.denial_to_string cause) detail;
-                     Ok 1
-                   | results ->
-                   List.iteri
-                     (fun i (r : N.Client.round) ->
-                        Format.printf "round %d: %s (attempt %d)@." i
-                          (if r.N.Client.accepted then "accepted"
-                           else if r.N.Client.run = None then "unanswered"
-                           else "rejected")
-                          r.N.Client.attempt;
-                        List.iter
-                          (fun (kind, detail) ->
-                             Format.printf "  [%s] %s@." kind detail)
-                          r.N.Client.findings)
-                     results;
-                   let all_ok =
-                     List.for_all
-                       (fun (r : N.Client.round) -> r.N.Client.accepted)
-                       results
-                   in
-                   Ok (if all_ok then 0 else 1))
+                 in
+                 if pipeline <> None then
+                   Format.printf "pipelined session: window %d granted@."
+                     session.N.Client.granted;
+                 (match session.N.Client.denied with
+                  | Some (cause, detail) ->
+                    Format.printf "session denied: %s (%s)@."
+                      (N.Codec.denial_to_string cause) detail
+                  | None -> ());
+                 Array.iteri
+                   (fun i (r : N.Client.pipelined_round) ->
+                      Format.printf "round %d: %s (%.1f ms)@." i
+                        (if r.N.Client.p_accepted then "accepted"
+                         else "rejected")
+                        (1000.0 *. r.N.Client.p_latency);
+                      List.iter
+                        (fun (kind, detail) ->
+                           Format.printf "  [%s] %s@." kind detail)
+                        r.N.Client.p_findings)
+                   session.N.Client.results;
+                 let all_ok =
+                   session.N.Client.denied = None
+                   && Array.for_all
+                        (fun (r : N.Client.pipelined_round) ->
+                           r.N.Client.p_accepted)
+                        session.N.Client.results
+                 in
+                 Ok (if all_ok then 0 else 1))
           end)
   in
   Cmd.v

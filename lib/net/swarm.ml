@@ -123,56 +123,19 @@ let aggregate ~clients ~clients_per_thread ~wall results =
 
 (* ------------------------------------------------------------------ *)
 (* The driver: N provers over M worker threads, each worker an {!Evloop}
-   driving its share of the provers as non-blocking state machines over
-   {!Evconn}. This is how the swarm *holds* sessions instead of merely
-   completing them: all [clients] connections stay open at once — the
-   c10k load shape.
+   holding its share of the provers as {!Client} sessions. This is how
+   the swarm *holds* sessions instead of merely completing them: all
+   [clients] connections stay open at once — the c10k load shape.
 
    A cross-worker barrier after dial + Hello_ex/Welcome makes the hold
    real: no prover starts its rounds until every prover (or its corpse)
    has a session, so the gateway's [connections_peak] must reach
-   [clients].
-
-   Each prover mirrors {!Client.attest_pipelined} exactly — window
-   top-up with Ready, Report_seq on challenge, Verdict_seq bookkeeping,
-   Busy backoff with the same jittered delays (as loop timers instead
-   of [Thread.delay]), per-reply deadlines (as loop timers instead of
-   blocking recv deadlines), and the same consecutive-timeout and
-   busy-budget give-up rules. *)
-
-type mx_phase =
-  | Mx_welcome            (* Hello_ex sent, awaiting Welcome *)
-  | Mx_barrier            (* session up, holding for the fleet *)
-  | Mx_running
-  | Mx_done
-
-type mx_prover = {
-  mx_i : int;
-  mx_cfg : Client.config;
-  mx_rounds : int;
-  mx_req_window : int;
-  mx_respond : seq:int -> C.Protocol.request -> A.Pox.report;
-  mutable mx_phase : mx_phase;
-  mutable mx_ev : Evconn.t option;
-  mutable mx_granted : int;
-  mutable mx_denied : (Codec.denial * string) option;
-  mx_results : Client.pipelined_round array;
-  mx_landed : bool array;
-  mx_sent_at : (int, float) Hashtbl.t;
-  mutable mx_completed : int;
-  mutable mx_inflight : int;
-  mutable mx_busy : int;
-  mutable mx_timeouts : int;
-  mutable mx_consec_timeouts : int;
-  mutable mx_backing_off : bool;
-  mutable mx_deadline : Evloop.timer option;
-  mutable mx_backoff : Evloop.timer option;
-}
+   [clients]. *)
 
 (* All provers (alive or dead) check in once; the last one releases
    every worker's loop. Workers register their release thunk before
    dialing anything, so release can never race a missing worker. *)
-type mx_barrier = {
+type barrier = {
   bar_m : Mutex.t;
   bar_total : int;
   mutable bar_arrived : int;
@@ -180,14 +143,14 @@ type mx_barrier = {
   mutable bar_release : (unit -> unit) list;
 }
 
-let mx_register bar thunk =
+let register bar thunk =
   Mutex.lock bar.bar_m;
   let released = bar.bar_released in
   if not released then bar.bar_release <- thunk :: bar.bar_release;
   Mutex.unlock bar.bar_m;
   if released then thunk ()
 
-let mx_arrive bar =
+let arrive bar =
   Mutex.lock bar.bar_m;
   bar.bar_arrived <- bar.bar_arrived + 1;
   let release =
@@ -218,289 +181,48 @@ let run ?(config = default_config) ~dial ~respond () =
   in
   let worker w =
     let loop = Evloop.create () in
-    let mine = ref [] in
-    for i = n - 1 downto 0 do
-      if i mod workers = w then mine := i :: !mine
+    let sessions = ref [] and live = ref 0 in
+    register bar (fun () ->
+        Evloop.post loop (fun () -> List.iter Client.start !sessions));
+    for i = 0 to n - 1 do
+      if i mod workers = w then begin
+        let shape =
+          if config.distinct_logs <= 0 then i else i mod config.distinct_logs
+        in
+        let on_done outcome =
+          decr live;
+          results.(i) <-
+            (match outcome with
+             | Ok s -> Finished s
+             | Error f -> Died (Client.failure_to_string f))
+        in
+        let open_session conn =
+          try
+            Client.open_session ~loop
+              ~config:
+                { config.client with
+                  Client.jitter_seed =
+                    Printf.sprintf "%s|%d" config.client.Client.jitter_seed i }
+              ~on_up:(fun () -> arrive bar) ~on_done
+              ~greeting:
+                (Client.Windowed
+                   { window = config.window; firmware = config.firmware i })
+              ~respond:(respond ~client:i ~shape)
+              ~device_id:(Printf.sprintf "%s-%04d" config.device_prefix i)
+              ~rounds:config.rounds conn
+          with e -> (try Transport.close conn with _ -> ()); raise e
+        in
+        match open_session (dial ()) with
+        | s -> sessions := s :: !sessions; incr live
+        | exception e ->
+          (* a corpse still checks in, or the fleet waits forever *)
+          results.(i) <- Died (Printexc.to_string e);
+          arrive bar
+      end
     done;
-    let remaining = ref (List.length !mine) in
-    let cancel_timers p =
-      (match p.mx_deadline with
-       | Some tm -> Evloop.cancel loop tm; p.mx_deadline <- None
-       | None -> ());
-      match p.mx_backoff with
-      | Some tm -> Evloop.cancel loop tm; p.mx_backoff <- None
-      | None -> ()
-    in
-    let die p detail =
-      if p.mx_phase = Mx_done then
-        (* a finished prover's Bye met a connection the gateway already
-           closed (it denied the session): nothing is left to flush, and
-           an unclosed connection would hold the worker loop forever *)
-        Option.iter Evconn.close p.mx_ev
-      else begin
-        let at_barrier = p.mx_phase = Mx_welcome in
-        p.mx_phase <- Mx_done;
-        cancel_timers p;
-        (match p.mx_ev with Some ev -> Evconn.close ev | None -> ());
-        results.(p.mx_i) <- Died detail;
-        decr remaining;
-        (* a corpse still checks in, or the fleet waits forever *)
-        if at_barrier then mx_arrive bar
-      end
-    in
-    let finish p =
-      if p.mx_phase <> Mx_done then begin
-        p.mx_phase <- Mx_done;
-        cancel_timers p;
-        results.(p.mx_i) <-
-          Finished
-            { Client.granted = p.mx_granted; results = p.mx_results;
-              busy_bounces = p.mx_busy; reply_timeouts = p.mx_timeouts;
-              denied = p.mx_denied };
-        (match p.mx_ev with
-         | Some ev ->
-           Evconn.send ev Codec.Bye;
-           Evconn.close_after_flush ev
-         | None -> ());
-        decr remaining
-      end
-    in
-    let rec arm_deadline p =
-      match p.mx_cfg.Client.read_deadline with
-      | None -> ()
-      | Some d ->
-        (match p.mx_deadline with
-         | Some tm -> Evloop.cancel loop tm
-         | None -> ());
-        p.mx_deadline <- Some (Evloop.after loop d (fun () -> on_deadline p))
-    and disarm_deadline p =
-      match p.mx_deadline with
-      | Some tm -> Evloop.cancel loop tm; p.mx_deadline <- None
-      | None -> ()
-    and on_deadline p =
-      p.mx_deadline <- None;
-      match p.mx_phase with
-      | Mx_done | Mx_barrier -> ()
-      | Mx_welcome -> die p "protocol violation: no Welcome from gateway (timeout)"
-      | Mx_running ->
-        p.mx_timeouts <- p.mx_timeouts + 1;
-        p.mx_consec_timeouts <- p.mx_consec_timeouts + 1;
-        if p.mx_consec_timeouts >= p.mx_cfg.Client.attempts then finish p
-        else arm_deadline p
-    and top_up p =
-      if p.mx_phase = Mx_running && not p.mx_backing_off then begin
-        while
-          p.mx_inflight < p.mx_granted
-          && p.mx_completed + p.mx_inflight < p.mx_rounds
-        do
-          (match p.mx_ev with
-           | Some ev -> Evconn.send ev Codec.Ready
-           | None -> ());
-          p.mx_inflight <- p.mx_inflight + 1
-        done;
-        if p.mx_inflight > 0 then arm_deadline p else disarm_deadline p
-      end
-    in
-    let busy_budget p = p.mx_cfg.Client.attempts * max p.mx_rounds 1 in
-    let on_msg p msg =
-      match p.mx_phase, msg with
-      | Mx_done, _ -> ()
-      | _, Codec.Denied { cause; detail } ->
-        (* a typed lifecycle denial, not a protocol violation: the
-           gateway refused the handshake or cut the session mid-window.
-           The prover counts as Finished-with-denied; if the denial
-           landed where the Welcome would have, it still checks in at
-           the barrier so the rest of the fleet is not held hostage. *)
-        let at_handshake = p.mx_phase = Mx_welcome in
-        p.mx_denied <- Some (cause, detail);
-        finish p;
-        if at_handshake then mx_arrive bar
-      | Mx_welcome, Codec.Welcome { window = w } ->
-        if w > p.mx_req_window then
-          die p
-            (Printf.sprintf
-               "protocol violation: gateway granted window %d > requested %d"
-               w p.mx_req_window)
-        else begin
-          p.mx_granted <- w;
-          p.mx_phase <- Mx_barrier;
-          disarm_deadline p;
-          mx_arrive bar
-        end
-      | Mx_welcome, Codec.Busy reason ->
-        die p ("protocol violation: gateway refused session: " ^ reason)
-      | Mx_welcome, other ->
-        die p
-          (Printf.sprintf "protocol violation: expected Welcome, got %s"
-             (Format.asprintf "%a" Codec.pp_msg other))
-      | Mx_barrier, other ->
-        (* nothing was requested; any frame here is hostile *)
-        die p
-          (Printf.sprintf "protocol violation: unsolicited %s at barrier"
-             (Format.asprintf "%a" Codec.pp_msg other))
-      | Mx_running, Codec.Request_seq { seq; challenge; args } ->
-        p.mx_consec_timeouts <- 0;
-        if seq >= p.mx_rounds then
-          die p
-            (Printf.sprintf
-               "protocol violation: Request for sequence %d beyond %d rounds"
-               seq p.mx_rounds)
-        else begin
-          let report = p.mx_respond ~seq { C.Protocol.challenge; args } in
-          let report =
-            match p.mx_cfg.Client.mangle with
-            | None -> report
-            | Some f -> f report
-          in
-          Hashtbl.replace p.mx_sent_at seq (Unix.gettimeofday ());
-          (match p.mx_ev with
-           | Some ev ->
-             Evconn.send ev
-               (Codec.Report_seq { seq; wire = A.Wire.encode report })
-           | None -> ());
-          if p.mx_inflight > 0 then arm_deadline p
-        end
-      | Mx_running, Codec.Verdict_seq { seq; accepted; findings } ->
-        p.mx_consec_timeouts <- 0;
-        if seq >= p.mx_rounds then
-          die p
-            (Printf.sprintf
-               "protocol violation: Verdict for sequence %d beyond %d rounds"
-               seq p.mx_rounds)
-        else if p.mx_landed.(seq) then
-          die p
-            (Printf.sprintf
-               "protocol violation: duplicate Verdict for sequence %d" seq)
-        else begin
-          p.mx_landed.(seq) <- true;
-          let latency =
-            match Hashtbl.find_opt p.mx_sent_at seq with
-            | Some t0 -> Unix.gettimeofday () -. t0
-            | None -> Float.nan
-          in
-          Hashtbl.remove p.mx_sent_at seq;
-          p.mx_results.(seq) <-
-            { Client.p_accepted = accepted; p_findings = findings;
-              p_latency = latency };
-          p.mx_completed <- p.mx_completed + 1;
-          p.mx_inflight <- p.mx_inflight - 1;
-          if p.mx_completed >= p.mx_rounds then finish p
-          else begin
-            top_up p;
-            if p.mx_inflight > 0 then arm_deadline p else disarm_deadline p
-          end
-        end
-      | Mx_running, Codec.Busy _ ->
-        p.mx_consec_timeouts <- 0;
-        p.mx_busy <- p.mx_busy + 1;
-        p.mx_inflight <- p.mx_inflight - 1;
-        if p.mx_busy > busy_budget p then finish p
-        else begin
-          p.mx_backing_off <- true;
-          let delay =
-            Client.backoff_delay p.mx_cfg ~attempt:(min p.mx_busy 8)
-          in
-          (match p.mx_backoff with
-           | Some tm -> Evloop.cancel loop tm
-           | None -> ());
-          p.mx_backoff <-
-            Some
-              (Evloop.after loop delay (fun () ->
-                   p.mx_backoff <- None;
-                   p.mx_backing_off <- false;
-                   top_up p))
-        end
-      | Mx_running, other ->
-        die p
-          (Printf.sprintf
-             "protocol violation: unexpected gateway frame %s in \
-              pipelined session"
-             (Format.asprintf "%a" Codec.pp_msg other))
-    in
-    let provers = ref [] in
-    (* start every prover that made it to the barrier *)
-    let release () =
-      List.iter
-        (fun p ->
-           if p.mx_phase = Mx_barrier then begin
-             p.mx_phase <- Mx_running;
-             if p.mx_rounds = 0 then finish p else top_up p
-           end)
-        !provers
-    in
-    mx_register bar (fun () -> Evloop.post loop release);
-    (* dial + Hello_ex for every prover this worker owns *)
-    List.iter
-      (fun i ->
-         let device_id = Printf.sprintf "%s-%04d" config.device_prefix i in
-         let shape =
-           if config.distinct_logs <= 0 then i else i mod config.distinct_logs
-         in
-         let cfg =
-           { config.client with
-             Client.jitter_seed =
-               Printf.sprintf "%s|%d" config.client.Client.jitter_seed i }
-         in
-         let p =
-           { mx_i = i; mx_cfg = cfg; mx_rounds = config.rounds;
-             mx_req_window = config.window;
-             mx_respond = respond ~client:i ~shape;
-             mx_phase = Mx_welcome; mx_ev = None; mx_granted = 0;
-             mx_denied = None;
-             mx_results =
-               Array.make config.rounds
-                 { Client.p_accepted = false;
-                   p_findings = [ ("client", "round never completed") ];
-                   p_latency = Float.nan };
-             mx_landed = Array.make (max config.rounds 1) false;
-             mx_sent_at = Hashtbl.create 16;
-             mx_completed = 0; mx_inflight = 0; mx_busy = 0;
-             mx_timeouts = 0; mx_consec_timeouts = 0; mx_backing_off = false;
-             mx_deadline = None; mx_backoff = None }
-         in
-         provers := p :: !provers;
-         match dial () with
-         | exception e ->
-           p.mx_phase <- Mx_done;
-           results.(i) <- Died (Printexc.to_string e);
-           decr remaining;
-           mx_arrive bar
-         | conn ->
-           match
-             Evconn.attach ~loop
-               ~on_msg:(fun _ev msg -> on_msg p msg)
-               ~on_eof:(fun _ev -> die p "connection closed by gateway")
-               ~on_error:(fun _ev e ->
-                 match e with
-                 | `Send_closed -> die p "connection closed by gateway"
-                 | e -> die p (Evconn.error_to_string e))
-               conn
-           with
-           | exception e ->
-             (try Transport.close conn with _ -> ());
-             p.mx_phase <- Mx_done;
-             results.(i) <- Died (Printexc.to_string e);
-             decr remaining;
-             mx_arrive bar
-           | ev ->
-             p.mx_ev <- Some ev;
-             Evconn.send ev
-               (Codec.Hello_ex
-                  { device_id; window = config.window;
-                    firmware = config.firmware i });
-             arm_deadline p)
-      !mine;
-    (* run until every prover is done *and* its Bye has flushed *)
-    let all_flushed () =
-      List.for_all
-        (fun p ->
-           match p.mx_ev with None -> true | Some ev -> Evconn.is_closed ev)
-        !provers
-    in
-    Evloop.run loop ~stop:(fun () -> !remaining = 0 && all_flushed ());
-    List.iter
-      (fun p -> match p.mx_ev with Some ev -> Evconn.close ev | None -> ())
-      !provers;
+    (* run until every session has ended *and* its Bye has flushed *)
+    Evloop.run loop ~stop:(fun () ->
+        !live = 0 && List.for_all Client.is_closed !sessions);
     Evloop.close loop
   in
   let t0 = Unix.gettimeofday () in

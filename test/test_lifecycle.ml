@@ -368,15 +368,19 @@ let test_gw_revoked_at_handshake transport =
         | None -> Alcotest.fail "revoked prover was served");
        check_int "nothing granted" 0 session.N.Client.granted;
        check_int "no results" 0 (Array.length session.N.Client.results);
-       (* legacy greeting: the typed exception *)
+       (* legacy greeting: the same typed outcome *)
        let conn = dial () in
-       (match
-          N.Client.attest_rounds ~config:Test_net.client_config ~device
-            ~device_id:"dev-r" ~rounds:1 conn
-        with
-        | _ -> Alcotest.fail "revoked prover was served (legacy)"
-        | exception N.Client.Denied (N.Codec.Revoked, _) -> ());
+       let session =
+         N.Client.attest_rounds ~config:Test_net.client_config ~device
+           ~device_id:"dev-r" ~rounds:1 conn
+       in
        N.Transport.close conn;
+       (match session.N.Client.denied with
+        | Some (N.Codec.Revoked, _) -> ()
+        | _ -> Alcotest.fail "revoked prover was served (legacy)");
+       check_int "nothing granted (legacy)" 0 session.N.Client.granted;
+       check_int "no results (legacy)" 0
+         (Array.length session.N.Client.results);
        check_bool "denial quarantined the device" true
          (state_of lc "dev-r" = L.Quarantined L.Key_revoked);
        let stats = N.Server.stop server in

@@ -560,11 +560,11 @@ let test_gateway_memo_and_plan_cache_stats () =
           ~device_id:"dev-memo" ~rounds:4 conn
       in
       N.Transport.close conn;
-      check_int "four rounds" 4 (List.length rounds);
-      List.iter
-        (fun (r : N.Client.round) ->
-           check_bool "round accepted" true r.N.Client.accepted)
-        rounds;
+      check_int "four rounds" 4 (Array.length rounds.N.Client.results);
+      Array.iter
+        (fun (r : N.Client.pipelined_round) ->
+           check_bool "round accepted" true r.N.Client.p_accepted)
+        rounds.N.Client.results;
       let stats = N.Server.stats server in
       (match stats.N.Server.memo with
        | None -> Alcotest.fail "memo armed but stats carry none"
@@ -609,14 +609,14 @@ let test_gateway_stale_replay_rejected_despite_cache () =
           ~device_id:"dev-replayer" ~rounds:3 conn
       in
       N.Transport.close conn;
-      (match rounds with
-       | [ r1; r2; r3 ] ->
-         check_bool "honest round accepted" true r1.N.Client.accepted;
+      (match rounds.N.Client.results with
+       | [| r1; r2; r3 |] ->
+         check_bool "honest round accepted" true r1.N.Client.p_accepted;
          List.iter
-           (fun (r : N.Client.round) ->
-              check_bool "stale replay rejected" false r.N.Client.accepted;
+           (fun (r : N.Client.pipelined_round) ->
+              check_bool "stale replay rejected" false r.N.Client.p_accepted;
               check_bool "rejected for freshness, not replayed verdict" true
-                (List.exists (fun (k, _) -> k = "bad-token") r.N.Client.findings))
+                (List.exists (fun (k, _) -> k = "bad-token") r.N.Client.p_findings))
            [ r2; r3 ]
        | _ -> Alcotest.fail "three rounds expected");
       (* the stale replays died at the gate: the memo saw exactly one

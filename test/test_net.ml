@@ -375,13 +375,13 @@ let test_e2e_rounds transport =
           ~device_id:"dev-1" ~rounds:3 conn
       in
       N.Transport.close conn;
-      check_int "three rounds" 3 (List.length rounds);
-      List.iter
-        (fun (r : N.Client.round) ->
-           check_bool "accepted" true r.N.Client.accepted;
-           check_bool "first attempt" true (r.N.Client.attempt = 1);
-           check_bool "ran" true (r.N.Client.run <> None))
-        rounds;
+      check_int "three rounds" 3 (Array.length rounds.N.Client.results);
+      check_int "first attempts" 0 rounds.N.Client.busy_bounces;
+      Array.iter
+        (fun (r : N.Client.pipelined_round) ->
+           check_bool "accepted" true r.N.Client.p_accepted;
+           check_bool "ran" true (Float.is_finite r.N.Client.p_latency))
+        rounds.N.Client.results;
       let stats = N.Server.stop server in
       check_int "verdicts accepted" 3 stats.N.Server.verdicts_accepted;
       check_int "requests issued" 3 stats.N.Server.requests_issued;
@@ -398,7 +398,9 @@ let test_e2e_two_provers transport =
             ~device_id:id ~rounds:2 conn
         in
         N.Transport.close conn;
-        List.for_all (fun (r : N.Client.round) -> r.N.Client.accepted) rounds
+        Array.for_all
+          (fun (r : N.Client.pipelined_round) -> r.N.Client.p_accepted)
+          rounds.N.Client.results
       in
       let ok_a = ref false and ok_b = ref false in
       let ta = Thread.create (fun () -> ok_a := run "dev-a" ()) () in
@@ -423,11 +425,11 @@ let test_e2e_tampered_report_rejected transport =
           ~rounds:1 conn
       in
       N.Transport.close conn;
-      (match rounds with
-       | [ r ] ->
-         check_bool "rejected" true (not r.N.Client.accepted);
+      (match rounds.N.Client.results with
+       | [| r |] ->
+         check_bool "rejected" true (not r.N.Client.p_accepted);
          check_bool "bad-token finding" true
-           (List.exists (fun (k, _) -> k = "bad-token") r.N.Client.findings)
+           (List.exists (fun (k, _) -> k = "bad-token") r.N.Client.p_findings)
        | _ -> Alcotest.fail "expected one round");
       let stats = N.Server.stop server in
       check_int "rejected counted" 1 stats.N.Server.verdicts_rejected)
@@ -529,7 +531,7 @@ let test_e2e_max_conns_busy transport =
                N.Client.attest_rounds ~config:client_config ~device
                  ~device_id:"dev-next" ~rounds:1 conn)
         with
-        | [ r ] when r.N.Client.accepted -> ()
+        | { N.Client.results = [| r |]; _ } when r.N.Client.p_accepted -> ()
         | _ when n > 0 -> Thread.delay 0.02; retry (n - 1)
         | _ -> Alcotest.fail "freed slot never became usable"
         | exception N.Transport.Closed when n > 0 ->
@@ -711,8 +713,8 @@ let test_hostile_window_flood_and_bye transport =
           ~device_id:"dev-honest" ~rounds:1 conn
       in
       N.Transport.close conn;
-      (match rounds with
-       | [ r ] -> check_bool "honest round accepted" true r.N.Client.accepted
+      (match rounds.N.Client.results with
+       | [| r |] -> check_bool "honest round accepted" true r.N.Client.p_accepted
        | _ -> Alcotest.fail "expected one round");
       let stats = N.Server.stop server in
       check_int "window overflow counted" 6 stats.N.Server.window_overflow;
@@ -740,8 +742,8 @@ let test_hostile_seq_frames_on_legacy_session transport =
           ~device_id:"dev-honest" ~rounds:1 conn
       in
       N.Transport.close conn;
-      (match rounds with
-       | [ r ] -> check_bool "honest round accepted" true r.N.Client.accepted
+      (match rounds.N.Client.results with
+       | [| r |] -> check_bool "honest round accepted" true r.N.Client.p_accepted
        | _ -> Alcotest.fail "expected one round");
       let stats = N.Server.stop server in
       check_bool "violation counted" true (stats.N.Server.protocol_errors >= 1))
@@ -826,8 +828,8 @@ let test_server_survives_malformed_peers transport =
           ~device_id:"dev-honest" ~rounds:1 conn
       in
       N.Transport.close conn;
-      (match rounds with
-       | [ r ] -> check_bool "honest round accepted" true r.N.Client.accepted
+      (match rounds.N.Client.results with
+       | [| r |] -> check_bool "honest round accepted" true r.N.Client.p_accepted
        | _ -> Alcotest.fail "expected one round");
       let stats = N.Server.stop server in
       check_bool "hostile streams counted" true
@@ -859,8 +861,8 @@ let test_server_survives_slow_loris transport =
           ~device_id:"dev-honest" ~rounds:1 conn
       in
       N.Transport.close conn;
-      (match rounds with
-       | [ r ] -> check_bool "honest round accepted" true r.N.Client.accepted
+      (match rounds.N.Client.results with
+       | [| r |] -> check_bool "honest round accepted" true r.N.Client.p_accepted
        | _ -> Alcotest.fail "expected one round");
       let stats = N.Server.stop server in
       check_bool "timeout counted" true (stats.N.Server.deadline_timeouts >= 1);

@@ -81,9 +81,11 @@ let sequential_run ~dial ~tamper rounds =
       ~device_id:"dev-seq" ~rounds conn
   in
   N.Transport.close conn;
-  List.map
-    (fun (r : N.Client.round) -> round_key r.N.Client.accepted r.N.Client.findings)
-    out
+  Array.to_list
+    (Array.map
+       (fun (r : N.Client.pipelined_round) ->
+          round_key r.N.Client.p_accepted r.N.Client.p_findings)
+       out.N.Client.results)
 
 let pipelined_run ~dial ~tamper ~window rounds =
   let conn = dial () in
@@ -347,6 +349,59 @@ let test_swarm_denied_provers_finish transport =
       check_int "registered provers accepted" 8
         outcome.N.Swarm.rounds_accepted)
 
+(* A swarm prover cut mid-window whose own send races the gateway's
+   close: a scripted gateway answers Hello_ex with Welcome and each
+   Ready with a Request#seq, then, while the prover answers round 1,
+   sends the verdicts for rounds 0 and 1 and a Denied, and closes. The
+   Report for round 1 meets the closed connection; the verdicts queued
+   ahead of the denial were delivered and must count. *)
+let test_swarm_cut_keeps_delivered_verdicts () =
+  let gw = ref None in
+  let gateway conn =
+    let chan = N.Chan.create conn in
+    let rec serve seq =
+      match N.Chan.recv chan ~deadline:5.0 () with
+      | Ok (Some (N.Codec.Hello_ex _)) ->
+        N.Chan.send chan (N.Codec.Welcome { window = 2 });
+        serve seq
+      | Ok (Some N.Codec.Ready) ->
+        N.Chan.send chan
+          (N.Codec.Request_seq
+             { seq; challenge = Printf.sprintf "cut-%d" seq;
+               args = fire_sensor.Apps.benign_args });
+        serve (seq + 1)
+      | Ok (Some _) -> serve seq
+      | Ok None | Error _ -> ()
+    in
+    try serve 0 with N.Transport.Closed | N.Transport.Timeout -> ()
+  in
+  let dial () =
+    let conn, gw_end = N.Transport.loopback () in
+    gw := Some (gw_end, Thread.create gateway gw_end);
+    conn
+  in
+  let respond ~client:_ ~shape:_ ~seq req =
+    (if seq = 1 then
+       let gw_end, _ = Option.get !gw in
+       let chan = N.Chan.create gw_end in
+       List.iter (N.Chan.send chan)
+         [ N.Codec.Verdict_seq { seq = 0; accepted = true; findings = [] };
+           N.Codec.Verdict_seq { seq = 1; accepted = true; findings = [] };
+           N.Codec.Denied { cause = N.Codec.Revoked; detail = "key revoked" } ];
+       N.Transport.close gw_end);
+    fst (C.Protocol.prover_execute (make_device ()) req)
+  in
+  let config =
+    { N.Swarm.default_config with
+      N.Swarm.clients = 1; rounds = 4; window = 2; concurrency = 1;
+      client = client_config }
+  in
+  let outcome = N.Swarm.run ~config ~dial ~respond () in
+  Option.iter (fun (_, th) -> Thread.join th) !gw;
+  check_int "no client failed" 0 outcome.N.Swarm.clients_failed;
+  check_int "the cut counts as a denial" 1 outcome.N.Swarm.clients_denied;
+  check_int "delivered verdicts count" 2 outcome.N.Swarm.rounds_accepted
+
 let suites =
   [ ("net-swarm",
      List.map
@@ -361,4 +416,6 @@ let suites =
            ("multiplexed swarm holds all sessions", test_swarm_multiplexed);
            ("multiplexed swarm surfaces rejections",
             test_swarm_multiplexed_tampered);
-           ("denied provers finish", test_swarm_denied_provers_finish) ]) ]
+           ("denied provers finish", test_swarm_denied_provers_finish) ]
+     @ [ Alcotest.test_case "cut keeps delivered verdicts" `Quick
+           test_swarm_cut_keeps_delivered_verdicts ]) ]
