@@ -1,6 +1,7 @@
 (** A framed {!Codec.msg} channel over one blocking {!Transport}
-    connection — the read/decode loop of the prover {!Client}. (The
-    gateway and the swarm read through {!Evconn} instead.)
+    connection: scripted peers in tests and the single-prover
+    [bench/main.exe net] loop. (The gateway, the prover {!Client} and
+    the swarm read through {!Evconn} instead.)
 
     [recv] enforces a {e per-message} deadline: the clock starts when the
     call starts, and every underlying read gets only the remaining time.

@@ -1,5 +1,5 @@
 (* Non-blocking framed connection pump for event-loop drivers (the
-   gateway and the swarm).
+   gateway and the prover sessions).
 
    One [t] per connection: readiness events (fd or loopback hook) drain
    the transport into the poisoned incremental {!Frame} decoder and

@@ -1,5 +1,5 @@
 (** Non-blocking framed connection pump for {!Evloop} drivers (the
-    gateway and the swarm).
+    gateway and the prover {!Client} sessions).
 
     One value per connection: readiness events drain the transport
     through the poisoned incremental {!Frame} decoder and surface

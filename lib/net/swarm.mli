@@ -2,12 +2,10 @@
     attestation sessions against one gateway, from a bounded pool of
     worker threads.
 
-    Each simulated prover runs one pipelined session over its own
-    connection, with the per-prover behavior of
-    {!Client.attest_pipelined}; [concurrency] worker threads each run
-    an {!Evloop} that multiplexes a share of the provers, so [clients]
-    can far exceed the thread count and every session is held open at
-    once. The aggregate outcome reports saturation throughput and the
+    Each simulated prover is one {!Client} session over its own
+    connection; [concurrency] worker threads each run an {!Evloop} that
+    multiplexes a share of the sessions, so [clients] can far exceed
+    the thread count and every session is held open at once. The aggregate outcome reports saturation throughput and the
     latency distribution (per-round report→verdict time), which is what
     the swarm experiment plots against the raw fleet-engine rate.
 
@@ -90,23 +88,22 @@ val run :
 
     Each of the [concurrency] worker threads runs an {!Evloop} that
     multiplexes its share of the provers ([client i] is owned by
-    [worker (i mod concurrency)]) as non-blocking state machines, so
-    all [clients] sessions are held {e open simultaneously} — the c10k
+    [worker (i mod concurrency)]) as {!Client} sessions, so all
+    [clients] sessions are held {e open simultaneously} — the c10k
     load shape: 10k provers over 16 threads. After every prover has
     dialed and completed its [Hello_ex]/[Welcome] handshake (or died
     trying), a cross-worker barrier releases the fleet at once, so the
     gateway's peak-connection counter provably reaches [clients] before
-    the first round is played. Per-prover behavior (window top-up, Busy
-    backoff with the same jittered delays, reply deadlines, give-up
-    rules) mirrors {!Client.attest_pipelined}; deadlines and backoffs
-    are loop timers rather than blocking waits.
+    the first round is played. Window top-up, Busy backoff, reply
+    deadlines and the give-up rules are the session's own.
 
     A prover whose session fails (a failed dial, a protocol violation,
     the gateway closing on it) is counted in [clients_failed]; the rest
     of the swarm keeps running. A prover the gateway denies (lifecycle
     registry) is {e not} a failure: it lands in
     [clients_denied]/[denied_by_cause], and only its completed prefix
-    of rounds is counted in the accepted/rejected totals. *)
+    of rounds is counted in the accepted/rejected totals — including
+    verdicts delivered before a cut that raced the prover's own send. *)
 
 val latency_p : outcome -> float -> float
 (** [latency_p o 99.0] = the p99 round latency in seconds (0 when no

@@ -10,10 +10,12 @@
 
     Two driving styles coexist:
     {ul
-    {- {e blocking}: {!recv}/{!send}, used by the blocking {!Client};}
+    {- {e blocking}: {!recv}/{!send}, used by {!Chan} (scripted test
+       peers and the single-prover bench);}
     {- {e readiness}: {!try_recv}/{!try_send} plus either a pollable
        file descriptor ({!Fd}) or a writer-invoked callback ({!Hook}),
-       used by the gateway's {!Evloop} and the swarm driver.}}
+       used through {!Evconn} by the gateway, the prover {!Client} and
+       the swarm.}}
 
     Loopback connections and listeners are internally locked and safe to
     drive from multiple threads; Unix-socket connections carry the usual

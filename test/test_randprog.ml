@@ -384,8 +384,8 @@ let prop_selective_soundness =
          criticals;
        true)
 
-(* seeds whose generated programs fill the OR log in the benign run,
-   once miscounted as rejections *)
+(* seeds whose generated programs fill the OR log in the benign run:
+   regression cases for the discard rule above *)
 let selective_soundness_pins =
   List.map
     (fun seed ->
