@@ -783,6 +783,7 @@ let memo_json cores identical points =
   Printf.sprintf
     "{\n\
     \  \"experiment\": \"verdict_memoization\",\n\
+    \  %s,\n\
     \  \"available_cores\": %d,\n\
     \  \"domains\": %d,\n\
     \  \"reports\": %d,\n\
@@ -791,7 +792,8 @@ let memo_json cores identical points =
     \  \"sweep\": [%s\n  ],\n\
     \  \"speedup_at_64x\": %.2f\n\
      }\n"
-    cores fleet_domains memo_total fleet_reps identical
+    (methodology_json ~runs:fleet_reps ()) cores fleet_domains memo_total
+    fleet_reps identical
     (String.concat ","
        (List.map
           (fun p ->
@@ -903,7 +905,7 @@ let lint_bench () =
               (* the gate configuration the fleet plan cache runs *)
               let r = C.Verifier.audit_built built in
               assert (S.Report.ok r);
-              let t = time_per_call (fun () -> C.Verifier.audit_built built) in
+              let t = median_time (fun () -> C.Verifier.audit_built built) in
               let passes = timings_of built in
               (* footprint figure under a 64-iteration loop policy (may
                  exceed the OR capacity; that is the point) *)
@@ -967,12 +969,14 @@ let lint_bench () =
     (Printf.sprintf
        "{\n\
        \  \"experiment\": \"static_audit\",\n\
+       \  %s,\n\
+       \  \"pass_breakdown\": \"minimum of 21 audits\",\n\
        \  \"loop_bound\": 64,\n\
        \  \"dataflow_within_10x_scan\": %b,\n\
        \  \"apps\": [%s\n  ],\n\
        \  \"selective_savings\": [%s\n  ]\n\
         }\n"
-       dataflow_ok
+       (methodology_json ()) dataflow_ok
        (String.concat ","
           (List.map
              (fun ((app : Apps.app), selective, r, rb, t, p) ->
@@ -1106,6 +1110,7 @@ let net_bench () =
     (Printf.sprintf
        "{\n\
        \  \"experiment\": \"gateway_round_trips\",\n\
+       \  %s,\n\
        \  \"transport\": \"loopback\",\n\
        \  \"app\": %S,\n\
        \  \"rounds\": %d,\n\
@@ -1117,7 +1122,8 @@ let net_bench () =
        \  \"all_accepted\": %b,\n\
        \  \"server\": %s\n\
         }\n"
-       app.Apps.name net_rounds rps p50 p99 codec_mb_s
+       (methodology_json ~runs:1 ()) app.Apps.name net_rounds rps p50 p99
+       codec_mb_s
        (String.length framed) (!accepted = net_rounds)
        (N.Server.stats_to_json stats));
   printf "wrote BENCH_net.json@."
