@@ -225,8 +225,9 @@ let on_busy s =
     top_up s
   end
 
+let pp msg = Format.asprintf "%a" Codec.pp_msg msg
+
 let on_msg s msg =
-  let pp = Format.asprintf "%a" Codec.pp_msg in
   if s.phase = Running then s.consec_timeouts <- 0;
   match s.phase, msg with
   | Ended, _ -> ()
