@@ -46,7 +46,8 @@ type t = {
   posted_m : Mutex.t;
   signalled : bool Atomic.t;
   scratch_buf : bytes;
-  mutable closed : bool;
+  shut : bool Atomic.t;
+  waking : int Atomic.t; (* wakes between their [shut] check and write *)
 }
 
 let backend t = t.be
@@ -182,10 +183,18 @@ let next_timeout_ms t =
 
 (* ------------------------ wakeup machinery ----------------------- *)
 
+(* A loopback writer can run a readiness hook it read just before the
+   loop's owner detached it and closed the loop, so a wake may arrive
+   after [close]. It must not write then: the self-pipe's descriptors
+   may be closed, half closed (SIGPIPE) or already reused. [close] marks
+   the loop shut and waits out the wakes that passed the check. *)
 let wake t =
-  if Atomic.compare_and_set t.signalled false true then
-    try ignore (Unix.write_substring t.pipe_w "x" 0 1)
-    with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ()
+  Atomic.incr t.waking;
+  (if (not (Atomic.get t.shut)) && Atomic.compare_and_set t.signalled false true
+   then
+     try ignore (Unix.write_substring t.pipe_w "x" 0 1)
+     with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ());
+  Atomic.decr t.waking
 
 let post t f =
   Mutex.lock t.posted_m;
@@ -306,14 +315,15 @@ let create ?backend () =
       posted_m = Mutex.create ();
       signalled = Atomic.make false;
       scratch_buf = Bytes.create 65536;
-      closed = false }
+      shut = Atomic.make false;
+      waking = Atomic.make 0 }
   in
   watch t pipe_r ~read:(Some (fun () -> drain_pipe t)) ~write:None;
   t
 
 let close t =
-  if not t.closed then begin
-    t.closed <- true;
+  if not (Atomic.exchange t.shut true) then begin
+    while Atomic.get t.waking > 0 do Thread.yield () done;
     (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
     (try Unix.close t.pipe_w with Unix.Unix_error _ -> ());
     match t.epfd with

@@ -25,7 +25,8 @@ val backend : t -> backend
 
 val close : t -> unit
 (** Release the loop's file descriptors (self-pipe, epoll instance).
-    Idempotent. Only call once {!run} has returned. *)
+    Idempotent. Only call once {!run} has returned. Later {!post}s and
+    {!wake}s from other threads are harmless no-ops. *)
 
 (** {2 Fd readiness (level-triggered)} *)
 

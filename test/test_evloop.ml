@@ -260,6 +260,27 @@ let backends =
   ("poll", `Poll)
   :: (if N.Rawpoll.has_epoll () then [ ("epoll", `Epoll) ] else [])
 
+(* A wake can land after [close]: a loopback writer may run a hook it
+   read just before the loop's owner detached it. It must not write to
+   the loop's old pipe, whose descriptors the next pipe opened reuses
+   (the poll backend, with no epoll descriptor in between, makes the
+   reuse exact). *)
+let test_wake_after_close () =
+  let loop = N.Evloop.create ~backend:`Poll () in
+  N.Evloop.close loop;
+  let r, w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock r;
+  N.Evloop.post loop ignore;
+  N.Evloop.wake loop;
+  let stray =
+    match Unix.read r (Bytes.create 1) 0 1 with
+    | n -> n
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> 0
+  in
+  Unix.close r;
+  Unix.close w;
+  check_int "no byte reached a reused descriptor" 0 stray
+
 let suites =
   [ ("net-evloop",
      List.concat_map
@@ -277,4 +298,6 @@ let suites =
             t "fd write interest" test_write_interest ])
        backends
      @ [ Alcotest.test_case "timer cascades across wheel levels" `Slow
-           test_timer_cascade ]) ]
+           test_timer_cascade;
+         Alcotest.test_case "wake after close writes nothing" `Quick
+           test_wake_after_close ]) ]
