@@ -151,7 +151,6 @@ let rec arm_deadline s =
     s.cfg.read_deadline
 
 and on_deadline s =
-  s.deadline <- None;
   match s.phase with
   | Welcome -> violation s "no Welcome from gateway (timeout)"
   | Running ->
@@ -169,11 +168,7 @@ let top_up s =
       send s Codec.Ready;
       s.inflight <- s.inflight + 1
     done;
-  if s.inflight > 0 then arm_deadline s
-  else begin
-    cancel s s.deadline;
-    s.deadline <- None
-  end
+  if s.inflight > 0 then arm_deadline s else cancel s s.deadline
 
 let start s =
   s.started <- true;
