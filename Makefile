@@ -1,7 +1,7 @@
 # Convenience wrappers around dune; `dune` remains the source of truth.
 
 .PHONY: build test lint bench bench-replay bench-replay-gate bench-fleet bench-fleet-gate \
-        bench-lint bench-net bench-swarm bench-swarm-gate bench-memo \
+        bench-lint bench-swarm bench-swarm-gate bench-memo \
         bench-memo-gate bench-lifecycle bench-e2e-smoke examples clean
 
 build:
@@ -39,11 +39,6 @@ bench-fleet-gate:
 # Static-audit cost per binary (BENCH_lint.json)
 bench-lint:
 	dune exec bench/main.exe -- lint
-
-# Gateway round-trips over the in-memory loopback (BENCH_net.json);
-# no ports, no network access needed
-bench-net:
-	dune exec bench/main.exe -- net
 
 # Pipelined-gateway saturation: swarm of simulated provers vs the raw
 # engine stream rate (BENCH_swarm.json)

@@ -4,7 +4,7 @@
    itself.
 
    Run everything:        dune exec bench/main.exe
-   One experiment:        dune exec bench/main.exe -- table1|fig6a|fig6b|fig6c|ablations|micro|replay|fleet|lint|net|shapes
+   One experiment:        dune exec bench/main.exe -- table1|fig6a|fig6b|fig6c|ablations|micro|replay|fleet|lint|shapes
 *)
 
 module M = Dialed_msp430
@@ -1006,138 +1006,16 @@ let lint_bench () =
   printf "@.wrote BENCH_lint.json@."
 
 (* ------------------------------------------------------------------ *)
-(* Gateway round-trips: full attestation rounds (challenge -> execute ->
-   attest -> framed report -> replay verdict) over the in-memory
-   loopback, end to end through the Dialed_net server, plus the raw
-   frame+codec throughput in isolation. Writes BENCH_net.json.          *)
-
-module N = Dialed_net
-
-let net_rounds = 120
-let net_warmup = 8
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-
-let net_bench () =
-  section "Gateway: attestation round-trips over the loopback transport";
-  let app = Apps.fire_sensor in
-  let built = Apps.build app in
-  let plan = F.Plan.of_built built in
-  (* raw codec cost first, no transport: frame+codec encode/decode of a
-     realistic Report message *)
-  let report_bytes =
-    let device = C.Pipeline.device built in
-    app.Apps.setup device;
-    ignore (A.Device.run_operation ~args:app.Apps.benign_args device);
-    A.Wire.encode (A.Device.attest device ~challenge:"bench-net")
-  in
-  let framed = N.Frame.encode (N.Codec.encode (N.Codec.Report report_bytes)) in
-  let codec_s =
-    time_per_call (fun () ->
-        let d = N.Frame.decoder () in
-        match N.Frame.feed d framed with
-        | Ok [ payload ] -> ignore (N.Codec.decode payload)
-        | _ -> failwith "net-bench: frame did not decode")
-  in
-  let codec_mb_s =
-    float_of_int (String.length framed) /. codec_s /. 1e6
-  in
-  (* now the full loop: loopback listener, gateway, one prover driven
-     round by round so each round-trip is timed individually *)
-  let listener, dial = N.Transport.loopback_listener () in
-  let config =
-    { N.Server.default_config with
-      N.Server.domains = 2; window = 8; args = app.Apps.benign_args }
-  in
-  let server = N.Server.create ~config ~plan listener in
-  N.Server.start server;
-  let conn = dial () in
-  let chan = N.Chan.create conn in
-  let recv () =
-    match N.Chan.recv chan ~deadline:30.0 () with
-    | Ok (Some m) -> m
-    | _ -> failwith "net-bench: gateway hung up"
-  in
-  N.Chan.send chan (N.Codec.Hello { device_id = "bench-prover" });
-  let round () =
-    N.Chan.send chan N.Codec.Ready;
-    match recv () with
-    | N.Codec.Request { challenge; args } ->
-      let device = C.Pipeline.device built in
-      app.Apps.setup device;
-      let report, _ =
-        C.Protocol.prover_execute device { C.Protocol.challenge; args }
-      in
-      N.Chan.send chan (N.Codec.Report (A.Wire.encode report));
-      (match recv () with
-       | N.Codec.Verdict { accepted; _ } -> accepted
-       | _ -> failwith "net-bench: expected Verdict")
-    | _ -> failwith "net-bench: expected Request"
-  in
-  for _ = 1 to net_warmup do
-    ignore (round ())
-  done;
-  let lat = Array.make net_rounds 0.0 in
-  let accepted = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to net_rounds - 1 do
-    let r0 = Unix.gettimeofday () in
-    if round () then incr accepted;
-    lat.(i) <- Unix.gettimeofday () -. r0
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  N.Chan.send chan N.Codec.Bye;
-  N.Transport.close conn;
-  let stats = N.Server.stop server in
-  assert (!accepted = net_rounds);
-  assert (stats.N.Server.protocol_errors = 0);
-  let sorted = Array.copy lat in
-  Array.sort compare sorted;
-  let p50 = percentile sorted 0.50 *. 1e6 in
-  let p99 = percentile sorted 0.99 *. 1e6 in
-  let rps = float_of_int net_rounds /. wall in
-  printf "%-44s %14.0f@." "round-trips/s (1 prover, loopback)" rps;
-  printf "%-44s %14.1f@." "p50 round latency (us)" p50;
-  printf "%-44s %14.1f@." "p99 round latency (us)" p99;
-  printf "%-44s %14.1f@." "frame+codec decode (MB/s)" codec_mb_s;
-  printf "gateway: %d frames rx, %d tx, %d bytes rx; fleet replayed %d \
-          reports@."
-    stats.N.Server.frames_rx stats.N.Server.frames_tx stats.N.Server.bytes_rx
-    stats.N.Server.verify.F.Metrics.batch_size;
-  write_file "BENCH_net.json"
-    (Printf.sprintf
-       "{\n\
-       \  \"experiment\": \"gateway_round_trips\",\n\
-       \  %s,\n\
-       \  \"transport\": \"loopback\",\n\
-       \  \"app\": %S,\n\
-       \  \"rounds\": %d,\n\
-       \  \"round_trips_per_sec\": %.1f,\n\
-       \  \"p50_latency_us\": %.1f,\n\
-       \  \"p99_latency_us\": %.1f,\n\
-       \  \"frame_codec_mb_per_sec\": %.1f,\n\
-       \  \"report_frame_bytes\": %d,\n\
-       \  \"all_accepted\": %b,\n\
-       \  \"server\": %s\n\
-        }\n"
-       (methodology_json ~runs:1 ()) app.Apps.name net_rounds rps p50 p99
-       codec_mb_s
-       (String.length framed) (!accepted = net_rounds)
-       (N.Server.stats_to_json stats));
-  printf "wrote BENCH_net.json@."
-
-(* ------------------------------------------------------------------ *)
 (* Swarm: pipelined gateway saturation against the raw engine rate.
-   BENCH_net times one prover round by round, so its number is bounded
-   by the network round-trip and the prover's own execution cost — the
-   ~20x "gateway/engine gap" was never verifier-side. Here the swarm
+   One prover timed round by round is bounded by the round-trip and the
+   prover's own execution cost, not by the verifier. Here the swarm
    pipelines windows of rounds from many provers (cheap re-attestation
    per round: one device execution per prover, one SW-Att pass per
    challenge), so the gateway's verify stream saturates and the honest
    comparison is gateway rounds/s vs raw Fleet.verify_stream reports/s
    on the same host. Writes BENCH_swarm.json.                          *)
+
+module N = Dialed_net
 
 let swarm_engine_reports = 384
 let swarm_clients = 48
@@ -1747,7 +1625,7 @@ let () =
       ("fig6c", fig6c); ("ablations", ablations); ("breakdown", breakdown);
       ("swatt", swatt_bench); ("micro", micro); ("replay", replay_bench);
       ("fleet", fleet); ("memo", memo_bench); ("lint", lint_bench);
-      ("net", net_bench); ("swarm", swarm_bench);
+      ("swarm", swarm_bench);
       ("lifecycle", lifecycle_bench); ("shapes", shape_check) ]
   in
   (* CI-only gates, reachable by name but excluded from a bare run-all *)

@@ -154,33 +154,3 @@ value dialed_poll(value fds, value vnfds, value vtimeout_ms, value out)
   free(pfds);
   return Val_int(k);
 }
-
-/* One-fd deadline wait (the Transport per-read deadline): returns the
-   ready event bits, 0 on timeout, -1 when interrupted by a signal (the
-   caller recomputes the remaining time and retries). */
-value dialed_poll_one(value vfd, value vmask, value vtimeout_ms)
-{
-  struct pollfd p;
-  int n;
-  p.fd = Int_val(vfd);
-  p.events = 0;
-  if (Int_val(vmask) & DIALED_EV_READ) p.events |= POLLIN;
-  if (Int_val(vmask) & DIALED_EV_WRITE) p.events |= POLLOUT;
-  p.revents = 0;
-  caml_release_runtime_system();
-  n = poll(&p, 1, Int_val(vtimeout_ms));
-  caml_acquire_runtime_system();
-  if (n == -1) {
-    if (errno == EINTR) return Val_int(-1);
-    caml_uerror("poll", Nothing);
-  }
-  if (n == 0) return Val_int(0);
-  {
-    int bits = 0;
-    if (p.revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL))
-      bits |= DIALED_EV_READ;
-    if (p.revents & (POLLOUT | POLLERR | POLLHUP)) bits |= DIALED_EV_WRITE;
-    if (bits == 0) bits = DIALED_EV_READ;
-    return Val_int(bits);
-  }
-}

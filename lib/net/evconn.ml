@@ -7,10 +7,12 @@
    per-connection write queue and flushed opportunistically, with write
    interest armed only while the kernel buffer is full.
 
-   Handlers own the connection's fate: [on_eof]/[on_error] fire exactly
-   once per event but do not close — callers call {!close} (or
-   {!close_after_flush} to let queued verdicts drain first). Everything
-   here runs on the loop thread. *)
+   Handlers own the connection's fate: [on_eof]/[on_error] do not close,
+   and every handler must close — {!close}, or {!close_after_flush} to
+   let queued verdicts drain first. Until it does, an fd's EOF or error
+   is seen again on every loop iteration (readiness is level-triggered),
+   and the handler fires again each time. Everything here runs on the
+   loop thread. *)
 
 type error =
   [ `Eof_mid_frame  (** peer vanished with a partial frame buffered *)
@@ -45,7 +47,6 @@ type t = {
 
 let peer t = t.conn |> Transport.peer
 let is_closed t = t.closed
-let transport t = t.conn
 
 let close t =
   if not t.closed then begin
@@ -78,7 +79,9 @@ let rec read_ready t =
               | Error e -> fail t (`Codec e)
               | Ok msg ->
                 t.on_msg t msg;
-                if not t.closed then go rest)
+                (* a handler that closed or condemned the connection
+                   hears nothing more, even from this same read *)
+                if not (t.closed || t.draining) then go rest)
          in
          go payloads)
   end
@@ -152,9 +155,8 @@ let attach ~loop ?(cap = Frame.default_cap) ?(wq_max = 1 lsl 20) ~on_msg
     ~on_eof ~on_error ?(on_traffic = fun ~rx:_ ~tx:_ -> ()) conn =
   let kind =
     match Transport.readiness conn with
-    | Some (Transport.Fd fd) -> `Fd fd
-    | Some Transport.Hook -> `Hook
-    | None -> invalid_arg "Evconn.attach: transport has no readiness support"
+    | Transport.Fd fd -> `Fd fd
+    | Transport.Hook -> `Hook
   in
   let t =
     { loop; conn; dec = Frame.decoder ~cap (); kind;

@@ -6,10 +6,13 @@
     {!Codec} messages via [on_msg]; {!send} queues encoded frames in a
     bounded write queue flushed as the peer accepts bytes.
 
-    Handlers own the connection's fate: [on_eof] and [on_error] fire at
-    most once but do {e not} close — call {!close}, or
-    {!close_after_flush} to let queued replies drain first. All
-    callbacks and all functions here run on the loop thread. *)
+    Handlers own the connection's fate: [on_eof] and [on_error] do
+    {e not} close, and every handler must — call {!close}, or
+    {!close_after_flush} to let queued replies drain first. Until it
+    does, they fire again: on an fd, readiness is level-triggered, so
+    an unclosed connection's EOF or error is seen on every loop
+    iteration. All callbacks and all functions here run on the loop
+    thread. *)
 
 type error =
   [ `Eof_mid_frame  (** peer vanished with a partial frame buffered *)
@@ -37,8 +40,7 @@ val attach :
     bounds queued unsent bytes (default 1 MiB) — exceeding it raises
     [`Wqueue_overflow] via [on_error] instead of buffering without
     bound for a peer that stopped reading. [on_traffic] observes byte
-    deltas for stats. Raises [Invalid_argument] for transports with no
-    readiness support. *)
+    deltas for stats. *)
 
 val send : t -> Codec.msg -> unit
 (** Encode, frame, queue and opportunistically flush. Dropped silently
@@ -54,6 +56,3 @@ val close_after_flush : t -> unit
 
 val peer : t -> string
 val is_closed : t -> bool
-
-val transport : t -> Transport.conn
-(** The underlying connection (for tests). *)

@@ -19,22 +19,3 @@ external epoll_wait :
   Unix.file_descr -> int -> int array -> int = "dialed_epoll_wait"
 
 external poll : int array -> int -> int -> int array -> int = "dialed_poll"
-
-external poll_one :
-  Unix.file_descr -> int -> int -> int = "dialed_poll_one"
-
-(* Deadline wait on one fd. [deadline] is an absolute Unix.gettimeofday
-   time; returns ready event bits or 0 on timeout. Handles EINTR by
-   retrying with the remaining budget. *)
-let wait_fd fd mask ~deadline =
-  let rec go () =
-    let remaining = deadline -. Unix.gettimeofday () in
-    if remaining <= 0.0 then 0
-    else
-      let ms = int_of_float (ceil (remaining *. 1000.0)) in
-      let ms = if ms < 1 then 1 else ms in
-      match poll_one fd mask ms with
-      | -1 -> go ()
-      | n -> n
-  in
-  go ()

@@ -1,9 +1,8 @@
 (** Bindings over [poll(2)] and (on Linux) [epoll(7)].
 
     [Unix.select] caps file descriptors at [FD_SETSIZE] (1024); these
-    primitives have no such ceiling and are the substrate for both the
-    event-loop gateway ({!Evloop}) and {!Transport}'s per-read deadline
-    waits. *)
+    primitives have no such ceiling and are the substrate of {!Evloop},
+    the one event loop every connection is driven by. *)
 
 val ev_read : int
 (** Event bit: fd is readable (or in error/hangup — folded into read so
@@ -42,12 +41,3 @@ val poll : int array -> int -> int -> int array -> int
 (** [poll fds nfds timeout_ms out]: [fds] holds (fd, interest) pairs of
     which the first [nfds] are live; ready (fd, events) pairs are
     written to [out]; returns the ready count. Portable backend. *)
-
-val poll_one : Unix.file_descr -> int -> int -> int
-(** [poll_one fd mask timeout_ms] waits for readiness on a single fd.
-    Returns ready event bits, [0] on timeout, [-1] on EINTR. *)
-
-val wait_fd : Unix.file_descr -> int -> deadline:float -> int
-(** [wait_fd fd mask ~deadline] waits until [fd] is ready or the
-    absolute time [deadline] (as [Unix.gettimeofday]) passes. Returns
-    ready bits or [0] on timeout; retries transparently on EINTR. *)

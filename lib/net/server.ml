@@ -274,13 +274,16 @@ let admit_locked t =
     `Admit id
   end
 
+(* Best effort, like every send to a peer about to be dropped: a freshly
+   accepted socket takes the ~20-byte frame whole, and loopback sends
+   always complete. *)
 let refuse t conn reason =
-  (try
-     Transport.send conn
-       (Frame.encode ~cap:t.cfg.max_frame
-          (Codec.encode (Codec.Busy reason)));
-     Transport.close conn
+  let frame =
+    Frame.encode ~cap:t.cfg.max_frame (Codec.encode (Codec.Busy reason))
+  in
+  (try ignore (Transport.try_send conn frame 0 (String.length frame))
    with _ -> ());
+  Transport.close conn;
   locked t (fun () ->
       if reason = "server full" then
         t.c_ratelimited <- t.c_ratelimited + 1)
@@ -652,15 +655,13 @@ let run_evloop t =
     go ()
   in
   (match Transport.listener_readiness t.listener with
-   | Some (Transport.Fd lfd) ->
+   | Transport.Fd lfd ->
      Evloop.watch loop lfd ~read:(Some accept_burst) ~write:None
-   | Some Transport.Hook ->
+   | Transport.Hook ->
      Transport.on_acceptable t.listener
        (Some (Evloop.hook_source loop accept_burst));
      (* dials that raced the hook installation *)
-     Evloop.post loop accept_burst
-   | None ->
-     invalid_arg "Server: the listener has no readiness support");
+     Evloop.post loop accept_burst);
   F.Fleet.stream_on_progress t.stream
     (Some (Evloop.hook_source loop drain_verdicts));
   Evloop.run loop ~stop:(fun () ->
@@ -668,10 +669,9 @@ let run_evloop t =
   (* cleanup, still on the loop thread *)
   F.Fleet.stream_on_progress t.stream None;
   (match Transport.listener_readiness t.listener with
-   | Some (Transport.Fd lfd) -> Evloop.unwatch loop lfd
-   | Some Transport.Hook ->
-     (try Transport.on_acceptable t.listener None with _ -> ())
-   | None -> ());
+   | Transport.Fd lfd -> Evloop.unwatch loop lfd
+   | Transport.Hook ->
+     (try Transport.on_acceptable t.listener None with _ -> ()));
   let all = Hashtbl.fold (fun _ ec acc -> ec :: acc) conns [] in
   List.iter (fun ec -> close_conn ec) all;
   (* verdicts for submitted-but-unanswered reports are dropped, like

@@ -1,50 +1,31 @@
-(** Byte-stream transports for the gateway: real Unix sockets and a
-    deterministic in-memory loopback.
+(** Byte-stream transports for the gateway: real Unix sockets, and an
+    in-memory loopback for tests and in-process benches (never for
+    deployment).
 
     The gateway and prover only ever see this small connection surface,
-    so every test and the bench can run over the loopback — no ports, no
-    kernel buffers, no network flakes — while deployment uses TCP or a
-    [socketpair]. Connections are byte streams with an optional
-    {e per-read deadline}; the gateway composes those into per-message
-    deadlines (its slow-loris defense).
+    so every gateway test runs over the loopback (no ports, no kernel
+    buffers) as well as over TCP, while deployment uses TCP or a
+    [socketpair].
 
-    Two driving styles coexist:
-    {ul
-    {- {e blocking}: {!recv}/{!send}, used by {!Chan} (scripted test
-       peers and the single-prover bench);}
-    {- {e readiness}: {!try_recv}/{!try_send} plus either a pollable
-       file descriptor ({!Fd}) or a writer-invoked callback ({!Hook}),
-       used through {!Evconn} by the gateway, the prover {!Client} and
-       the swarm.}}
+    There is one driving style, readiness: non-blocking {!try_recv} and
+    {!try_send}, plus either a pollable file descriptor ({!Fd}) or a
+    writer-invoked callback ({!Hook}) that tells an event loop when to
+    read. The gateway, the prover {!Client} and the swarm all drive
+    connections this way through {!Evconn}.
 
     Loopback connections and listeners are internally locked and safe to
-    drive from multiple threads; Unix-socket connections carry the usual
-    file-descriptor caveats (one reader at a time). Deadline waits ride
-    on [poll(2)] (sockets) or a condition variable plus a shared timer
-    thread (loopback) — no [Unix.select], so nothing breaks past
-    [FD_SETSIZE] fds, and no polling sleeps.
+    drive from multiple threads, and start no thread of their own;
+    Unix-socket connections carry the usual file-descriptor caveats (one
+    reader at a time).
 
     The first socket connection a process opens sets SIGPIPE to be
     ignored, so a write to a peer that has gone raises {!Closed} instead
     of killing the process. *)
 
-exception Timeout
-(** A read outlived its deadline. *)
-
 exception Closed
 (** Write on (or accept from) an endpoint that was closed. *)
 
 type conn
-
-val recv : conn -> ?deadline:float -> bytes -> int -> int -> int
-(** [recv conn buf pos len] blocks for at least one byte, returning the
-    count read; [0] means end-of-stream. [deadline] (seconds, relative)
-    bounds the wait — raises {!Timeout} when it elapses first, and a
-    non-positive deadline times out immediately. *)
-
-val send : conn -> string -> unit
-(** Write the whole string. Raises {!Closed} once the peer (or this end)
-    is gone. *)
 
 val close : conn -> unit
 (** Idempotent. The peer's pending and future reads see end-of-stream. *)
@@ -58,9 +39,8 @@ type readiness =
   | Fd of Unix.file_descr  (** pollable: register with poll/epoll *)
   | Hook  (** in-memory: writer invokes a registered callback *)
 
-val readiness : conn -> readiness option
-(** How an event loop can learn this connection is readable, or [None]
-    for transports that only support blocking reads. *)
+val readiness : conn -> readiness
+(** How an event loop can learn this connection is readable. *)
 
 val set_nonblock : conn -> unit
 (** Put the underlying endpoint in non-blocking mode so {!try_recv} and
@@ -91,7 +71,7 @@ type listener
 val shutdown : listener -> unit
 (** Stop accepting. Idempotent. *)
 
-val listener_readiness : listener -> readiness option
+val listener_readiness : listener -> readiness
 (** How an event loop can learn this listener has pending
     connections. *)
 

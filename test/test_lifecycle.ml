@@ -434,47 +434,37 @@ let test_gw_midsession_revocation transport =
   reg lc "dev-mid" "k-mid";
   Test_net.with_gateway ~config:(lifecycle_config lc) ~transport
     (fun ~server ~dial ~device ->
-       let conn = dial () in
-       let chan = N.Chan.create conn in
-       let recv () =
-         match N.Chan.recv chan ~deadline:2.0 () with
-         | Ok (Some m) -> m
-         | _ -> Alcotest.fail "gateway hung up"
-       in
+       let p = Peer.create (dial ()) in
        let granted =
-         Test_net.pipelined_handshake chan ~device_id:"dev-mid" ~window:4
+         Test_net.pipelined_handshake p ~device_id:"dev-mid" ~window:4
        in
        check_int "window granted before revocation" 4 granted;
        (* one honest round proves the session was healthy *)
-       N.Chan.send chan N.Codec.Ready;
+       Peer.send p N.Codec.Ready;
        let seq0, wire0 =
-         match recv () with
+         match Peer.msg p with
          | N.Codec.Request_seq { seq; challenge; args } ->
            let req = { C.Protocol.challenge; args } in
            let report, _ = C.Protocol.prover_execute (device ()) req in
            (seq, A.Wire.encode report)
          | m -> Alcotest.failf "expected Request, got %a" N.Codec.pp_msg m
        in
-       N.Chan.send chan (N.Codec.Report_seq { seq = seq0; wire = wire0 });
-       (match recv () with
+       Peer.send p (N.Codec.Report_seq { seq = seq0; wire = wire0 });
+       (match Peer.msg p with
         | N.Codec.Verdict_seq { seq; accepted = true; _ } when seq = seq0 -> ()
         | m -> Alcotest.failf "expected Verdict, got %a" N.Codec.pp_msg m);
        (* now the operator pulls the key mid-window *)
        ignore (L.revoke_key lc "k-mid" : int);
-       N.Chan.send chan N.Codec.Ready;
-       (match recv () with
+       Peer.send p N.Codec.Ready;
+       (match Peer.msg p with
         | N.Codec.Denied { cause = N.Codec.Revoked; _ } -> ()
         | m -> Alcotest.failf "expected Denied, got %a" N.Codec.pp_msg m);
        (* the session is cut: no verdict, no request, nothing follows
           the Denied — the connection just ends *)
-       (match N.Chan.recv chan ~deadline:1.0 () with
-        | Ok None -> ()
-        | Error _ -> ()
-        | exception N.Transport.Closed -> ()
-        | exception N.Transport.Timeout -> ()
-        | Ok (Some m) ->
-          Alcotest.failf "frame after Denied: %a" N.Codec.pp_msg m);
-       N.Transport.close conn;
+       (match Peer.recv ~deadline:1.0 p with
+        | `Eof | `Error _ | `Timeout -> ()
+        | `Msg m -> Alcotest.failf "frame after Denied: %a" N.Codec.pp_msg m);
+       Peer.close p;
        check_bool "revocation quarantined mid-session" true
          (state_of lc "dev-mid" = L.Quarantined L.Key_revoked);
        let stats = N.Server.stop server in

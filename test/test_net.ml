@@ -186,26 +186,36 @@ let test_ratelimit () =
 (* ------------------------------------------------------------- *)
 (* Transports.                                                     *)
 
+(* a transport read, retried for up to ~2 s while it would block *)
+let poll_recv conn buf pos len =
+  let rec go tries =
+    match N.Transport.try_recv conn buf pos len with
+    | `Again when tries > 0 -> Thread.delay 0.001; go (tries - 1)
+    | r -> r
+  in
+  go 2000
+
 let recv_all conn n =
   let buf = Bytes.create n in
   let rec go off =
     if off = n then Bytes.to_string buf
     else
-      match N.Transport.recv conn buf off (n - off) with
-      | 0 -> Alcotest.fail "unexpected EOF"
-      | k -> go (off + k)
+      match poll_recv conn buf off (n - off) with
+      | `Data k -> go (off + k)
+      | `Eof -> Alcotest.fail "unexpected EOF"
+      | `Again -> Alcotest.fail "no data"
   in
   go 0
 
 let exercise_conn_pair (a, b) =
-  N.Transport.send a "ping-from-a";
+  Peer.write a "ping-from-a";
   check_bool "a->b" true (recv_all b 11 = "ping-from-a");
-  N.Transport.send b "pong";
+  Peer.write b "pong";
   check_bool "b->a" true (recv_all a 4 = "pong");
   N.Transport.close a;
   (* peer sees EOF *)
   let buf = Bytes.create 8 in
-  check_int "eof after close" 0 (N.Transport.recv b buf 0 8);
+  check_bool "eof after close" true (poll_recv b buf 0 8 = `Eof);
   N.Transport.close b
 
 let test_loopback_roundtrip () = exercise_conn_pair (N.Transport.loopback ())
@@ -221,16 +231,17 @@ type transport = Loopback | Tcp
 
 let transports = [ ("loopback", Loopback); ("tcp", Tcp) ]
 
-(* one case per transport, tagged with the transport's name *)
-let over_transports cases =
+(* one case per variant, tagged with the variant's name *)
+let over variants cases =
   List.concat_map
-    (fun (tag, transport) ->
+    (fun (tag, v) ->
        List.map
          (fun (name, f) ->
-            Alcotest.test_case (name ^ " [" ^ tag ^ "]") `Quick
-              (fun () -> f transport))
+            Alcotest.test_case (name ^ " [" ^ tag ^ "]") `Quick (fun () -> f v))
          cases)
-    transports
+    variants
+
+let over_transports cases = over transports cases
 
 let listen = function
   | Loopback -> N.Transport.loopback_listener ()
@@ -264,7 +275,7 @@ let test_try_accept transport =
   let client = dial () in
   let server = accept_within listener in
   check_bool "backlog drained" true (N.Transport.try_accept listener = None);
-  N.Transport.send client "x";
+  Peer.write client "x";
   check_bool "accepted the dialed peer" true (recv_all server 1 = "x");
   N.Transport.close client;
   N.Transport.close server;
@@ -278,55 +289,122 @@ let test_try_accept transport =
     Alcotest.fail "dialed a shut listener"
   | exception (N.Transport.Closed | Unix.Unix_error _) -> ()
 
-let test_deadlines_fire () =
-  let test_pair (a, b) =
-    let buf = Bytes.create 4 in
-    (match N.Transport.recv a ~deadline:0.05 buf 0 4 with
-     | exception N.Transport.Timeout -> ()
-     | n -> Alcotest.failf "read %d bytes from silent peer" n);
-    N.Transport.close a;
-    N.Transport.close b
-  in
-  test_pair (N.Transport.loopback ());
-  test_pair (N.Transport.socketpair ())
-
 (* ------------------------------------------------------------- *)
-(* Channel: per-message deadlines (slow loris).                    *)
+(* Evconn: the framed pump every reader goes through.              *)
 
-let test_chan_roundtrip () =
-  let a, b = N.Transport.loopback () in
-  let ca = N.Chan.create a and cb = N.Chan.create b in
-  N.Chan.send ca (N.Codec.Hello { device_id = "d" });
-  N.Chan.send ca N.Codec.Bye;
-  (match N.Chan.recv cb () with
-   | Ok (Some (N.Codec.Hello { device_id })) ->
-     check_bool "hello" true (device_id = "d")
-   | _ -> Alcotest.fail "expected Hello");
-  (match N.Chan.recv cb () with
-   | Ok (Some N.Codec.Bye) -> ()
-   | _ -> Alcotest.fail "expected Bye");
+let pairs =
+  [ ("loopback", N.Transport.loopback); ("socketpair", N.Transport.socketpair) ]
+
+let frames msgs =
+  String.concat "" (List.map (fun m -> N.Frame.encode (N.Codec.encode m)) msgs)
+
+(* a few of these fill a socketpair's kernel buffer, so later sends stay
+   in the write queue until the peer reads *)
+let big c = N.Codec.Report (String.make 60_000 c)
+
+(* a pump whose handlers close on EOF and on error, as every caller's do *)
+let attach_closing ?wq_max ?(on_error = ignore) ~loop ~on_msg conn =
+  N.Evconn.attach ~loop ?wq_max ~on_msg ~on_eof:N.Evconn.close
+    ~on_error:(fun ev e -> on_error e; N.Evconn.close ev) conn
+
+let test_evconn_roundtrip pair =
+  let a, b = pair () in
+  let pa = Peer.create a and pb = Peer.create b in
+  Peer.send pa (N.Codec.Hello { device_id = "d" });
+  Peer.send pa N.Codec.Bye;
+  (match Peer.msg pb with
+   | N.Codec.Hello { device_id } -> check_bool "hello" true (device_id = "d")
+   | m -> Alcotest.failf "expected Hello, got %a" N.Codec.pp_msg m);
+  (match Peer.msg pb with
+   | N.Codec.Bye -> ()
+   | m -> Alcotest.failf "expected Bye, got %a" N.Codec.pp_msg m);
+  Peer.close pa;
+  check_bool "clean EOF" true (Peer.recv pb = `Eof);
+  Peer.close pb
+
+let test_evconn_eof_mid_frame pair =
+  let a, b = pair () in
+  let frame = frames [ N.Codec.Hello { device_id = "half" } ] in
+  Peer.write a (String.sub frame 0 (String.length frame / 2));
   N.Transport.close a;
-  (match N.Chan.recv cb () with
-   | Ok None -> ()
-   | _ -> Alcotest.fail "expected clean EOF");
-  N.Transport.close b
+  let pb = Peer.create b in
+  check_bool "eof mid-frame" true (Peer.recv pb = `Error `Eof_mid_frame);
+  Peer.close pb
 
-let test_chan_slow_loris_times_out () =
-  let a, b = N.Transport.loopback () in
-  let cb = N.Chan.create b in
-  (* drip half a frame header, then stall: per-message deadline must
-     fire even though each byte arrived "recently" *)
-  N.Transport.send a "\x08";
-  let t =
+let test_evconn_oversize_header pair =
+  let a, b = pair () in
+  let header = Bytes.create 4 in
+  Bytes.set_int32_le header 0 0x7FFF_FFFFl;
+  Peer.write a (Bytes.to_string header ^ frames [ N.Codec.Ready ]);
+  let pb = Peer.create b in
+  (match Peer.recv pb with
+   | `Error (`Frame (N.Frame.Oversize _)) -> ()
+   | _ -> Alcotest.fail "expected an oversize Frame error");
+  (* the one error closed the connection: the valid frame behind the
+     header never surfaces, and nothing else fires *)
+  check_bool "nothing after the error" true (Peer.recv pb = `Eof);
+  Peer.close pb;
+  N.Transport.close a
+
+let test_evconn_close_after_flush pair =
+  let a, b = pair () in
+  let loop = N.Evloop.create () in
+  let ev = attach_closing ~loop ~on_msg:(fun _ _ -> ()) a in
+  let tags = List.init 8 (fun i -> Char.chr (Char.code 'a' + i)) in
+  List.iter (fun c -> N.Evconn.send ev (big c)) tags;
+  N.Evconn.close_after_flush ev;
+  let flusher =
     Thread.create
-      (fun () -> Thread.delay 0.05; N.Transport.send a "\x00")
+      (fun () -> N.Evloop.run loop ~stop:(fun () -> N.Evconn.is_closed ev))
       ()
   in
-  (match N.Chan.recv cb ~deadline:0.2 () with
-   | exception N.Transport.Timeout -> ()
-   | Ok _ | Error _ -> Alcotest.fail "expected Timeout");
-  Thread.join t;
-  N.Transport.close a;
+  let pb = Peer.create b in
+  List.iter
+    (fun c ->
+       match Peer.msg pb with
+       | N.Codec.Report r -> check_bool "queued frame, in order" true (r.[0] = c)
+       | m -> Alcotest.failf "expected Report, got %a" N.Codec.pp_msg m)
+    tags;
+  check_bool "EOF once the queue drained" true (Peer.recv pb = `Eof);
+  Thread.join flusher;
+  N.Evloop.close loop;
+  Peer.close pb
+
+let test_evconn_wqueue_overflow () =
+  let a, b = N.Transport.socketpair () in
+  let loop = N.Evloop.create () in
+  let errors = ref [] in
+  let ev =
+    attach_closing ~wq_max:65536 ~on_error:(fun e -> errors := e :: !errors)
+      ~loop ~on_msg:(fun _ _ -> ()) a
+  in
+  (* the peer never reads *)
+  for _ = 1 to 16 do N.Evconn.send ev (big 'w') done;
+  check_bool "one overflow" true (!errors = [ `Wqueue_overflow ]);
+  check_bool "closed by its handler" true (N.Evconn.is_closed ev);
+  N.Evloop.close loop;
+  N.Transport.close b
+
+(* A handler that condemns its connection with [close_after_flush]
+   while replies are still queued hears nothing more, even from the
+   read that carried the condemning frame. *)
+let test_evconn_draining_stops_surfacing () =
+  let a, b = N.Transport.socketpair () in
+  Peer.write b (frames N.Codec.[ Bye; Ready; Ready ]);
+  let loop = N.Evloop.create () in
+  let surfaced = ref 0 in
+  let on_msg ev _ =
+    incr surfaced;
+    if !surfaced = 1 then begin
+      for _ = 1 to 40 do N.Evconn.send ev (big 'v') done;
+      N.Evconn.close_after_flush ev
+    end
+  in
+  let ev = attach_closing ~wq_max:(4 lsl 20) ~loop ~on_msg a in
+  N.Evloop.run loop ~stop:(fun () -> !surfaced > 0);
+  check_int "only the condemning frame surfaced" 1 !surfaced;
+  N.Evconn.close ev;
+  N.Evloop.close loop;
   N.Transport.close b
 
 (* ------------------------------------------------------------- *)
@@ -438,42 +516,36 @@ let test_e2e_wire_replay_rejected transport =
   (* a prover that answers the second challenge with the first round's
      report: freshness gate rejects it without any replay work *)
   with_gateway ~transport (fun ~server ~dial ~device ->
-      let conn = dial () in
-      let chan = N.Chan.create conn in
-      let recv () =
-        match N.Chan.recv chan ~deadline:2.0 () with
-        | Ok (Some m) -> m
-        | _ -> Alcotest.fail "gateway hung up"
-      in
-      N.Chan.send chan (N.Codec.Hello { device_id = "dev-replay" });
-      N.Chan.send chan N.Codec.Ready;
+      let p = Peer.create (dial ()) in
+      Peer.send p (N.Codec.Hello { device_id = "dev-replay" });
+      Peer.send p N.Codec.Ready;
       let report1 =
-        match recv () with
+        match Peer.msg p with
         | N.Codec.Request { challenge; args } ->
           let req = { C.Protocol.challenge; args } in
           let report, _ = C.Protocol.prover_execute (device ()) req in
           A.Wire.encode report
         | m -> Alcotest.failf "expected Request, got %a" N.Codec.pp_msg m
       in
-      N.Chan.send chan (N.Codec.Report report1);
-      (match recv () with
+      Peer.send p (N.Codec.Report report1);
+      (match Peer.msg p with
        | N.Codec.Verdict { accepted; _ } ->
          check_bool "honest round accepted" true accepted
        | m -> Alcotest.failf "expected Verdict, got %a" N.Codec.pp_msg m);
       (* second round: replay the recorded report *)
-      N.Chan.send chan N.Codec.Ready;
-      (match recv () with
+      Peer.send p N.Codec.Ready;
+      (match Peer.msg p with
        | N.Codec.Request _ -> ()
        | m -> Alcotest.failf "expected Request, got %a" N.Codec.pp_msg m);
-      N.Chan.send chan (N.Codec.Report report1);
-      (match recv () with
+      Peer.send p (N.Codec.Report report1);
+      (match Peer.msg p with
        | N.Codec.Verdict { accepted; findings } ->
          check_bool "replay rejected" true (not accepted);
          check_bool "freshness finding" true
            (List.exists (fun (k, _) -> k = "bad-token") findings)
        | m -> Alcotest.failf "expected Verdict, got %a" N.Codec.pp_msg m);
-      N.Chan.send chan N.Codec.Bye;
-      N.Transport.close conn;
+      Peer.send p N.Codec.Bye;
+      Peer.close p;
       let stats = N.Server.stop server in
       check_int "one accept one reject" 1 stats.N.Server.verdicts_rejected;
       (* the replay was stopped at the gate: only one report reached
@@ -486,18 +558,17 @@ let test_e2e_rate_limited_busy transport =
     { gateway_config with N.Server.rate = Some 0.000001; burst = 1.0 }
   in
   with_gateway ~config ~transport (fun ~server ~dial ~device:_ ->
-      let conn = dial () in
-      let chan = N.Chan.create conn in
-      N.Chan.send chan (N.Codec.Hello { device_id = "dev-greedy" });
-      N.Chan.send chan N.Codec.Ready;
-      (match N.Chan.recv chan ~deadline:2.0 () with
-       | Ok (Some (N.Codec.Request _)) -> ()
+      let p = Peer.create (dial ()) in
+      Peer.send p (N.Codec.Hello { device_id = "dev-greedy" });
+      Peer.send p N.Codec.Ready;
+      (match Peer.recv p with
+       | `Msg (N.Codec.Request _) -> ()
        | _ -> Alcotest.fail "first Ready should get the burst token");
-      N.Chan.send chan N.Codec.Ready;
-      (match N.Chan.recv chan ~deadline:2.0 () with
-       | Ok (Some (N.Codec.Busy _)) -> ()
+      Peer.send p N.Codec.Ready;
+      (match Peer.recv p with
+       | `Msg (N.Codec.Busy _) -> ()
        | _ -> Alcotest.fail "second Ready should be rate limited");
-      N.Transport.close conn;
+      Peer.close p;
       let stats = N.Server.stop server in
       check_int "rate limited counted" 1 stats.N.Server.rate_limited)
 
@@ -505,22 +576,20 @@ let test_e2e_max_conns_busy transport =
   let config = { gateway_config with N.Server.max_conns = 1 } in
   with_gateway ~config ~transport (fun ~server:_ ~dial ~device ->
       (* occupy the only slot with a live session *)
-      let first = dial () in
-      let chan = N.Chan.create first in
-      N.Chan.send chan (N.Codec.Hello { device_id = "dev-slot" });
-      N.Chan.send chan N.Codec.Ready;
-      (match N.Chan.recv chan ~deadline:2.0 () with
-       | Ok (Some (N.Codec.Request _)) -> ()
+      let first = Peer.create (dial ()) in
+      Peer.send first (N.Codec.Hello { device_id = "dev-slot" });
+      Peer.send first N.Codec.Ready;
+      (match Peer.recv first with
+       | `Msg (N.Codec.Request _) -> ()
        | _ -> Alcotest.fail "first connection should be served");
       (* the second connection is turned away with Busy *)
-      let second = dial () in
-      let chan2 = N.Chan.create second in
-      (match N.Chan.recv chan2 ~deadline:2.0 () with
-       | Ok (Some (N.Codec.Busy _)) -> ()
+      let second = Peer.create (dial ()) in
+      (match Peer.recv second with
+       | `Msg (N.Codec.Busy _) -> ()
        | _ -> Alcotest.fail "second connection should get Busy");
-      N.Transport.close second;
+      Peer.close second;
       (* freeing the slot lets a new prover in *)
-      N.Transport.close first;
+      Peer.close first;
       let rec retry n =
         let conn = dial () in
         (* until the handler notices the hangup we may still be turned
@@ -616,52 +685,53 @@ let test_e2e_pipelined_tamper_per_round transport =
    with rounds in flight — typed rejections, and the gateway keeps
    serving honest provers.                                         *)
 
-let pipelined_handshake chan ~device_id ~window =
-  N.Chan.send chan (N.Codec.Hello_ex { device_id; window; firmware = "" });
-  match N.Chan.recv chan ~deadline:2.0 () with
-  | Ok (Some (N.Codec.Welcome { window = w })) -> w
+let pipelined_handshake p ~device_id ~window =
+  Peer.send p (N.Codec.Hello_ex { device_id; window; firmware = "" });
+  match Peer.recv p with
+  | `Msg (N.Codec.Welcome { window = w }) -> w
   | _ -> Alcotest.fail "no Welcome"
+
+(* the gateway drops the connection without another frame *)
+let expect_drop p =
+  match Peer.recv p with
+  | `Eof | `Error _ -> ()
+  | `Msg m -> Alcotest.failf "expected drop, got %a" N.Codec.pp_msg m
+  | `Timeout -> Alcotest.fail "connection not dropped"
 
 let test_hostile_bad_seq_reports transport =
   with_gateway ~transport (fun ~server ~dial ~device ->
-      let conn = dial () in
-      let chan = N.Chan.create conn in
-      let recv () =
-        match N.Chan.recv chan ~deadline:2.0 () with
-        | Ok (Some m) -> m
-        | _ -> Alcotest.fail "gateway hung up"
-      in
-      let _ = pipelined_handshake chan ~device_id:"dev-seq" ~window:4 in
+      let p = Peer.create (dial ()) in
+      let _ = pipelined_handshake p ~device_id:"dev-seq" ~window:4 in
       (* a report for a sequence number that was never issued *)
-      N.Chan.send chan (N.Codec.Report_seq { seq = 7; wire = "junk" });
-      (match recv () with
+      Peer.send p (N.Codec.Report_seq { seq = 7; wire = "junk" });
+      (match Peer.msg p with
        | N.Codec.Verdict_seq { seq = 7; accepted = false; findings } ->
          check_bool "typed bad-seq finding" true
            (List.exists (fun (k, _) -> k = "bad-seq") findings)
        | m -> Alcotest.failf "expected Verdict#7, got %a" N.Codec.pp_msg m);
       (* run one honest round, then answer the same sequence again *)
-      N.Chan.send chan N.Codec.Ready;
+      Peer.send p N.Codec.Ready;
       let seq0, wire0 =
-        match recv () with
+        match Peer.msg p with
         | N.Codec.Request_seq { seq; challenge; args } ->
           let req = { C.Protocol.challenge; args } in
           let report, _ = C.Protocol.prover_execute (device ()) req in
           (seq, A.Wire.encode report)
         | m -> Alcotest.failf "expected Request, got %a" N.Codec.pp_msg m
       in
-      N.Chan.send chan (N.Codec.Report_seq { seq = seq0; wire = wire0 });
-      (match recv () with
+      Peer.send p (N.Codec.Report_seq { seq = seq0; wire = wire0 });
+      (match Peer.msg p with
        | N.Codec.Verdict_seq { seq; accepted = true; _ } when seq = seq0 -> ()
        | m -> Alcotest.failf "expected Verdict#0+, got %a" N.Codec.pp_msg m);
-      N.Chan.send chan (N.Codec.Report_seq { seq = seq0; wire = wire0 });
-      (match recv () with
+      Peer.send p (N.Codec.Report_seq { seq = seq0; wire = wire0 });
+      (match Peer.msg p with
        | N.Codec.Verdict_seq { seq; accepted = false; findings }
          when seq = seq0 ->
          check_bool "already-answered seq gets bad-seq" true
            (List.exists (fun (k, _) -> k = "bad-seq") findings)
        | m -> Alcotest.failf "expected rejection, got %a" N.Codec.pp_msg m);
-      N.Chan.send chan N.Codec.Bye;
-      N.Transport.close conn;
+      Peer.send p N.Codec.Bye;
+      Peer.close p;
       let stats = N.Server.stop server in
       check_int "bad_seq counted twice" 2 stats.N.Server.bad_seq;
       check_int "one honest verdict" 1 stats.N.Server.verdicts_accepted;
@@ -671,41 +741,32 @@ let test_hostile_bad_seq_reports transport =
 
 let test_hostile_window_flood_and_bye transport =
   with_gateway ~transport (fun ~server ~dial ~device ->
-      let conn = dial () in
-      let chan = N.Chan.create conn in
-      let granted = pipelined_handshake chan ~device_id:"dev-flood" ~window:4 in
+      let p = Peer.create (dial ()) in
+      let granted = pipelined_handshake p ~device_id:"dev-flood" ~window:4 in
       check_int "granted 4" 4 granted;
       (* flood Ready far past the window without ever reporting *)
       for _ = 1 to 10 do
-        N.Chan.send chan N.Codec.Ready
+        Peer.send p N.Codec.Ready
       done;
       let requests = ref 0 and busys = ref 0 in
       for _ = 1 to 10 do
-        match N.Chan.recv chan ~deadline:2.0 () with
-        | Ok (Some (N.Codec.Request_seq _)) -> incr requests
-        | Ok (Some (N.Codec.Busy _)) -> incr busys
+        match Peer.recv p with
+        | `Msg (N.Codec.Request_seq _) -> incr requests
+        | `Msg (N.Codec.Busy _) -> incr busys
         | _ -> Alcotest.fail "gateway hung up mid-flood"
       done;
       check_int "window worth of requests" 4 !requests;
       check_int "flood bounced" 6 !busys;
       (* Bye with four rounds in flight: typed refusal, then drop *)
-      N.Chan.send chan N.Codec.Bye;
-      (match N.Chan.recv chan ~deadline:2.0 () with
-       | Ok (Some (N.Codec.Busy _)) -> ()
+      Peer.send p N.Codec.Bye;
+      (match Peer.msg p with
+       | N.Codec.Busy _ -> ()
        | m ->
-         Alcotest.failf "expected Busy after hostile Bye, got %s"
-           (match m with
-            | Ok (Some m) -> Format.asprintf "%a" N.Codec.pp_msg m
-            | Ok None -> "EOF"
-            | Error _ -> "decode error"));
+         Alcotest.failf "expected Busy after hostile Bye, got %a"
+           N.Codec.pp_msg m);
       (* the connection is dropped after the refusal *)
-      (match N.Chan.recv chan ~deadline:2.0 () with
-       | Ok None -> ()
-       | Ok (Some m) ->
-         Alcotest.failf "expected EOF, got %a" N.Codec.pp_msg m
-       | Error _ -> ()
-       | exception N.Transport.Closed -> ());
-      N.Transport.close conn;
+      expect_drop p;
+      Peer.close p;
       (* honest traffic still flows *)
       let conn = dial () in
       let rounds =
@@ -723,18 +784,12 @@ let test_hostile_window_flood_and_bye transport =
 
 let test_hostile_seq_frames_on_legacy_session transport =
   with_gateway ~transport (fun ~server ~dial ~device ->
-      let conn = dial () in
-      let chan = N.Chan.create conn in
-      N.Chan.send chan (N.Codec.Hello { device_id = "dev-old" });
+      let p = Peer.create (dial ()) in
+      Peer.send p (N.Codec.Hello { device_id = "dev-old" });
       (* numbered frames on a single-shot session: hostile, dropped *)
-      N.Chan.send chan (N.Codec.Report_seq { seq = 0; wire = "x" });
-      (match N.Chan.recv chan ~deadline:2.0 () with
-       | Ok None -> ()
-       | Ok (Some m) ->
-         Alcotest.failf "expected drop, got %a" N.Codec.pp_msg m
-       | Error _ -> ()
-       | exception N.Transport.Closed -> ());
-      N.Transport.close conn;
+      Peer.send p (N.Codec.Report_seq { seq = 0; wire = "x" });
+      expect_drop p;
+      Peer.close p;
       (* and the gateway still serves *)
       let conn = dial () in
       let rounds =
@@ -753,28 +808,23 @@ let test_hostile_unsequenced_report transport =
      its number: the gateway cannot tell which round it answers, so it
      drops the session instead of judging it against either *)
   with_gateway ~transport (fun ~server ~dial ~device ->
-      let conn = dial () in
-      let chan = N.Chan.create conn in
-      let _ = pipelined_handshake chan ~device_id:"dev-unseq" ~window:4 in
-      N.Chan.send chan N.Codec.Ready;
-      N.Chan.send chan N.Codec.Ready;
+      let p = Peer.create (dial ()) in
+      let _ = pipelined_handshake p ~device_id:"dev-unseq" ~window:4 in
+      Peer.send p N.Codec.Ready;
+      Peer.send p N.Codec.Ready;
       let requests =
         List.init 2 (fun _ ->
-            match N.Chan.recv chan ~deadline:2.0 () with
-            | Ok (Some (N.Codec.Request_seq { seq; challenge; args })) ->
+            match Peer.recv p with
+            | `Msg (N.Codec.Request_seq { seq; challenge; args }) ->
               (seq, { C.Protocol.challenge; args })
             | _ -> Alcotest.fail "expected Request#seq")
       in
       let report, _ =
         C.Protocol.prover_execute (device ()) (List.assoc 0 requests)
       in
-      N.Chan.send chan (N.Codec.Report (A.Wire.encode report));
-      (match N.Chan.recv chan ~deadline:2.0 () with
-       | Ok None | Error _ -> ()
-       | exception N.Transport.Closed -> ()
-       | Ok (Some m) ->
-         Alcotest.failf "expected drop, got %a" N.Codec.pp_msg m);
-      N.Transport.close conn;
+      Peer.send p (N.Codec.Report (A.Wire.encode report));
+      expect_drop p;
+      Peer.close p;
       let stats = N.Server.stop server in
       check_bool "violation counted" true (stats.N.Server.protocol_errors >= 1);
       check_int "nothing reached the engine" 0
@@ -790,18 +840,16 @@ let test_server_survives_malformed_peers transport =
   with_gateway ~config ~transport (fun ~server ~dial ~device ->
       let attack bytes =
         let conn = dial () in
-        (try N.Transport.send conn bytes with N.Transport.Closed -> ());
+        (try Peer.write conn bytes with N.Transport.Closed -> ());
         (* wait for the server to drop us *)
-        let buf = Bytes.create 256 in
+        let p = Peer.create conn in
         let rec drain () =
-          match N.Transport.recv conn ~deadline:2.0 buf 0 256 with
-          | 0 -> ()
-          | _ -> drain ()
-          | exception N.Transport.Timeout -> ()
-          | exception N.Transport.Closed -> ()
+          match Peer.recv p with
+          | `Msg _ -> drain ()
+          | `Eof | `Error _ | `Timeout -> ()
         in
         drain ();
-        N.Transport.close conn
+        Peer.close p
       in
       let oversize_header =
         let b = Bytes.create 4 in
@@ -843,17 +891,15 @@ let test_server_survives_slow_loris transport =
   with_gateway ~config ~transport (fun ~server ~dial ~device ->
       let conn = dial () in
       (* a valid Hello, then a frame header that never completes *)
-      let chan = N.Chan.create conn in
-      N.Chan.send chan (N.Codec.Hello { device_id = "dev-loris" });
-      N.Transport.send conn "\x10\x00";
+      Peer.write_msg conn (N.Codec.Hello { device_id = "dev-loris" });
+      Peer.write conn "\x10\x00";
       (* server must cut us loose at the deadline *)
-      let buf = Bytes.create 16 in
-      (match N.Transport.recv conn ~deadline:2.0 buf 0 16 with
-       | 0 -> ()
-       | _ -> Alcotest.fail "expected EOF after deadline"
-       | exception N.Transport.Timeout ->
-         Alcotest.fail "server never dropped the slow loris");
-      N.Transport.close conn;
+      let p = Peer.create conn in
+      (match Peer.recv p with
+       | `Eof -> ()
+       | `Timeout -> Alcotest.fail "server never dropped the slow loris"
+       | _ -> Alcotest.fail "expected EOF after deadline");
+      Peer.close p;
       (* and still serves honest traffic *)
       let conn = dial () in
       let rounds =
@@ -878,20 +924,17 @@ let test_idle_connection_reaped transport =
     { gateway_config with N.Server.read_deadline = Some 0.1 }
   in
   with_gateway ~config ~transport (fun ~server ~dial ~device:_ ->
-      let conn = dial () in
-      let chan = N.Chan.create conn in
-      N.Chan.send chan (N.Codec.Hello_ex { device_id = "dev-idle"; window = 4; firmware = "" });
-      (match N.Chan.recv chan ~deadline:2.0 () with
-       | Ok (Some (N.Codec.Welcome _)) -> ()
+      let p = Peer.create (dial ()) in
+      Peer.send p (N.Codec.Hello_ex { device_id = "dev-idle"; window = 4; firmware = "" });
+      (match Peer.recv p with
+       | `Msg (N.Codec.Welcome _) -> ()
        | _ -> Alcotest.fail "no Welcome");
       (* now say nothing; the server must hang up on us *)
-      let buf = Bytes.create 16 in
-      (match N.Transport.recv conn ~deadline:2.0 buf 0 16 with
-       | 0 -> ()
-       | _ -> Alcotest.fail "expected EOF for the idle session"
-       | exception N.Transport.Timeout ->
-         Alcotest.fail "idle connection never reaped");
-      N.Transport.close conn;
+      (match Peer.recv p with
+       | `Eof -> ()
+       | `Timeout -> Alcotest.fail "idle connection never reaped"
+       | _ -> Alcotest.fail "expected EOF for the idle session");
+      Peer.close p;
       let stats = N.Server.stop server in
       check_bool "timeout counted" true (stats.N.Server.deadline_timeouts >= 1);
       check_int "no sessions leaked" 0 stats.N.Server.sessions_active;
@@ -905,12 +948,11 @@ let test_chatty_session_outlives_deadline transport =
     { gateway_config with N.Server.read_deadline = Some deadline }
   in
   with_gateway ~config ~transport (fun ~server ~dial ~device:_ ->
-      let conn = dial () in
-      let chan = N.Chan.create conn in
-      N.Chan.send chan
+      let p = Peer.create (dial ()) in
+      Peer.send p
         (N.Codec.Hello_ex { device_id = "dev-chatty"; window = 4; firmware = "" });
-      (match N.Chan.recv chan ~deadline:2.0 () with
-       | Ok (Some (N.Codec.Welcome _)) -> ()
+      (match Peer.recv p with
+       | `Msg (N.Codec.Welcome _) -> ()
        | _ -> Alcotest.fail "no Welcome");
       (* unknown sequence numbers: each draws a bad-seq verdict and
          keeps the session open, over ~2 deadlines in all *)
@@ -919,13 +961,13 @@ let test_chatty_session_outlives_deadline transport =
       while Unix.gettimeofday () -. t0 < 2.0 *. deadline do
         Thread.delay (deadline /. 6.0);
         incr frames;
-        N.Chan.send chan (N.Codec.Report_seq { seq = 1000 + !frames; wire = "x" });
-        match N.Chan.recv chan ~deadline:2.0 () with
-        | Ok (Some (N.Codec.Verdict_seq { accepted = false; _ })) -> ()
+        Peer.send p (N.Codec.Report_seq { seq = 1000 + !frames; wire = "x" });
+        match Peer.recv p with
+        | `Msg (N.Codec.Verdict_seq { accepted = false; _ }) -> ()
         | _ -> Alcotest.failf "frame %d: session cut before its deadline" !frames
       done;
-      N.Chan.send chan N.Codec.Bye;
-      N.Transport.close conn;
+      Peer.send p N.Codec.Bye;
+      Peer.close p;
       let stats = N.Server.stop server in
       check_int "no timeouts" 0 stats.N.Server.deadline_timeouts)
 
@@ -1003,11 +1045,10 @@ let test_request_stop_unwinds transport =
       (fun () -> N.Server.serve_forever server; Atomic.set unwound true) ()
   in
   (* prove the engine is actually serving before pulling the plug *)
-  let conn = dial () in
-  let chan = N.Chan.create conn in
-  N.Chan.send chan (N.Codec.Hello_ex { device_id = "dev-sig"; window = 2; firmware = "" });
-  (match N.Chan.recv chan ~deadline:5.0 () with
-   | Ok (Some (N.Codec.Welcome _)) -> ()
+  let p = Peer.create (dial ()) in
+  Peer.send p (N.Codec.Hello_ex { device_id = "dev-sig"; window = 2; firmware = "" });
+  (match Peer.recv ~deadline:5.0 p with
+   | `Msg (N.Codec.Welcome _) -> ()
    | _ -> Alcotest.fail "no Welcome");
   N.Server.request_stop server;
   let deadline = Unix.gettimeofday () +. 5.0 in
@@ -1016,7 +1057,7 @@ let test_request_stop_unwinds transport =
   done;
   check_bool "serve_forever returned" true (Atomic.get unwound);
   Thread.join th;
-  N.Transport.close conn;
+  Peer.close p;
   (* new dials are refused: the listener is gone *)
   (match dial () with
    | conn2 ->
@@ -1064,18 +1105,17 @@ let test_cut_keeps_delivered_verdicts () =
       d
   in
   let conn, gw = N.Transport.loopback () in
-  let gw_chan = N.Chan.create gw in
   let request seq =
     N.Codec.Request_seq
       { seq; challenge = Printf.sprintf "cut-%d" seq;
         args = fire_sensor.Apps.benign_args }
   in
   let verdict seq = N.Codec.Verdict_seq { seq; accepted = true; findings = [] } in
-  List.iter (N.Chan.send gw_chan)
+  List.iter (Peer.write_msg gw)
     [ N.Codec.Welcome { window = 2 }; request 0; request 1 ];
   let respond ~seq req =
     if seq = 1 then begin
-      List.iter (N.Chan.send gw_chan)
+      List.iter (Peer.write_msg gw)
         [ verdict 0; verdict 1;
           N.Codec.Denied { cause = N.Codec.Revoked; detail = "key revoked" } ];
       N.Transport.close gw
@@ -1115,13 +1155,19 @@ let suites =
     ("net-transport",
      [ Alcotest.test_case "loopback" `Quick test_loopback_roundtrip;
        Alcotest.test_case "socketpair" `Quick test_socketpair_roundtrip;
-       Alcotest.test_case "tcp" `Quick test_tcp_roundtrip;
-       Alcotest.test_case "deadlines" `Quick test_deadlines_fire ]
+       Alcotest.test_case "tcp" `Quick test_tcp_roundtrip ]
      @ over_transports [ ("try_accept", test_try_accept) ]);
-    ("net-chan",
-     [ Alcotest.test_case "roundtrip" `Quick test_chan_roundtrip;
-       Alcotest.test_case "slow loris times out" `Quick
-         test_chan_slow_loris_times_out ]);
+    ("net-evconn",
+     over pairs
+       [ ("roundtrip, then clean EOF", test_evconn_roundtrip);
+         ("EOF mid-frame", test_evconn_eof_mid_frame);
+         ("oversize header: one error", test_evconn_oversize_header);
+         ("close_after_flush delivers the queue",
+          test_evconn_close_after_flush) ]
+     @ [ Alcotest.test_case "write queue overflow [socketpair]" `Quick
+           test_evconn_wqueue_overflow;
+         Alcotest.test_case "close_after_flush stops surfacing [socketpair]"
+           `Quick test_evconn_draining_stops_surfacing ]);
     ("net-gateway",
      (* the full corpus, once per transport *)
      over_transports

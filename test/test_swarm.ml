@@ -180,23 +180,22 @@ let test_fairness_flooder_vs_honest transport =
       let flooder =
         Thread.create
           (fun () ->
-             let conn = dial () in
-             let chan = N.Chan.create conn in
-             N.Chan.send chan
+             let p = Peer.create (dial ()) in
+             Peer.send p
                (N.Codec.Hello_ex { device_id = "dev-flood"; window = 8; firmware = "" });
-             (match N.Chan.recv chan ~deadline:5.0 () with
-              | Ok (Some (N.Codec.Welcome _)) -> ()
+             (match Peer.recv ~deadline:5.0 p with
+              | `Msg (N.Codec.Welcome _) -> ()
               | _ -> Alcotest.fail "flooder got no Welcome");
              for _ = 1 to 30 do
-               N.Chan.send chan N.Codec.Ready
+               Peer.send p N.Codec.Ready
              done;
              for _ = 1 to 30 do
-               match N.Chan.recv chan ~deadline:5.0 () with
-               | Ok (Some (N.Codec.Busy _)) -> incr flooder_busy
-               | Ok (Some (N.Codec.Request_seq _)) -> ()
+               match Peer.recv ~deadline:5.0 p with
+               | `Msg (N.Codec.Busy _) -> incr flooder_busy
+               | `Msg (N.Codec.Request_seq _) -> ()
                | _ -> Alcotest.fail "flooder lost its connection"
              done;
-             N.Transport.close conn)
+             Peer.close p)
           ()
       in
       let honests = List.init 4 honest in
@@ -358,22 +357,23 @@ let test_swarm_denied_provers_finish transport =
 let test_swarm_cut_keeps_delivered_verdicts () =
   let gw = ref None in
   let gateway conn =
-    let chan = N.Chan.create conn in
+    let p = Peer.create conn in
     let rec serve seq =
-      match N.Chan.recv chan ~deadline:5.0 () with
-      | Ok (Some (N.Codec.Hello_ex _)) ->
-        N.Chan.send chan (N.Codec.Welcome { window = 2 });
+      match Peer.recv ~deadline:5.0 p with
+      | `Msg (N.Codec.Hello_ex _) ->
+        Peer.send p (N.Codec.Welcome { window = 2 });
         serve seq
-      | Ok (Some N.Codec.Ready) ->
-        N.Chan.send chan
+      | `Msg N.Codec.Ready ->
+        Peer.send p
           (N.Codec.Request_seq
              { seq; challenge = Printf.sprintf "cut-%d" seq;
                args = fire_sensor.Apps.benign_args });
         serve (seq + 1)
-      | Ok (Some _) -> serve seq
-      | Ok None | Error _ -> ()
+      | `Msg _ -> serve seq
+      | `Eof | `Error _ | `Timeout -> ()
     in
-    try serve 0 with N.Transport.Closed | N.Transport.Timeout -> ()
+    serve 0;
+    Peer.close p
   in
   let dial () =
     let conn, gw_end = N.Transport.loopback () in
@@ -383,8 +383,7 @@ let test_swarm_cut_keeps_delivered_verdicts () =
   let respond ~client:_ ~shape:_ ~seq req =
     (if seq = 1 then
        let gw_end, _ = Option.get !gw in
-       let chan = N.Chan.create gw_end in
-       List.iter (N.Chan.send chan)
+       List.iter (Peer.write_msg gw_end)
          [ N.Codec.Verdict_seq { seq = 0; accepted = true; findings = [] };
            N.Codec.Verdict_seq { seq = 1; accepted = true; findings = [] };
            N.Codec.Denied { cause = N.Codec.Revoked; detail = "key revoked" } ];
