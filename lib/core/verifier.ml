@@ -107,7 +107,7 @@ type plan = {
   plan_key_state : Hmac.key_state;
   plan_built : Pipeline.built;
   plan_sites : site list array;  (* indexed by pc lsr 1; read-only after build *)
-  plan_dcache : M.Decode_cache.t option;
+  plan_execs : Cpu.executors option;  (* the compiled ER; read-only *)
   plan_entry : int;
   plan_caller_ret : int;
   plan_policies : policy list;
@@ -201,15 +201,33 @@ let plan ?(key = A.Device.default_key) ?(policies = [])
   in
   let open A.Layout in
   let l = built.Pipeline.layout in
-  let dcache =
+  let execs =
     match scratch with
     | Some m when decode_cache ->
       (* predecode the executable region once; APEX guarantees ER
          immutability on the device, and the replay memory's dirty map
          catches any replayed write into cached code. Ranging the cache
          to the ER keeps each replay's dirty map firmware-sized. *)
-      Some (M.Decode_cache.build ~lo:(l.er_min land 0xFFFE) ~hi:l.er_max
-              ~get_word:(Memory.peek16 m) ())
+      let dc =
+        M.Decode_cache.build ~lo:(l.er_min land 0xFFFE) ~hi:l.er_max
+          ~get_word:(Memory.peek16 m) ()
+      in
+      (* the fused replay loop must stop at every step a detector could
+         act on without a memory access: annotation sites, and the calls
+         and returns the shadow stack follows *)
+      let lo = M.Decode_cache.lo dc and entries = M.Decode_cache.entries dc in
+      let observe =
+        String.init (Array.length entries) (fun s ->
+            let flagged =
+              sites.(((lo + (2 * s)) land 0xFFFF) lsr 1) <> []
+              ||
+              match entries.(s) with
+              | Some e -> e.M.Decode_cache.dc_control <> Isa.Plain
+              | None -> false
+            in
+            if flagged then '\001' else '\000')
+      in
+      Some (Cpu.compile ~observe dc)
     | _ -> None
   in
   let audit_report =
@@ -245,7 +263,7 @@ let plan ?(key = A.Device.default_key) ?(policies = [])
   { plan_key_state = Hmac.key_state ~key;
     plan_built = built;
     plan_sites = sites;
-    plan_dcache = dcache;
+    plan_execs = execs;
     plan_entry = Assemble.symbol built.Pipeline.image Pipeline.caller_symbol;
     plan_caller_ret =
       Assemble.symbol built.Pipeline.image Pipeline.caller_ret_symbol;
@@ -351,8 +369,8 @@ let bind_scratch scratch p oplog =
     let oplog_ref = ref oplog and last = ref None in
     attach_oracle_ref mem cpu oplog_ref last;
     Assemble.load p.plan_built.Pipeline.image mem;
-    (match p.plan_dcache with
-     | Some c -> Memory.attach_code_cache mem c
+    (match p.plan_execs with
+     | Some x -> Cpu.attach_executors cpu x
      | None -> ());
     Memory.snapshot mem;
     let ss =
@@ -366,14 +384,19 @@ let bind_scratch scratch p oplog =
    [Invalid_argument] from the log view (a report whose OR data cannot back
    the claimed layout) is caught by the caller and turned into a finding.
 
-   The loop runs on {!Cpu.step_raw}: the CPU writes each step's result into
-   a reusable record, and the detectors read the step's packed access trace
-   in place ({!Memory.trace}). A step that neither writes the OR, calls,
-   returns nor faults allocates nothing here. Per-step [step] records are
-   only materialized when [keep_trace] is set — policies need them, so it
-   is forced on when the plan carries any. *)
+   The CPU writes each step's result into a reusable record, and the
+   detectors read the step's packed access trace in place
+   ({!Memory.trace}). A step that neither writes the OR, calls, returns
+   nor faults allocates nothing here. Per-step [step] records are only
+   materialized when [keep_trace] is set — policies need them, so it is
+   forced on when the plan carries any — and then the loop runs one
+   {!Cpu.step_raw} per step. Otherwise, over a compiled ER, it runs
+   {!Cpu.run_unobserved}: the CPU runs on by itself through every step
+   the detectors would ignore (no memory access, no annotation site, no
+   call or return), and the detectors see only the step that stops it. *)
 let replay ?(keep_trace = true) ?scratch p report =
   let keep_trace = keep_trace || p.plan_policies <> [] in
+  let fused = (not keep_trace) && p.plan_execs <> None in
   let built = p.plan_built in
   let layout = built.Pipeline.layout in
   let open A.Layout in
@@ -388,8 +411,8 @@ let replay ?(keep_trace = true) ?scratch p report =
       let cpu = Cpu.create mem in
       attach_oracle mem cpu oplog;
       Assemble.load built.Pipeline.image mem;
-      (match p.plan_dcache with
-       | Some c -> Memory.attach_code_cache mem c
+      (match p.plan_execs with
+       | Some x -> Cpu.attach_executors cpu x
        | None -> ());
       (mem, cpu)
   in
@@ -455,8 +478,8 @@ let replay ?(keep_trace = true) ?scratch p report =
       check_bounds pc rest
     | (Log_cf | Log_input) :: rest -> check_bounds pc rest
   in
-  let step idx =
-    Cpu.step_raw cpu;
+  (* the detectors, over the step at index [idx] that just retired *)
+  let observe idx =
     let pc = raw.Cpu.raw_pc_before in
     let item_sites =
       if pc land 1 = 0 then Array.unsafe_get sites (pc lsr 1) else []
@@ -492,10 +515,11 @@ let replay ?(keep_trace = true) ?scratch p report =
     match item_sites with [] -> () | l -> check_bounds pc l
   in
   (* [raw_halted] is false before the first step and, after each step, says
-     whether it latched a halt — so [Cpu.halted] is only consulted then *)
-  let rec run n =
-    if n >= p.plan_max_steps then Some "replay exceeded its step budget"
-    else if !diverged then Some "replay diverged from the received log"
+     whether it latched a halt — so [Cpu.halted] is only consulted then.
+     The halt is looked at before the budget, as [Cpu.run] does on the
+     device: a run that halts on its last allowed step is complete. *)
+  let rec run () =
+    if !diverged then Some "replay diverged from the received log"
     else
       match if raw.Cpu.raw_halted then Cpu.halted cpu else None with
       | Some (Cpu.Self_jump a) when a = p.plan_caller_ret -> None
@@ -504,10 +528,21 @@ let replay ?(keep_trace = true) ?scratch p report =
       | Some (Cpu.Bad_opcode (a, w)) ->
         Some (Printf.sprintf "replay hit invalid opcode 0x%04x at 0x%04x" w a)
       | None ->
-        step n;
-        run (n + 1)
+        let n = Cpu.steps cpu in
+        if n >= p.plan_max_steps then Some "replay exceeded its step budget"
+        else begin
+          if fused then begin
+            Cpu.run_unobserved cpu ~budget:p.plan_max_steps;
+            observe (Cpu.steps cpu - 1)
+          end
+          else begin
+            Cpu.step_raw cpu;
+            observe n
+          end;
+          run ()
+        end
   in
-  let replay_error = run 0 in
+  let replay_error = run () in
   (match replay_error with
    | Some msg when not !diverged -> add (Replay_failed msg)
    | _ -> ());

@@ -101,13 +101,25 @@ val plan :
   Pipeline.built -> plan
 (** Build a plan from a [Full]-variant build (raises [Invalid_argument]
     otherwise). Resolving annotation expressions happens here, once, so
-    {!verify_plan}'s replay loop is lookup-only. So does predecoding: by
-    default the plan carries a {!Dialed_msp430.Decode_cache} over the
-    executable region — built once, shared read-only by every replay (and
-    every domain) — giving the replay CPU a fetchless fast path. Pass
-    [~decode_cache:false] to force byte-level fetch + decode on every
-    step (the reference path; verdicts are identical either way, which
-    [test_replay_equiv] pins).
+    {!verify_plan}'s replay loop is lookup-only. So does compiling the
+    executable region: by default the plan decodes every ER slot into a
+    {!Dialed_msp430.Decode_cache} and compiles it into
+    {!Dialed_msp430.Cpu.executors}, one closure per slot specialized to
+    its operation and operands. It also marks, in the executors' observe
+    map, the slots a detector must see even when they touch no memory:
+    annotation sites, calls and returns. The table is built once and
+    shared read-only by every replay, every scratch arena and every
+    domain. It gives the replay CPU a fetchless path, and a replay
+    without [keep_trace] a fused loop ({!Dialed_msp430.Cpu.run_unobserved})
+    that runs the steps between observed ones without returning to the
+    verifier. Pass [~decode_cache:false] to force byte-level fetch +
+    decode on every step (the reference path; verdicts are identical
+    either way, which [test_replay_equiv] pins).
+
+    [max_steps] (default 2,000,000) bounds the replay: a replay that has
+    not halted after [max_steps] steps is rejected, and one that halts
+    on its [max_steps]-th step is complete, as {!Dialed_msp430.Cpu.run}
+    counts on the device.
 
     [audit] arms the static gating stage: the binary-level auditor runs
     once here, at plan-build time, and its report rides in the plan.

@@ -24,7 +24,13 @@ type raw = {
 (* Every field a step writes is an int or an immediate constructor, so a
    step pays no write barrier. The retired instruction is kept as its
    decode-cache slot; [last_instr], a pointer, is written only on the
-   byte-level decode path. *)
+   byte-level decode path.
+
+   Register indices are written as literals (0 = pc, 1 = sp, 2 = sr):
+   under dune's dev profile, [-opaque] makes every [Isa.pc] a load from
+   [Isa]'s module block. Every register holds a value in [0..0xFFFF]
+   and pc is even; each write below keeps that, and the executors rely
+   on it. *)
 type t = {
   regs : int array;
   mem : Memory.t;
@@ -37,6 +43,16 @@ type t = {
   raw : raw;
   mutable last_slot : int;  (* slot of the last retired instruction, or -1 *)
   mutable last_instr : Isa.instr;  (* it, when [last_slot = -1] *)
+  mutable execs : executors option;
+}
+
+(* One executor per slot of [x_entries] (a placeholder where the slot is
+   empty) and one observe byte per slot. Immutable once compiled. *)
+and executors = {
+  x_cache : Decode_cache.t;
+  x_entries : Decode_cache.entry option array;  (* [x_cache]'s table *)
+  x_run : (t -> unit) array;
+  x_observe : string;
 }
 
 let create mem =
@@ -46,7 +62,7 @@ let create mem =
     raw = { raw_pc_before = 0; raw_pc_after = 0; raw_executed = false;
             raw_control = Isa.Plain; raw_halted = false;
             raw_irq_taken = false; raw_cycles = 0 };
-    last_slot = -1; last_instr = Isa.Reti }
+    last_slot = -1; last_instr = Isa.Reti; execs = None }
 
 let raw t = t.raw
 
@@ -86,7 +102,7 @@ let get_reg t r = t.regs.(r)
    dune's dev profile compiles with [-opaque], so a call into another
    module is never inlined. *)
 let set_reg t r v =
-  if r = Isa.pc then t.regs.(r) <- v land 0xFFFE
+  if r = 0 then t.regs.(r) <- v land 0xFFFE
   else t.regs.(r) <- v land 0xFFFF
 
 (* Status register bits. *)
@@ -102,18 +118,18 @@ let bit_of_flag f =
   match f with
   | `C -> c_bit | `Z -> z_bit | `N -> n_bit | `GIE -> gie_bit | `V -> v_bit
 
-let get_flag t f = t.regs.(Isa.sr) land bit_of_flag f <> 0
+let get_flag t f = t.regs.(2) land bit_of_flag f <> 0
 
 let set_flag t f b =
   let m = bit_of_flag f in
-  let sr = t.regs.(Isa.sr) in
-  t.regs.(Isa.sr) <- (if b then sr lor m else sr land lnot m)
+  let sr = t.regs.(2) in
+  t.regs.(2) <- (if b then sr lor m else sr land lnot m)
 
 (* Replace the flags in [which] with [flags], in one store. *)
 let set_flags t which flags =
-  t.regs.(Isa.sr) <- (t.regs.(Isa.sr) land lnot which) lor flags
+  t.regs.(2) <- (t.regs.(2) land lnot which) lor flags
 
-let carry t = t.regs.(Isa.sr) land c_bit
+let carry t = t.regs.(2) land c_bit
 
 let request_irq t ~vector = t.irq <- Some vector
 let irq_pending t = t.irq <> None
@@ -138,7 +154,7 @@ let src_ea t size s =
     let ea = t.regs.(r) in
     let inc =
       match size with
-      | Isa.Byte when r <> Isa.pc && r <> Isa.sp -> 1
+      | Isa.Byte when r <> 0 && r <> 1 -> 1
       | Isa.Byte | Isa.Word -> 2
     in
     t.regs.(r) <- (ea + inc) land 0xFFFF;
@@ -225,8 +241,8 @@ let logic_flags t m s r v =
   set_flags t cnzv (nz m s r lor (if r land m <> 0 then c_bit else 0) lor v)
 
 let push t size v =
-  let sp = (t.regs.(Isa.sp) - 2) land 0xFFFF in
-  t.regs.(Isa.sp) <- sp;
+  let sp = (t.regs.(1) - 2) land 0xFFFF in
+  t.regs.(1) <- sp;
   (* Byte pushes still consume a full word slot. *)
   Memory.write t.mem size sp v
 
@@ -307,11 +323,11 @@ let exec_one t op size src =
   | Isa.PUSH -> push t size (src_value t size (mask_of size) src)
   | Isa.CALL ->
     let dest = src_value t Isa.Word 0xFFFF src in
-    push t Isa.Word t.regs.(Isa.pc);
-    set_reg t Isa.pc dest
+    push t Isa.Word t.regs.(0);
+    set_reg t 0 dest
 
 let cond_taken t c =
-  let sr = t.regs.(Isa.sr) in
+  let sr = t.regs.(2) in
   match c with
   | Isa.JNE -> sr land z_bit = 0
   | Isa.JEQ -> sr land z_bit <> 0
@@ -323,10 +339,10 @@ let cond_taken t c =
   | Isa.JMP -> true
 
 let vector_irq t vector =
-  push t Isa.Word t.regs.(Isa.pc);
-  push t Isa.Word t.regs.(Isa.sr);
+  push t Isa.Word t.regs.(0);
+  push t Isa.Word t.regs.(2);
   set_flags t gie_bit 0;
-  set_reg t Isa.pc (Memory.read t.mem Isa.Word vector)
+  set_reg t 0 (Memory.read t.mem Isa.Word vector)
 
 (* Execute [instr] with pc already advanced to the fall-through address.
    A taken jump targets [fall-through + 2*off]; reading the fall-through
@@ -337,14 +353,207 @@ let exec_instr t instr =
   | Isa.Two (op, size, src, dst) -> exec_two t op size src dst
   | Isa.One (op, size, src) -> exec_one t op size src
   | Isa.Jump (c, off) ->
-    if cond_taken t c then set_reg t Isa.pc (t.regs.(Isa.pc) + 2 * off)
+    if cond_taken t c then set_reg t 0 (t.regs.(0) + 2 * off)
   | Isa.Reti ->
-    let sr_v = Memory.read t.mem Isa.Word t.regs.(Isa.sp) in
-    set_reg t Isa.sp (t.regs.(Isa.sp) + 2);
-    let pc_v = Memory.read t.mem Isa.Word t.regs.(Isa.sp) in
-    set_reg t Isa.sp (t.regs.(Isa.sp) + 2);
-    set_reg t Isa.sr sr_v;
-    set_reg t Isa.pc pc_v
+    let sr_v = Memory.read t.mem Isa.Word t.regs.(1) in
+    set_reg t 1 (t.regs.(1) + 2);
+    let pc_v = Memory.read t.mem Isa.Word t.regs.(1) in
+    set_reg t 1 (t.regs.(1) + 2);
+    set_reg t 2 sr_v;
+    set_reg t 0 pc_v
+
+(* ------------------------------------------------------------------ *)
+(* Specialized executors. [compile] turns each decoded slot into a
+   closure that runs it with its operation, size and operand modes
+   resolved in advance: constants, masks, absolute addresses and jump
+   targets are computed once, and the closure body calls the same flag
+   helpers as [exec_two]. Like [exec_instr], an executor runs with pc
+   already at the fall-through. Register fields come from a 4-bit
+   decode, so the [unsafe] accesses stay inside the 16 registers.
+   Forms the bundled firmware never emits run [exec_instr] itself,
+   which stays the reference semantics. *)
+
+(* The source operand's value, read as [src_value] reads it (with its
+   auto-increment). *)
+let src_reader size m src : t -> int =
+  match src with
+  | Isa.Simm n -> let v = n land m in fun _ -> v
+  | Isa.Sreg r when m = 0xFFFF -> fun t -> Array.unsafe_get t.regs r
+  | Isa.Sreg r -> fun t -> Array.unsafe_get t.regs r land m
+  | Isa.Sindexed (x, r) ->
+    fun t ->
+      Memory.read t.mem size ((Array.unsafe_get t.regs r + x) land 0xFFFF)
+  | Isa.Sabsolute a ->
+    let a = a land 0xFFFF in
+    fun t -> Memory.read t.mem size a
+  | Isa.Sindirect r ->
+    fun t -> Memory.read t.mem size (Array.unsafe_get t.regs r)
+  | Isa.Sindirect_inc r ->
+    let inc = match size with Isa.Byte when r <> 0 && r <> 1 -> 1 | _ -> 2 in
+    fun t ->
+      let ea = Array.unsafe_get t.regs r in
+      Array.unsafe_set t.regs r ((ea + inc) land 0xFFFF);
+      Memory.read t.mem size ea
+
+(* Format I into register [d] (not pc). The source is read before the
+   destination, as in [exec_two], so [op @rN+, rN] sees the increment. *)
+let two_to_reg op m s get d : t -> unit =
+  match op with
+  | Isa.MOV -> fun t -> Array.unsafe_set t.regs d (get t)
+  | Isa.ADD ->
+    fun t ->
+      let sv = get t in
+      let dv = Array.unsafe_get t.regs d land m in
+      Array.unsafe_set t.regs d (add t m s dv sv 0)
+  | Isa.ADDC ->
+    fun t ->
+      let sv = get t in
+      let dv = Array.unsafe_get t.regs d land m in
+      Array.unsafe_set t.regs d (add t m s dv sv (carry t))
+  | Isa.SUB ->
+    fun t ->
+      let sv = get t in
+      let dv = Array.unsafe_get t.regs d land m in
+      Array.unsafe_set t.regs d (sub t m s sv dv 1)
+  | Isa.SUBC ->
+    fun t ->
+      let sv = get t in
+      let dv = Array.unsafe_get t.regs d land m in
+      Array.unsafe_set t.regs d (sub t m s sv dv (carry t))
+  | Isa.CMP ->
+    fun t ->
+      let sv = get t in
+      ignore (sub t m s sv (Array.unsafe_get t.regs d land m) 1 : int)
+  | Isa.DADD ->
+    fun t ->
+      let sv = get t in
+      let dv = Array.unsafe_get t.regs d land m in
+      Array.unsafe_set t.regs d (dadd t m s dv sv (carry t))
+  | Isa.BIT ->
+    fun t ->
+      let sv = get t in
+      logic_flags t m s (Array.unsafe_get t.regs d land m land sv) 0
+  | Isa.BIC ->
+    fun t ->
+      let sv = get t in
+      Array.unsafe_set t.regs d (Array.unsafe_get t.regs d land m land lnot sv)
+  | Isa.BIS ->
+    fun t ->
+      let sv = get t in
+      Array.unsafe_set t.regs d ((Array.unsafe_get t.regs d land m) lor sv)
+  | Isa.XOR ->
+    fun t ->
+      let sv = get t in
+      let dv = Array.unsafe_get t.regs d land m in
+      let r = dv lxor sv in
+      logic_flags t m s r
+        (if sv land s <> 0 && dv land s <> 0 then v_bit else 0);
+      Array.unsafe_set t.regs d r
+  | Isa.AND ->
+    fun t ->
+      let sv = get t in
+      let r = Array.unsafe_get t.regs d land m land sv in
+      logic_flags t m s r 0;
+      Array.unsafe_set t.regs d r
+
+let compile_two instr op size src dst : t -> unit =
+  let m = mask_of size and s = sign_of size in
+  match op, src, dst with
+  | Isa.MOV, _, Isa.Dreg 0 ->
+    let get = src_reader size m src in
+    fun t -> Array.unsafe_set t.regs 0 (get t land 0xFFFE)
+  | _, _, Isa.Dreg d when d <> 0 -> two_to_reg op m s (src_reader size m src) d
+  | Isa.MOV, _, Isa.Dindexed (x, r) ->
+    let get = src_reader size m src in
+    fun t ->
+      let sv = get t in
+      Memory.write t.mem size ((Array.unsafe_get t.regs r + x) land 0xFFFF) sv
+  | Isa.MOV, _, Isa.Dabsolute a ->
+    let get = src_reader size m src and a = a land 0xFFFF in
+    fun t -> Memory.write t.mem size a (get t)
+  | _ -> fun t -> exec_instr t instr
+
+let compile_jump c target : t -> unit =
+  match c with
+  | Isa.JMP -> fun t -> Array.unsafe_set t.regs 0 target
+  | Isa.JNE ->
+    fun t ->
+      if Array.unsafe_get t.regs 2 land z_bit = 0 then
+        Array.unsafe_set t.regs 0 target
+  | Isa.JEQ ->
+    fun t ->
+      if Array.unsafe_get t.regs 2 land z_bit <> 0 then
+        Array.unsafe_set t.regs 0 target
+  | Isa.JNC ->
+    fun t ->
+      if Array.unsafe_get t.regs 2 land c_bit = 0 then
+        Array.unsafe_set t.regs 0 target
+  | Isa.JC ->
+    fun t ->
+      if Array.unsafe_get t.regs 2 land c_bit <> 0 then
+        Array.unsafe_set t.regs 0 target
+  | Isa.JN ->
+    fun t ->
+      if Array.unsafe_get t.regs 2 land n_bit <> 0 then
+        Array.unsafe_set t.regs 0 target
+  | Isa.JGE ->
+    fun t ->
+      let sr = Array.unsafe_get t.regs 2 in
+      if (sr land n_bit <> 0) = (sr land v_bit <> 0) then
+        Array.unsafe_set t.regs 0 target
+  | Isa.JL ->
+    fun t ->
+      let sr = Array.unsafe_get t.regs 2 in
+      if (sr land n_bit <> 0) <> (sr land v_bit <> 0) then
+        Array.unsafe_set t.regs 0 target
+
+let compile_entry (e : Decode_cache.entry) : t -> unit =
+  let instr = e.Decode_cache.dc_instr in
+  match instr with
+  | Isa.Two (op, size, src, dst) -> compile_two instr op size src dst
+  | Isa.Jump (c, off) ->
+    (* [exec_instr]'s target, from the slot's known fall-through *)
+    compile_jump c ((e.Decode_cache.dc_next + 2 * off) land 0xFFFE)
+  | Isa.One (Isa.PUSH, size, src) ->
+    let get = src_reader size (mask_of size) src in
+    fun t -> push t size (get t)
+  | Isa.One (Isa.CALL, _, src) ->
+    let get = src_reader Isa.Word 0xFFFF src in
+    fun t ->
+      let dest = get t in
+      push t Isa.Word (Array.unsafe_get t.regs 0);
+      Array.unsafe_set t.regs 0 (dest land 0xFFFE)
+  | Isa.One ((Isa.RRC | Isa.RRA | Isa.SWPB | Isa.SXT), _, _) | Isa.Reti ->
+    fun t -> exec_instr t instr
+
+let empty_slot (_ : t) = invalid_arg "Cpu: executor of an empty slot"
+
+let compile ?observe dc =
+  let entries = Decode_cache.entries dc in
+  let n = Array.length entries in
+  let observe =
+    match observe with
+    | None -> String.make n '\000'
+    | Some o when String.length o = n -> o
+    | Some _ -> invalid_arg "Cpu.compile: observe map and cache differ in length"
+  in
+  { x_cache = dc; x_entries = entries;
+    x_run =
+      Array.map
+        (fun e -> match e with Some e -> compile_entry e | None -> empty_slot)
+        entries;
+    x_observe = observe }
+
+let attach_executors t x =
+  Memory.attach_code_cache t.mem x.x_cache;
+  t.execs <- Some x
+
+(* The executors for the attached code, unless the memory's cache was
+   replaced since {!attach_executors}. *)
+let live_executors t =
+  match t.execs with
+  | Some x when x.x_entries == t.code.Memory.code_entries -> t.execs
+  | Some _ | None -> None
 
 (* The cached decode of [pc], when the code view may serve it: [pc] is
    even, inside the cached range, and no word the encoding covers has
@@ -377,7 +586,7 @@ let finish_step t r step_cycles =
 let finish_exec t r pc_before step_cycles control =
   r.raw_executed <- true;
   r.raw_control <- control;
-  let pc_after = t.regs.(Isa.pc) in
+  let pc_after = t.regs.(0) in
   r.raw_pc_after <- pc_after;
   if pc_after = pc_before then begin
     t.halt <- Some (Self_jump pc_before);
@@ -391,26 +600,29 @@ let step_raw t =
    | None -> ());
   t.trace.Memory.tr_len <- 0;
   let r = t.raw in
-  let pc_before = t.regs.(Isa.pc) in
+  let pc_before = t.regs.(0) in
   r.raw_pc_before <- pc_before;
   r.raw_executed <- false;
   r.raw_control <- Isa.Plain;
   r.raw_halted <- false;
   r.raw_irq_taken <- false;
   match t.irq with
-  | Some vector when t.regs.(Isa.sr) land gie_bit <> 0 ->
+  | Some vector when t.regs.(2) land gie_bit <> 0 ->
     t.irq <- None;
     vector_irq t vector;
-    r.raw_pc_after <- t.regs.(Isa.pc);
+    r.raw_pc_after <- t.regs.(0);
     r.raw_irq_taken <- true;
     finish_step t r 6
   | Some _ | None -> begin
     match cached t pc_before with
     | Some e ->
       (* fast path: no byte-level fetch, no fetch trace records *)
-      t.regs.(Isa.pc) <- e.Decode_cache.dc_next;
-      exec_instr t e.Decode_cache.dc_instr;
-      t.last_slot <- (pc_before - t.code.Memory.code_lo) lsr 1;
+      let s = (pc_before - t.code.Memory.code_lo) lsr 1 in
+      t.regs.(0) <- e.Decode_cache.dc_next;
+      (match live_executors t with
+       | Some x -> (Array.unsafe_get x.x_run s) t
+       | None -> exec_instr t e.Decode_cache.dc_instr);
+      t.last_slot <- s;
       finish_exec t r pc_before e.Decode_cache.dc_cycles
         e.Decode_cache.dc_control
     | None ->
@@ -421,12 +633,68 @@ let step_raw t =
          r.raw_pc_after <- pc_before;
          r.raw_cycles <- 0
        | instr, next ->
-         set_reg t Isa.pc next;
+         set_reg t 0 next;
          exec_instr t instr;
          t.last_slot <- -1;
          t.last_instr <- instr;
          finish_exec t r pc_before (Isa.cycles instr) (Isa.control instr))
   end
+
+(* The fused loop: run executor-served steps back to back, writing the
+   step record only for the step that stops the run. A step that cannot
+   be served this way (an IRQ is due, or the slot is uncached or dirty)
+   is one {!step_raw}, which writes its own record and ends the run. A
+   top-level function of its arguments, so a run allocates nothing. *)
+let rec fused t x ticking budget =
+  let regs = t.regs in
+  let pc = Array.unsafe_get regs 0 in
+  let irq_due =
+    match t.irq with
+    | None -> false
+    | Some _ -> Array.unsafe_get regs 2 land gie_bit <> 0
+  in
+  match if irq_due then None else cached t pc with
+  | None -> step_raw t
+  | Some e ->
+    let s = (pc - t.code.Memory.code_lo) lsr 1 in
+    Array.unsafe_set regs 0 e.Decode_cache.dc_next;
+    (Array.unsafe_get x.x_run s) t;
+    let cycles = e.Decode_cache.dc_cycles in
+    t.total_cycles <- t.total_cycles + cycles;
+    t.total_steps <- t.total_steps + 1;
+    if ticking then Memory.tick t.mem cycles;
+    let pc_after = Array.unsafe_get regs 0 in
+    if
+      String.unsafe_get x.x_observe s = '\000'
+      && t.trace.Memory.tr_len = 0
+      && pc_after <> pc
+      && t.total_steps < budget
+    then fused t x ticking budget
+    else begin
+      let r = t.raw in
+      r.raw_pc_before <- pc;
+      r.raw_pc_after <- pc_after;
+      r.raw_executed <- true;
+      r.raw_control <- e.Decode_cache.dc_control;
+      r.raw_irq_taken <- false;
+      r.raw_cycles <- cycles;
+      t.last_slot <- s;
+      if pc_after = pc then begin
+        t.halt <- Some (Self_jump pc);
+        r.raw_halted <- true
+      end
+      else r.raw_halted <- false
+    end
+
+let run_unobserved t ~budget =
+  match live_executors t with
+  | None -> step_raw t
+  | Some x ->
+    (match t.halt with
+     | Some _ -> invalid_arg "Cpu.step: already halted"
+     | None -> ());
+    t.trace.Memory.tr_len <- 0;
+    fused t x (Memory.ticking t.mem) budget
 
 let step t =
   step_raw t;

@@ -47,9 +47,10 @@ val create : Memory.t -> t
 val reset : t -> unit
 (** Return the CPU to its freshly-{!create}d state (registers, flags,
     counters, pending IRQ, latched halt, the {!raw} record) without
-    touching the attached memory. A [reset] CPU behaves bit-identically
-    to a new one — the verifier's scratch arena relies on this to reuse
-    one CPU across replays. *)
+    touching the attached memory or executors. A [reset] CPU behaves
+    bit-identically to a new one over the same attachments — the
+    verifier's scratch arena relies on this to reuse one CPU across
+    replays. *)
 
 val memory : t -> Memory.t
 val cycles : t -> int
@@ -85,8 +86,48 @@ val step_raw : t -> unit
     record (read it via {!raw} before the next [step_raw]) and the
     per-step access trace stays in {!Memory} — read it in place with
     {!Memory.trace}. An instruction served by an attached decode cache
-    allocates nothing and calls no closure, unless a device claims an
-    address it touches. *)
+    allocates nothing, unless a device claims an address it touches;
+    with {!attach_executors} it runs as one call of its slot's
+    executor, otherwise through the byte-level path's interpreter. *)
+
+(** {1 Specialized executors}
+
+    A decode cache over immutable code (the attested ER) can be
+    compiled once into one closure per decodable slot, specialized to
+    the slot's operation, size and operand modes: immediates, masks,
+    absolute addresses and jump targets are resolved at compile time,
+    and the closure calls the same flag helpers as the byte-level path.
+    Forms the bundled firmware never emits compile to a call of that
+    interpreter, which stays the reference semantics. *)
+
+type executors
+(** A compiled decode cache. Immutable: one table can serve every CPU,
+    in every domain, attached to any memory holding the same code. *)
+
+val compile : ?observe:string -> Decode_cache.t -> executors
+(** Compile every cached slot. [observe] has one byte per slot of
+    {!Decode_cache.entries} (default all ['\000']); a non-zero byte
+    makes {!run_unobserved} stop after that slot's step. Raises
+    [Invalid_argument] when its length differs from the table's. *)
+
+val attach_executors : t -> executors -> unit
+(** Attach the table's decode cache to this CPU's memory (as
+    {!Memory.attach_code_cache} does) and serve its cached steps through
+    the executors. If the memory's cache is later replaced, the CPU
+    stops using the executors. *)
+
+val run_unobserved : t -> budget:int -> unit
+(** Run one or more steps, back to back, and return after the first
+    step the caller must observe: one that is not served by an attached
+    executor (an interrupt is vectored, the slot is uncached or dirty,
+    or no executors are attached), one whose slot is flagged in the
+    [observe] map, one that records a memory access, one that halts,
+    or the one that brings {!steps} to [budget]. Only that last step is
+    written to the {!raw} record and left in the {!Memory.trace}; every
+    earlier step was unflagged, touched no memory and retired
+    normally. Machine state, {!cycles} and {!steps} are exactly those of
+    the same number of {!step_raw}s. Allocates nothing. Raises
+    [Invalid_argument] if the CPU is already halted. *)
 
 val raw : t -> raw
 (** The record {!step_raw} writes into. One per CPU; do not retain

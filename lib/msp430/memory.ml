@@ -97,6 +97,8 @@ let rec tick_all n l =
 
 let tick t n = match t.tickers with [] -> () | l -> tick_all n l
 
+let ticking t = t.tickers <> []
+
 (* Byte-level primitives. Addresses are already masked to 16 bits and
    values to 8; the masks are written out rather than taken from [Word]
    so that they inline. *)

@@ -49,6 +49,10 @@ val attach : t -> device -> unit
 val tick : t -> int -> unit
 (** Advance all devices by the given number of CPU cycles. *)
 
+val ticking : t -> bool
+(** Whether {!tick} reaches any device: some attached device's tick is
+    not {!no_tick}. *)
+
 (** {1 Host (untraced) access} *)
 
 val peek8 : t -> int -> int

@@ -567,6 +567,64 @@ let test_replay_allocation () =
     true (words <= 2500.)
 
 (* ---------------------------------------------------------------- *)
+(* Step budget. On the device, [Cpu.run ~max_steps:n] accepts a run
+   that halts on its n-th step; a replay under [~max_steps:n] must
+   accept it too, and reject the same run one step short, on every
+   replay loop: the per-step loop (byte-level, or cached with
+   [keep_trace]) and the fused loop (cached, no trace).               *)
+
+let budget_configs =
+  [ ("cached, trace", true, true); ("cached, no trace", true, false);
+    ("decoded, trace", false, true); ("decoded, no trace", false, false) ]
+
+let budget_case =
+  lazy
+    (let run = Apps.run Apps.fire_sensor in
+     let report = A.Device.attest run.Apps.device ~challenge:"budget" in
+     let o = C.Verifier.verify_plan (C.Verifier.plan run.Apps.built) report in
+     match o.C.Verifier.trace with
+     | Some t when o.C.Verifier.accepted ->
+       (run.Apps.built, report, t.C.Verifier.step_count)
+     | _ -> Alcotest.fail "the unbounded replay must accept")
+
+let replay_under_budget max_steps =
+  let built, report, _ = Lazy.force budget_case in
+  List.map
+    (fun (cfg, decode_cache, keep_trace) ->
+       ( cfg,
+         C.Verifier.verify_plan ~keep_trace
+           (C.Verifier.plan ~decode_cache ~max_steps built)
+           report ))
+    budget_configs
+
+let test_budget_last_step_accepted () =
+  let _, _, steps = Lazy.force budget_case in
+  List.iter
+    (fun (cfg, o) ->
+       check_golden
+         (Printf.sprintf "max_steps %d [%s]" steps cfg)
+         (List.assoc "fire-sensor benign" goldens)
+         o)
+    (replay_under_budget steps)
+
+let test_budget_one_step_fewer_rejected () =
+  let _, _, steps = Lazy.force budget_case in
+  List.iter
+    (fun (cfg, o) ->
+       let name = Printf.sprintf "max_steps %d [%s]" (steps - 1) cfg in
+       check_bool (name ^ ": rejected") false o.C.Verifier.accepted;
+       Alcotest.(check (list finding))
+         (name ^ ": findings")
+         [ C.Verifier.Replay_failed "replay exceeded its step budget" ]
+         o.C.Verifier.findings;
+       match o.C.Verifier.trace with
+       | Some t ->
+         check_int (name ^ ": steps replayed") (steps - 1)
+           t.C.Verifier.step_count
+       | None -> Alcotest.failf "%s: expected a trace" name)
+    (replay_under_budget (steps - 1))
+
+(* ---------------------------------------------------------------- *)
 (* Bad-opcode regression.                                            *)
 
 let bad_opcode_op = {|
@@ -630,4 +688,8 @@ let suites =
          test_bad_opcode_no_spurious_shadow_stack;
        Alcotest.test_case "golden replays" `Quick test_golden_replays;
        Alcotest.test_case "replay allocation bound" `Quick
-         test_replay_allocation ]) ]
+         test_replay_allocation;
+       Alcotest.test_case "budget: halting on the last allowed step accepted"
+         `Quick test_budget_last_step_accepted;
+       Alcotest.test_case "budget: one step fewer rejected" `Quick
+         test_budget_one_step_fewer_rejected ]) ]
