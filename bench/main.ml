@@ -340,6 +340,12 @@ let replay_bench () =
     (List.init samples (fun i -> 520 + (i mod 37)));
   ignore (A.Device.run_operation ~args:[ samples ] device);
   let report = A.Device.attest device ~challenge:"bench-replay" in
+  (* the fire-sensor app's own scripted round: the report the end-to-end
+     benchmark's provers send *)
+  let e2e_device = C.Pipeline.device built in
+  app.Apps.setup e2e_device;
+  ignore (A.Device.run_operation ~args:app.Apps.benign_args e2e_device);
+  let e2e_report = A.Device.attest e2e_device ~challenge:"bench-precheck" in
   let base_plan = C.Verifier.plan ~decode_cache:false built in
   let fast_plan = C.Verifier.plan built in
   let steps_of outcome =
@@ -347,11 +353,24 @@ let replay_bench () =
     | Some t -> t.C.Verifier.step_count
     | None -> 0
   in
+  (* what the gateway runs once the precheck has passed: the replay
+     alone, on a warm per-domain scratch arena *)
+  let scratch = C.Verifier.scratch () in
+  let gateway r () =
+    C.Verifier.replay_outcome ~keep_trace:false ~scratch fast_plan r
+  in
   let base_outcome = C.Verifier.verify_plan base_plan report in
   let fast_outcome = C.Verifier.verify_plan ~keep_trace:false fast_plan report in
   let steps = steps_of base_outcome in
-  assert (steps > 0 && steps = steps_of fast_outcome);
-  assert (base_outcome.C.Verifier.accepted = fast_outcome.C.Verifier.accepted);
+  let same_as reference o =
+    o.C.Verifier.accepted = reference.C.Verifier.accepted
+    && steps_of o = steps_of reference
+  in
+  assert (steps > 0 && same_as base_outcome fast_outcome);
+  assert (same_as base_outcome (gateway report ()));
+  let e2e_reference = C.Verifier.verify_plan base_plan e2e_report in
+  let e2e_steps = steps_of e2e_reference in
+  assert (e2e_steps > 0 && same_as e2e_reference (gateway e2e_report ()));
   let base_s =
     median_time (fun () -> C.Verifier.verify_plan base_plan report)
   in
@@ -359,14 +378,9 @@ let replay_bench () =
     median_time (fun () ->
         C.Verifier.verify_plan ~keep_trace:false fast_plan report)
   in
-  let sps t = float_of_int steps /. t in
+  let gateway_s = median_time (gateway report) in
+  let e2e_gateway_s = median_time (gateway e2e_report) in
   let speedup = base_s /. fast_s in
-  (* the token check on the fire-sensor app's own scripted round, the
-     report the end-to-end benchmark's provers send *)
-  let e2e_device = C.Pipeline.device built in
-  app.Apps.setup e2e_device;
-  ignore (A.Device.run_operation ~args:app.Apps.benign_args e2e_device);
-  let e2e_report = A.Device.attest e2e_device ~challenge:"bench-precheck" in
   assert (C.Verifier.precheck fast_plan e2e_report = Ok ());
   let precheck_us =
     1e6 *. median_time (fun () -> C.Verifier.precheck fast_plan e2e_report)
@@ -379,13 +393,16 @@ let replay_bench () =
   in
   let kernel_mb_s, reference_mb_s = sha256_mb_per_s () in
   let accelerated = Dialed_crypto.Sha256.accelerated in
-  printf "%-44s %14s %14s %12s@." "path" "steps/s" "reports/s" "us/report";
-  let row name t =
-    printf "%-44s %14.0f %14.0f %12.1f@." name (sps t) (1.0 /. t)
-      (t *. 1e6)
+  printf "%-52s %14s %14s %12s@." "path" "steps/s" "reports/s" "us/report";
+  let row name n t =
+    printf "%-52s %14.0f %14.0f %12.1f@." name (float_of_int n /. t)
+      (1.0 /. t) (t *. 1e6)
   in
-  row "baseline (fresh decode, keep_trace=true)" base_s;
-  row "optimized (predecoded ER, keep_trace=false)" fast_s;
+  row "baseline (fresh decode, keep_trace=true)" steps base_s;
+  row "optimized (predecoded ER, keep_trace=false)" steps fast_s;
+  row "gateway (replay_outcome, warm scratch)" steps gateway_s;
+  row (Printf.sprintf "gateway, %d-step e2e report" e2e_steps) e2e_steps
+    e2e_gateway_s;
   printf "@.replay speedup: %.2fx over %d steps/replay@." speedup steps;
   printf "sha256 (64 KiB): selected %.1f MB/s (SHA-NI kernel %s), \
           OCaml reference %.1f MB/s, %.1fx@."
@@ -395,6 +412,12 @@ let replay_bench () =
     preimage;
   printf "median of %d runs on %d core(s)@." timing_runs
     (Domain.recommended_domain_count ());
+  let gateway_json n t =
+    Printf.sprintf
+      "{ \"decode_cache\": true, \"keep_trace\": false, \"scratch\": true,\n\
+      \               \"steps_per_sec\": %.0f, \"reports_per_sec\": %.1f }"
+      (float_of_int n /. t) (1.0 /. t)
+  in
   write_file "BENCH_replay.json"
     (Printf.sprintf
        "{\n\
@@ -406,14 +429,20 @@ let replay_bench () =
        \                \"steps_per_sec\": %.0f, \"reports_per_sec\": %.1f },\n\
        \  \"optimized\": { \"decode_cache\": true, \"keep_trace\": false,\n\
        \                 \"steps_per_sec\": %.0f, \"reports_per_sec\": %.1f },\n\
+       \  \"gateway\": %s,\n\
        \  \"speedup\": %.2f,\n\
+       \  \"e2e_report\": { \"steps_per_replay\": %d,\n\
+       \                  \"gateway\": %s },\n\
        \  \"sha256\": { \"buffer_bytes\": 65536, \"kernel_selected\": %b,\n\
        \              \"selected_mb_per_sec\": %.1f, \"reference_mb_per_sec\": %.1f,\n\
        \              \"speedup\": %.2f },\n\
        \  \"precheck\": { \"token_preimage_bytes\": %d, \"us\": %.2f }\n\
         }\n"
-       (methodology_json ()) app.Apps.name steps (sps base_s) (1.0 /. base_s)
-       (sps fast_s) (1.0 /. fast_s) speedup accelerated kernel_mb_s
+       (methodology_json ()) app.Apps.name steps
+       (float_of_int steps /. base_s) (1.0 /. base_s)
+       (float_of_int steps /. fast_s) (1.0 /. fast_s)
+       (gateway_json steps gateway_s) speedup e2e_steps
+       (gateway_json e2e_steps e2e_gateway_s) accelerated kernel_mb_s
        reference_mb_s (kernel_mb_s /. reference_mb_s) preimage precheck_us);
   printf "wrote BENCH_replay.json@."
 
