@@ -425,10 +425,11 @@ let two_to_reg op m s get d : t -> unit =
       let sv = get t in
       ignore (sub t m s sv (Array.unsafe_get t.regs d land m) 1 : int)
   | Isa.DADD ->
+    (* a digit above 9 can carry past the operand width, so mask *)
     fun t ->
       let sv = get t in
       let dv = Array.unsafe_get t.regs d land m in
-      Array.unsafe_set t.regs d (dadd t m s dv sv (carry t))
+      Array.unsafe_set t.regs d (dadd t m s dv sv (carry t) land m)
   | Isa.BIT ->
     fun t ->
       let sv = get t in

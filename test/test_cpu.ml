@@ -494,7 +494,7 @@ let one_step image m how =
     (Cpu.halted cpu, raw.Cpu.raw_halted) )
 
 let prop_executors_match_interpreter =
-  QCheck.Test.make ~name:"executors = interpreter, one step" ~count:400
+  QCheck.Test.make ~name:"executors = interpreter, one step" ~count:1000
     arb_machine
     (fun m ->
        match Encode.encode_bytes m.instr with
@@ -504,6 +504,54 @@ let prop_executors_match_interpreter =
          let reference = one_step image m `Decoded in
          one_step image m `Cached = reference
          && one_step image m `Fused = reference)
+
+(* [Cpu.run_unobserved] returns after the first step its caller must
+   see, and no earlier: a memory access, a flagged slot, the budget, a
+   halt, an interrupt, or a step no executor serves. *)
+let test_run_unobserved_stops () =
+  let prog =
+    [ mov_imm 1 5;                                              (* e000 *)
+      mov_imm 2 6;                                              (* e002 *)
+      Isa.Two (Isa.ADD, Isa.Word, Isa.Sreg 5, Isa.Dreg 6);      (* e004 *)
+      Isa.Two (Isa.MOV, Isa.Word, Isa.Sreg 6, Isa.Dabsolute 0x0200); (* e006 *)
+      Isa.Two (Isa.BIS, Isa.Word, Isa.Simm 8, Isa.Dreg Isa.sr); (* e00a *)
+      mov_imm 4 7;                                              (* e00c *)
+      Isa.Jump (Isa.JMP, -1) ]                                  (* e00e *)
+  in
+  let cpu_with ?observe () =
+    let cpu = boot Decoded prog in
+    M.Decode_cache.build ~lo:code_base ~hi:(code_base + 0x0F)
+      ~get_word:(Memory.peek16 (Cpu.memory cpu)) ()
+    |> Cpu.compile ?observe |> Cpu.attach_executors cpu;
+    cpu
+  in
+  let stop cpu ~budget what ~steps ~pc =
+    Cpu.run_unobserved cpu ~budget;
+    check_int (what ^ ": steps") steps (Cpu.steps cpu);
+    check_int (what ^ ": pc of the stopping step") pc
+      (Cpu.raw cpu).Cpu.raw_pc_before
+  in
+  let cpu = cpu_with () in
+  stop cpu ~budget:100 "memory write" ~steps:4 ~pc:0xE006;
+  check_int "its write is in the trace" 1 (Memory.trace (Cpu.memory cpu)).Memory.tr_len;
+  check_int "r6 stored" 3 (Memory.peek16 (Cpu.memory cpu) 0x0200);
+  stop cpu ~budget:100 "halt" ~steps:7 ~pc:0xE00E;
+  check_bool "halted" true (Cpu.raw cpu).Cpu.raw_halted;
+  stop (cpu_with ()) ~budget:2 "budget" ~steps:2 ~pc:0xE002;
+  let observe = String.init 8 (fun s -> if s = 1 then '\001' else '\000') in
+  stop (cpu_with ~observe ()) ~budget:100 "flagged slot" ~steps:2 ~pc:0xE002;
+  (* once GIE is set, a pending interrupt is taken by the next step *)
+  let cpu = cpu_with () in
+  Memory.poke16 (Cpu.memory cpu) 0xFFFE 0xE00C;
+  stop cpu ~budget:100 "memory write" ~steps:4 ~pc:0xE006;
+  Cpu.request_irq cpu ~vector:0xFFFE;
+  stop cpu ~budget:100 "irq" ~steps:6 ~pc:0xE00C;
+  check_bool "irq taken" true (Cpu.raw cpu).Cpu.raw_irq_taken;
+  (* a slot dirtied by a write is served by the byte-level path *)
+  let cpu = cpu_with () in
+  Memory.poke16 (Cpu.memory cpu) 0xE002 (Memory.peek16 (Cpu.memory cpu) 0xE002);
+  stop cpu ~budget:100 "dirty slot" ~steps:2 ~pc:0xE002;
+  check_int "r6 from the byte-level path" 2 (Cpu.get_reg cpu 6)
 
 let cases =
   [ ("mov", test_mov);
@@ -552,4 +600,6 @@ let suites =
                Alcotest.test_case (name ^ " [" ^ tag ^ "]") `Quick (f path))
             cases)
        [ ("decoded", Decoded); ("cached", Cached) ]
-     @ [ QCheck_alcotest.to_alcotest prop_executors_match_interpreter ]) ]
+     @ [ Alcotest.test_case "run_unobserved stops" `Quick
+           test_run_unobserved_stops;
+         QCheck_alcotest.to_alcotest prop_executors_match_interpreter ]) ]
