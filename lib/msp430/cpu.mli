@@ -126,8 +126,8 @@ val run_unobserved : t -> budget:int -> unit
     written to the {!raw} record and left in the {!Memory.trace}; every
     earlier step was unflagged, touched no memory and retired
     normally. Machine state, {!cycles} and {!steps} are exactly those of
-    the same number of {!step_raw}s. Allocates nothing. Raises
-    [Invalid_argument] if the CPU is already halted. *)
+    the same number of {!step_raw}s. Executor-served steps allocate
+    nothing. Raises [Invalid_argument] if the CPU is already halted. *)
 
 val raw : t -> raw
 (** The record {!step_raw} writes into. One per CPU; do not retain
