@@ -106,7 +106,8 @@ type site =
 type plan = {
   plan_key_state : Hmac.key_state;
   plan_built : Pipeline.built;
-  plan_sites : site list array;  (* indexed by pc lsr 1; read-only after build *)
+  plan_sites : site list array;  (* see [sites_at]; read-only after build *)
+  plan_sites_lo : int;
   plan_execs : Cpu.executors option;  (* the compiled ER; read-only *)
   plan_entry : int;
   plan_caller_ret : int;
@@ -115,6 +116,15 @@ type plan = {
   plan_audit : S.Report.t option;
   plan_ns : string;              (* memo namespace, fixed at build time *)
 }
+
+(* The resolved annotation sites at [pc]: the table has one slot per
+   word from [lo] (instruction addresses are word-aligned), and no pc
+   outside it carries any. *)
+let sites_at sites lo pc =
+  let i = (pc - lo) asr 1 in
+  if pc land 1 = 0 && i >= 0 && i < Array.length sites then
+    Array.unsafe_get sites i
+  else []
 
 (* The audit configuration a build must be judged against: a selective
    build is audited with its own resolved critical ranges, whatever the
@@ -164,31 +174,43 @@ let plan ?(key = A.Device.default_key) ?(policies = [])
       Some (effective_audit_config built)
     | None -> None
   in
-  let sites = Array.make 0x8000 [] in
+  let resolved =
+    List.filter_map
+      (fun (addr, annots) ->
+         let resolved =
+           List.filter_map
+             (fun an ->
+                match an with
+                | P.Log_site `Cf -> Some Log_cf
+                | P.Log_site `Input -> Some Log_input
+                | P.Array_store { array_name; base; size_bytes } ->
+                  let lo = Pipeline.eval_expr built base in
+                  Some (Store_bounds
+                          { array = array_name; lo; hi = lo + size_bytes - 1 })
+                | P.Array_load { array_name; base; size_bytes } ->
+                  let lo = Pipeline.eval_expr built base in
+                  Some (Load_bounds
+                          { array = array_name; lo; hi = lo + size_bytes - 1 })
+                | P.Synth_mark _ | P.Src_line _ -> None)
+             annots
+         in
+         if resolved <> [] && addr land 1 = 0 then
+           Some (addr land 0xFFFF, resolved)
+         else None)
+      built.Pipeline.image.Assemble.annots
+  in
+  (* one slot per word of the annotated range only: a table over the
+     whole address space cost a fresh gateway ~0.14 ms to allocate *)
+  let sites_lo = List.fold_left (fun m (a, _) -> min m a) 0xFFFF resolved
+  and sites_hi = List.fold_left (fun m (a, _) -> max m a) 0 resolved in
+  let sites =
+    Array.make (if resolved = [] then 0 else ((sites_hi - sites_lo) lsr 1) + 1) []
+  in
   List.iter
-    (fun (addr, annots) ->
-       let resolved =
-         List.filter_map
-           (fun an ->
-              match an with
-              | P.Log_site `Cf -> Some Log_cf
-              | P.Log_site `Input -> Some Log_input
-              | P.Array_store { array_name; base; size_bytes } ->
-                let lo = Pipeline.eval_expr built base in
-                Some (Store_bounds
-                        { array = array_name; lo; hi = lo + size_bytes - 1 })
-              | P.Array_load { array_name; base; size_bytes } ->
-                let lo = Pipeline.eval_expr built base in
-                Some (Load_bounds
-                        { array = array_name; lo; hi = lo + size_bytes - 1 })
-              | P.Synth_mark _ | P.Src_line _ -> None)
-           annots
-       in
-       (* instruction addresses are word-aligned, so pc lsr 1 is injective *)
-       if resolved <> [] && addr land 1 = 0 then
-         sites.((addr land 0xFFFF) lsr 1) <-
-           sites.((addr land 0xFFFF) lsr 1) @ resolved)
-    built.Pipeline.image.Assemble.annots;
+    (fun (a, r) ->
+       let i = (a - sites_lo) lsr 1 in
+       sites.(i) <- sites.(i) @ r)
+    resolved;
   (* one scratch memory serves both the decode-cache prebuild and the
      static audit; it is garbage once the plan is built *)
   let scratch =
@@ -219,7 +241,7 @@ let plan ?(key = A.Device.default_key) ?(policies = [])
       let observe =
         String.init (Array.length entries) (fun s ->
             let flagged =
-              sites.(((lo + (2 * s)) land 0xFFFF) lsr 1) <> []
+              sites_at sites sites_lo ((lo + (2 * s)) land 0xFFFF) <> []
               ||
               match entries.(s) with
               | Some e -> e.M.Decode_cache.dc_control <> Isa.Plain
@@ -263,6 +285,7 @@ let plan ?(key = A.Device.default_key) ?(policies = [])
   { plan_key_state = Hmac.key_state ~key;
     plan_built = built;
     plan_sites = sites;
+    plan_sites_lo = sites_lo;
     plan_execs = execs;
     plan_entry = Assemble.symbol built.Pipeline.image Pipeline.caller_symbol;
     plan_caller_ret =
@@ -428,7 +451,7 @@ let replay ?(keep_trace = true) ?scratch p report =
   let in_or addr = addr >= layout.or_min && addr <= layout.or_max + 1 in
   let raw = Cpu.raw cpu in
   let tr = Memory.trace mem in
-  let sites = p.plan_sites in
+  let sites = p.plan_sites and sites_lo = p.plan_sites_lo in
   (* packed trace fields, see Memory.trace *)
   let kind a = (a lsr 32) land 0x3 and addr_of a = (a lsr 16) land 0xFFFF in
   let rec log_value value l =
@@ -481,9 +504,7 @@ let replay ?(keep_trace = true) ?scratch p report =
   (* the detectors, over the step at index [idx] that just retired *)
   let observe idx =
     let pc = raw.Cpu.raw_pc_before in
-    let item_sites =
-      if pc land 1 = 0 then Array.unsafe_get sites (pc lsr 1) else []
-    in
+    let item_sites = sites_at sites sites_lo pc in
     if keep_trace then
       steps :=
         { s_index = idx; s_pc = pc;
