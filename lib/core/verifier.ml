@@ -199,12 +199,13 @@ let plan ?(key = A.Device.default_key) ?(policies = [])
          else None)
       built.Pipeline.image.Assemble.annots
   in
-  (* one slot per word of the annotated range only: a table over the
-     whole address space cost a fresh gateway ~0.14 ms to allocate *)
+  (* one slot per word of the annotated range, not of the address
+     space: 32,768 slots cost a fresh process ~0.14 ms to allocate *)
   let sites_lo = List.fold_left (fun m (a, _) -> min m a) 0xFFFF resolved
   and sites_hi = List.fold_left (fun m (a, _) -> max m a) 0 resolved in
   let sites =
-    Array.make (if resolved = [] then 0 else ((sites_hi - sites_lo) lsr 1) + 1) []
+    Array.make
+      (if resolved = [] then 0 else ((sites_hi - sites_lo) lsr 1) + 1) []
   in
   List.iter
     (fun (a, r) ->
