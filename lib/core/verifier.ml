@@ -231,26 +231,10 @@ let plan ?(key = A.Device.default_key) ?(policies = [])
          immutability on the device, and the replay memory's dirty map
          catches any replayed write into cached code. Ranging the cache
          to the ER keeps each replay's dirty map firmware-sized. *)
-      let dc =
-        M.Decode_cache.build ~lo:(l.er_min land 0xFFFE) ~hi:l.er_max
-          ~get_word:(Memory.peek16 m) ()
-      in
-      (* the fused replay loop must stop at every step a detector could
-         act on without a memory access: annotation sites, and the calls
-         and returns the shadow stack follows *)
-      let lo = M.Decode_cache.lo dc and entries = M.Decode_cache.entries dc in
-      let observe =
-        String.init (Array.length entries) (fun s ->
-            let flagged =
-              sites_at sites sites_lo ((lo + (2 * s)) land 0xFFFF) <> []
-              ||
-              match entries.(s) with
-              | Some e -> e.M.Decode_cache.dc_control <> Isa.Plain
-              | None -> false
-            in
-            if flagged then '\001' else '\000')
-      in
-      Some (Cpu.compile ~observe dc)
+      Some
+        (Cpu.compile
+           (M.Decode_cache.build ~lo:(l.er_min land 0xFFFE) ~hi:l.er_max
+              ~get_word:(Memory.peek16 m) ()))
     | _ -> None
   in
   let audit_report =
@@ -416,8 +400,9 @@ let bind_scratch scratch p oplog =
    forced on when the plan carries any — and then the loop runs one
    {!Cpu.step_raw} per step. Otherwise, over a compiled ER, it runs
    {!Cpu.run_unobserved}: the CPU runs on by itself through every step
-   the detectors would ignore (no memory access, no annotation site, no
-   call or return), and the detectors see only the step that stops it. *)
+   that touches no memory, and the detectors see only the step that
+   stops it. They miss nothing: log pushes and bounds checks read the
+   step's trace, a call pushes and a return pops. *)
 let replay ?(keep_trace = true) ?scratch p report =
   let keep_trace = keep_trace || p.plan_policies <> [] in
   let fused = (not keep_trace) && p.plan_execs <> None in

@@ -105,14 +105,14 @@ val plan :
     executable region: by default the plan decodes every ER slot into a
     {!Dialed_msp430.Decode_cache} and compiles it into
     {!Dialed_msp430.Cpu.executors}, one closure per slot specialized to
-    its operation and operands. It also marks, in the executors' observe
-    map, the slots a detector must see even when they touch no memory:
-    annotation sites, calls and returns. The table is built once and
-    shared read-only by every replay, every scratch arena and every
-    domain. It gives the replay CPU a fetchless path, and a replay
-    without [keep_trace] a fused loop ({!Dialed_msp430.Cpu.run_unobserved})
-    that runs the steps between observed ones without returning to the
-    verifier. Pass [~decode_cache:false] to force byte-level fetch +
+    its operation and operands. The table is built once and shared
+    read-only by every replay, every scratch arena and every domain. It
+    gives the replay CPU a fetchless path, and a replay without
+    [keep_trace] a fused loop ({!Dialed_msp430.Cpu.run_unobserved})
+    that runs the steps touching no memory without returning to the
+    verifier: the detectors act only on steps that access memory, since
+    log pushes and bounds checks read the step's accesses, a call
+    pushes and a return pops. Pass [~decode_cache:false] to force byte-level fetch +
     decode on every step (the reference path; verdicts are identical
     either way, which [test_replay_equiv] pins).
 

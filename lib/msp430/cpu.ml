@@ -46,13 +46,11 @@ type t = {
   mutable execs : executors option;
 }
 
-(* One executor per slot of [x_entries] (a placeholder where the slot is
-   empty) and one observe byte per slot. Immutable once compiled. *)
+(* One executor per slot of [x_cache] (a placeholder where the slot is
+   empty). Immutable once compiled. *)
 and executors = {
   x_cache : Decode_cache.t;
-  x_entries : Decode_cache.entry option array;  (* [x_cache]'s table *)
   x_run : (t -> unit) array;
-  x_observe : string;
 }
 
 let create mem =
@@ -71,7 +69,7 @@ let raw_instr t =
   else
     match t.code.Memory.code_entries.(t.last_slot) with
     | Some e -> e.Decode_cache.dc_instr
-    | None -> invalid_arg "Cpu.raw_instr: decode cache replaced since the step"
+    | None -> invalid_arg "Cpu.raw_instr: the retired slot is empty"
 
 let reset t =
   Array.fill t.regs 0 16 0;
@@ -370,8 +368,10 @@ let exec_instr t instr =
    helpers as [exec_two]. Like [exec_instr], an executor runs with pc
    already at the fall-through. Register fields come from a 4-bit
    decode, so the [unsafe] accesses stay inside the 16 registers.
-   Forms the bundled firmware never emits run [exec_instr] itself,
-   which stays the reference semantics. *)
+   A form the bundled apps rarely run is not specialized: its executor
+   calls [exec_instr], which stays the reference semantics. Replaying
+   each app once, such forms are 3 of syringe-pump's 1,685 steps (rrc,
+   in the multiply helper) and none of the other apps' steps. *)
 
 (* The source operand's value, read as [src_value] reads it (with its
    auto-increment). *)
@@ -529,32 +529,19 @@ let compile_entry (e : Decode_cache.entry) : t -> unit =
 
 let empty_slot (_ : t) = invalid_arg "Cpu: executor of an empty slot"
 
-let compile ?observe dc =
-  let entries = Decode_cache.entries dc in
-  let n = Array.length entries in
-  let observe =
-    match observe with
-    | None -> String.make n '\000'
-    | Some o when String.length o = n -> o
-    | Some _ -> invalid_arg "Cpu.compile: observe map and cache differ in length"
-  in
-  { x_cache = dc; x_entries = entries;
+let compile dc =
+  { x_cache = dc;
     x_run =
       Array.map
         (fun e -> match e with Some e -> compile_entry e | None -> empty_slot)
-        entries;
-    x_observe = observe }
+        (Decode_cache.entries dc) }
 
+(* A memory keeps the first table attached to it, so from here on the
+   code view's slots are [x]'s slots and [fused] may index [x_run] by
+   them unchecked. *)
 let attach_executors t x =
   Memory.attach_code_cache t.mem x.x_cache;
   t.execs <- Some x
-
-(* The executors for the attached code, unless the memory's cache was
-   replaced since {!attach_executors}. *)
-let live_executors t =
-  match t.execs with
-  | Some x when x.x_entries == t.code.Memory.code_entries -> t.execs
-  | Some _ | None -> None
 
 (* The cached decode of [pc], when the code view may serve it: [pc] is
    even, inside the cached range, and no word the encoding covers has
@@ -584,22 +571,9 @@ let finish_step t r step_cycles =
   t.total_steps <- t.total_steps + 1;
   Memory.tick t.mem step_cycles
 
-let finish_exec t r pc_before step_cycles control =
-  r.raw_executed <- true;
-  r.raw_control <- control;
-  let pc_after = t.regs.(0) in
-  r.raw_pc_after <- pc_after;
-  if pc_after = pc_before then begin
-    t.halt <- Some (Self_jump pc_before);
-    r.raw_halted <- true
-  end;
-  finish_step t r step_cycles
-
-let step_raw t =
-  (match t.halt with
-   | Some _ -> invalid_arg "Cpu.step: already halted"
-   | None -> ());
-  t.trace.Memory.tr_len <- 0;
+(* One step no executor serves: a due interrupt is vectored, or the
+   instruction is fetched and decoded from its bytes. *)
+let step_decoded t =
   let r = t.raw in
   let pc_before = t.regs.(0) in
   r.raw_pc_before <- pc_before;
@@ -614,38 +588,33 @@ let step_raw t =
     r.raw_pc_after <- t.regs.(0);
     r.raw_irq_taken <- true;
     finish_step t r 6
-  | Some _ | None -> begin
-    match cached t pc_before with
-    | Some e ->
-      (* fast path: no byte-level fetch, no fetch trace records *)
-      let s = (pc_before - t.code.Memory.code_lo) lsr 1 in
-      t.regs.(0) <- e.Decode_cache.dc_next;
-      (match live_executors t with
-       | Some x -> (Array.unsafe_get x.x_run s) t
-       | None -> exec_instr t e.Decode_cache.dc_instr);
-      t.last_slot <- s;
-      finish_exec t r pc_before e.Decode_cache.dc_cycles
-        e.Decode_cache.dc_control
-    | None ->
-      (match Decode.decode ~get_word:(Memory.fetch_word t.mem) pc_before with
-       | exception Decode.Undecodable (a, w) ->
-         t.halt <- Some (Bad_opcode (a, w));
-         r.raw_halted <- true;
-         r.raw_pc_after <- pc_before;
-         r.raw_cycles <- 0
-       | instr, next ->
-         set_reg t 0 next;
-         exec_instr t instr;
-         t.last_slot <- -1;
-         t.last_instr <- instr;
-         finish_exec t r pc_before (Isa.cycles instr) (Isa.control instr))
-  end
+  | Some _ | None ->
+    match Decode.decode ~get_word:(Memory.fetch_word t.mem) pc_before with
+    | exception Decode.Undecodable (a, w) ->
+      t.halt <- Some (Bad_opcode (a, w));
+      r.raw_halted <- true;
+      r.raw_pc_after <- pc_before;
+      r.raw_cycles <- 0
+    | instr, next ->
+      set_reg t 0 next;
+      exec_instr t instr;
+      t.last_slot <- -1;
+      t.last_instr <- instr;
+      r.raw_executed <- true;
+      r.raw_control <- Isa.control instr;
+      let pc_after = t.regs.(0) in
+      r.raw_pc_after <- pc_after;
+      if pc_after = pc_before then begin
+        t.halt <- Some (Self_jump pc_before);
+        r.raw_halted <- true
+      end;
+      finish_step t r (Isa.cycles instr)
 
 (* The fused loop: run executor-served steps back to back, writing the
    step record only for the step that stops the run. A step that cannot
    be served this way (an IRQ is due, or the slot is uncached or dirty)
-   is one {!step_raw}, which writes its own record and ends the run. A
-   top-level function of its arguments, so a run allocates nothing. *)
+   is one {!step_decoded}, which writes its own record and ends the run.
+   A top-level function of its arguments, so a run allocates nothing. *)
 let rec fused t x ticking budget =
   let regs = t.regs in
   let pc = Array.unsafe_get regs 0 in
@@ -655,7 +624,7 @@ let rec fused t x ticking budget =
     | Some _ -> Array.unsafe_get regs 2 land gie_bit <> 0
   in
   match if irq_due then None else cached t pc with
-  | None -> step_raw t
+  | None -> step_decoded t
   | Some e ->
     let s = (pc - t.code.Memory.code_lo) lsr 1 in
     Array.unsafe_set regs 0 e.Decode_cache.dc_next;
@@ -665,11 +634,7 @@ let rec fused t x ticking budget =
     t.total_steps <- t.total_steps + 1;
     if ticking then Memory.tick t.mem cycles;
     let pc_after = Array.unsafe_get regs 0 in
-    if
-      String.unsafe_get x.x_observe s = '\000'
-      && t.trace.Memory.tr_len = 0
-      && pc_after <> pc
-      && t.total_steps < budget
+    if t.trace.Memory.tr_len = 0 && pc_after <> pc && t.total_steps < budget
     then fused t x ticking budget
     else begin
       let r = t.raw in
@@ -688,14 +653,15 @@ let rec fused t x ticking budget =
     end
 
 let run_unobserved t ~budget =
-  match live_executors t with
-  | None -> step_raw t
-  | Some x ->
-    (match t.halt with
-     | Some _ -> invalid_arg "Cpu.step: already halted"
-     | None -> ());
-    t.trace.Memory.tr_len <- 0;
-    fused t x (Memory.ticking t.mem) budget
+  (match t.halt with
+   | Some _ -> invalid_arg "Cpu.step: already halted"
+   | None -> ());
+  t.trace.Memory.tr_len <- 0;
+  match t.execs with
+  | Some x -> fused t x (Memory.ticking t.mem) budget
+  | None -> step_decoded t
+
+let step_raw t = run_unobserved t ~budget:(t.total_steps + 1)
 
 let step t =
   step_raw t;

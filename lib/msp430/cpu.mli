@@ -85,10 +85,10 @@ val step_raw : t -> unit
 (** Exactly {!step}, but the result is written into the reusable {!raw}
     record (read it via {!raw} before the next [step_raw]) and the
     per-step access trace stays in {!Memory} — read it in place with
-    {!Memory.trace}. An instruction served by an attached decode cache
-    allocates nothing, unless a device claims an address it touches;
-    with {!attach_executors} it runs as one call of its slot's
-    executor, otherwise through the byte-level path's interpreter. *)
+    {!Memory.trace}. With {!attach_executors}, a step whose slot is
+    cached and clean is a {!run_unobserved} cut at one step: one call of
+    the slot's executor, allocating nothing unless a device claims an
+    address it touches. *)
 
 (** {1 Specialized executors}
 
@@ -97,35 +97,35 @@ val step_raw : t -> unit
     the slot's operation, size and operand modes: immediates, masks,
     absolute addresses and jump targets are resolved at compile time,
     and the closure calls the same flag helpers as the byte-level path.
-    Forms the bundled firmware never emits compile to a call of that
-    interpreter, which stays the reference semantics. *)
+    A form the bundled apps rarely run (non-MOV operations into memory
+    or pc, the other format-II operations, reti) compiles to a call of
+    that interpreter, which stays the reference semantics. *)
 
 type executors
 (** A compiled decode cache. Immutable: one table can serve every CPU,
     in every domain, attached to any memory holding the same code. *)
 
-val compile : ?observe:string -> Decode_cache.t -> executors
-(** Compile every cached slot. [observe] has one byte per slot of
-    {!Decode_cache.entries} (default all ['\000']); a non-zero byte
-    makes {!run_unobserved} stop after that slot's step. Raises
-    [Invalid_argument] when its length differs from the table's. *)
+val compile : Decode_cache.t -> executors
+(** Compile every cached slot. *)
 
 val attach_executors : t -> executors -> unit
 (** Attach the table's decode cache to this CPU's memory (as
-    {!Memory.attach_code_cache} does) and serve its cached steps through
-    the executors. If the memory's cache is later replaced, the CPU
-    stops using the executors. *)
+    {!Memory.attach_code_cache} does, so a memory already holding a
+    different table raises [Invalid_argument]) and serve its cached
+    steps through the executors. This is how a decode cache is
+    attached: a CPU serves cached steps only through executors. *)
 
 val run_unobserved : t -> budget:int -> unit
 (** Run one or more steps, back to back, and return after the first
     step the caller must observe: one that is not served by an attached
     executor (an interrupt is vectored, the slot is uncached or dirty,
-    or no executors are attached), one whose slot is flagged in the
-    [observe] map, one that records a memory access, one that halts,
-    or the one that brings {!steps} to [budget]. Only that last step is
-    written to the {!raw} record and left in the {!Memory.trace}; every
-    earlier step was unflagged, touched no memory and retired
-    normally. Machine state, {!cycles} and {!steps} are exactly those of
+    or no executors are attached), one that records a memory access,
+    one that halts, or the one that brings {!steps} to [budget]. Only
+    that last step is written to the {!raw} record and left in the
+    {!Memory.trace}; every earlier step touched no memory and retired
+    normally. A caller that acts only on memory accesses therefore
+    misses nothing: a call pushes and a return pops, so both stop the
+    run. Machine state, {!cycles} and {!steps} are exactly those of
     the same number of {!step_raw}s. Executor-served steps allocate
     nothing. Raises [Invalid_argument] if the CPU is already halted. *)
 

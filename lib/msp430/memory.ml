@@ -255,6 +255,9 @@ let fetch_word t addr =
 
 let attach_code_cache t c =
   let code = t.code in
+  (* [code_lo] is [max_int] until the first attachment *)
+  if code.code_lo <> max_int && code.code_entries != Decode_cache.entries c
+  then invalid_arg "Memory.attach_code_cache: another cache is attached";
   code.code_entries <- Decode_cache.entries c;
   code.code_dirty <-
     Bytes.make (((Decode_cache.hi c - Decode_cache.lo c) lsr 1) + 1) '\000';

@@ -113,7 +113,11 @@ val trace : t -> trace
 val attach_code_cache : t -> Decode_cache.t -> unit
 (** Attach a predecoded table (built from the same loaded image) and
     reset the dirty map. Call after the image is loaded; bytes inside
-    already-attached device ranges are marked dirty immediately. *)
+    already-attached device ranges are marked dirty immediately. A
+    memory keeps its first table: attaching it again only resets the
+    dirty map, and attaching a different one raises [Invalid_argument].
+    A CPU serves cached slots only through executors compiled from the
+    table, so attach it with {!Cpu.attach_executors}, which calls this. *)
 
 (** The attached table and its word-dirty map, read in place by the
     CPU's fetch. Without a cache the range is empty ([code_lo >

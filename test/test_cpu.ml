@@ -506,8 +506,8 @@ let prop_executors_match_interpreter =
          && one_step image m `Fused = reference)
 
 (* [Cpu.run_unobserved] returns after the first step its caller must
-   see, and no earlier: a memory access, a flagged slot, the budget, a
-   halt, an interrupt, or a step no executor serves. *)
+   see, and no earlier: a memory access, the budget, a halt, an
+   interrupt, or a step no executor serves. *)
 let test_run_unobserved_stops () =
   let prog =
     [ mov_imm 1 5;                                              (* e000 *)
@@ -518,11 +518,11 @@ let test_run_unobserved_stops () =
       mov_imm 4 7;                                              (* e00c *)
       Isa.Jump (Isa.JMP, -1) ]                                  (* e00e *)
   in
-  let cpu_with ?observe () =
+  let cpu_with () =
     let cpu = boot Decoded prog in
     M.Decode_cache.build ~lo:code_base ~hi:(code_base + 0x0F)
       ~get_word:(Memory.peek16 (Cpu.memory cpu)) ()
-    |> Cpu.compile ?observe |> Cpu.attach_executors cpu;
+    |> Cpu.compile |> Cpu.attach_executors cpu;
     cpu
   in
   let stop cpu ~budget what ~steps ~pc =
@@ -538,8 +538,6 @@ let test_run_unobserved_stops () =
   stop cpu ~budget:100 "halt" ~steps:7 ~pc:0xE00E;
   check_bool "halted" true (Cpu.raw cpu).Cpu.raw_halted;
   stop (cpu_with ()) ~budget:2 "budget" ~steps:2 ~pc:0xE002;
-  let observe = String.init 8 (fun s -> if s = 1 then '\001' else '\000') in
-  stop (cpu_with ~observe ()) ~budget:100 "flagged slot" ~steps:2 ~pc:0xE002;
   (* once GIE is set, a pending interrupt is taken by the next step *)
   let cpu = cpu_with () in
   Memory.poke16 (Cpu.memory cpu) 0xFFFE 0xE00C;
@@ -552,6 +550,21 @@ let test_run_unobserved_stops () =
   Memory.poke16 (Cpu.memory cpu) 0xE002 (Memory.peek16 (Cpu.memory cpu) 0xE002);
   stop cpu ~budget:100 "dirty slot" ~steps:2 ~pc:0xE002;
   check_int "r6 from the byte-level path" 2 (Cpu.get_reg cpu 6)
+
+(* A CPU indexes its executors by the memory's code-view slots, so a
+   memory must never swap the table under it. *)
+let test_one_cache_per_memory () =
+  let cpu = boot Cached [ mov_imm 1 5; Isa.Jump (Isa.JMP, -1) ] in
+  let mem = Cpu.memory cpu in
+  let other =
+    M.Decode_cache.build ~lo:code_base ~hi:(code_base + 5)
+      ~get_word:(Memory.peek16 mem) ()
+  in
+  Alcotest.check_raises "a different table"
+    (Invalid_argument "Memory.attach_code_cache: another cache is attached")
+    (fun () -> Cpu.attach_executors cpu (Cpu.compile other));
+  Cpu.step cpu |> ignore;
+  check_int "the first table still serves" 1 (Cpu.get_reg cpu 5)
 
 let cases =
   [ ("mov", test_mov);
@@ -602,4 +615,6 @@ let suites =
        [ ("decoded", Decoded); ("cached", Cached) ]
      @ [ Alcotest.test_case "run_unobserved stops" `Quick
            test_run_unobserved_stops;
+         Alcotest.test_case "one decode cache per memory" `Quick
+           test_one_cache_per_memory;
          QCheck_alcotest.to_alcotest prop_executors_match_interpreter ]) ]
