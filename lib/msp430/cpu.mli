@@ -97,9 +97,9 @@ val step_raw : t -> unit
     the slot's operation, size and operand modes: immediates, masks,
     absolute addresses and jump targets are resolved at compile time,
     and the closure calls the same flag helpers as the byte-level path.
-    A form the bundled apps rarely run (non-MOV operations into memory
-    or pc, the other format-II operations, reti) compiles to a call of
-    that interpreter, which stays the reference semantics. *)
+    A form the bundled apps rarely run (a non-MOV operation into memory
+    or pc, rrc, rra, swpb, sxt, reti) compiles to a call of that
+    interpreter, which stays the reference semantics. *)
 
 type executors
 (** A compiled decode cache. Immutable: one table can serve every CPU,
