@@ -31,8 +31,8 @@ bench-replay-gate:
 bench-fleet:
 	dune exec bench/main.exe -- fleet
 
-# CI soft perf gate: pooled >= 1.5x serial at batch 256 on >= 4 cores
-# (self-skipping on smaller machines)
+# CI soft perf gate: verify_batch on a long-lived pool >= 1.5x serial at
+# batch 256 on >= 4 cores (self-skipping on smaller machines)
 bench-fleet-gate:
 	dune exec bench/main.exe -- fleet-gate
 

@@ -465,8 +465,9 @@ let replay_gate () =
 
 (* ------------------------------------------------------------------ *)
 (* Fleet verification: serial vs parallel batch replay throughput, over
-   a batch-size sweep, median-of-N wall times, three engine paths:
-     serial   — domains=1, per-domain scratch arena
+   a batch-size sweep, median-of-N wall times, three pool setups (all
+   through verify_batch, i.e. the fleet stream):
+     serial   — domains=1, replays inline, per-domain scratch arena
      per_call — a private 4-domain Fleet.Pool made and shut down inside
                 each verify_batch call (no ?pool argument)
      pooled   — long-lived Fleet.Pool, workers + scratches warm across
@@ -568,7 +569,7 @@ let fleet_sweep () =
              same_verdicts serial per_call && same_verdicts serial pooled })
       fleet_sizes
   in
-  (points, plan, pool, all)
+  (points, pool)
 
 let speedup_vs (a : F.Fleet.summary) (b : F.Fleet.summary) =
   let bs = b.F.Fleet.metrics.F.Metrics.wall_seconds in
@@ -578,7 +579,7 @@ let speedup_vs (a : F.Fleet.summary) (b : F.Fleet.summary) =
 let fleet () =
   section "Fleet verification: batch replay throughput (sweep, median wall)";
   let cores = Domain.recommended_domain_count () in
-  let points, plan, pool, all = fleet_sweep () in
+  let points, pool = fleet_sweep () in
   printf "@.%d-way parallel on %d available core%s; median of %d runs@.@."
     fleet_domains cores (if cores = 1 then "" else "s") fleet_reps;
   printf "%-8s %-8s %12s %14s %14s@." "batch" "path" "wall (ms)" "reports/s"
@@ -595,21 +596,7 @@ let fleet () =
        row p.fp_size "per_call" p.fp_per_call;
        row p.fp_size "pooled" p.fp_pooled)
     points;
-  (* one streaming pass over a 256-report batch on the same pool: the
-     continuous-attestation path should track the pooled batch rate *)
-  let stream_batch = List.filteri (fun i _ -> i < 256) all in
-  let streamed =
-    median_summary (fun () -> F.Fleet.verify_stream ~pool plan stream_batch)
-  in
-  row 256 "stream" streamed;
-  let stream_identical =
-    match List.find_opt (fun p -> p.fp_size = 256) points with
-    | Some p -> same_verdicts p.fp_serial streamed
-    | None -> true
-  in
-  let identical =
-    List.for_all (fun p -> p.fp_identical) points && stream_identical
-  in
+  let identical = List.for_all (fun p -> p.fp_identical) points in
   printf "@.verdicts identical across all paths and sizes: %s@."
     (if identical then "yes" else "NO — DETERMINISM BUG");
   List.iter
@@ -646,7 +633,6 @@ let fleet () =
        \  \"repetitions\": %d,\n\
        \  \"verdicts_identical\": %b,\n\
        \  \"sweep\": [%s\n  ],\n\
-       \  \"stream_256\": %s,\n\
        \  \"parallel_speedup\": %.2f,\n\
        \  \"pooled_beats_per_call_at_64\": %b\n\
         }\n"
@@ -669,10 +655,8 @@ let fleet () =
                   (speedup_vs p.fp_serial p.fp_pooled)
                   (speedup_vs p.fp_per_call p.fp_pooled))
              points))
-       (F.Metrics.to_json streamed.F.Fleet.metrics)
        headline pooled_beats_per_call_64);
   printf "wrote BENCH_fleet.json@.";
-  ignore plan;
   F.Pool.shutdown pool
 
 (* CI soft perf gate: on a >= 4-core runner the pooled path must beat
@@ -685,7 +669,7 @@ let fleet_gate () =
     printf "SKIPPED: only %d core%s available (need >= 4 for the gate)@."
       cores (if cores = 1 then "" else "s")
   else begin
-    let points, _, pool, _ = fleet_sweep () in
+    let points, pool = fleet_sweep () in
     F.Pool.shutdown pool;
     match List.find_opt (fun p -> p.fp_size = 256) points with
     | None -> failwith "fleet-gate: no batch-256 point"
@@ -773,9 +757,9 @@ let memo_sweep () =
   let pool = F.Pool.create ~domains:fleet_domains () in
   (* warm-up: pool spawn, scratch binding, allocator first-touch *)
   let warm = memo_workload built app ~distinct:8 ~total:32 in
-  ignore (F.Fleet.verify_stream ~pool plan warm : F.Fleet.summary);
+  ignore (F.Fleet.verify_batch ~pool plan warm : F.Fleet.summary);
   ignore
-    (F.Fleet.verify_stream ~pool ~memo:(F.Memo.create ()) plan warm
+    (F.Fleet.verify_batch ~pool ~memo:(F.Memo.create ()) plan warm
      : F.Fleet.summary);
   let points =
     List.map
@@ -783,14 +767,14 @@ let memo_sweep () =
          let distinct = max 1 (memo_total / ratio) in
          let batch = memo_workload built app ~distinct ~total:memo_total in
          let off =
-           median_summary (fun () -> F.Fleet.verify_stream ~pool plan batch)
+           median_summary (fun () -> F.Fleet.verify_batch ~pool plan batch)
          in
          (* a fresh, cold memo per run: the measured hit rate is what a
             single pass over the batch earns, not an artifact of warm
             repetitions *)
          let on =
            median_summary (fun () ->
-               F.Fleet.verify_stream ~pool ~memo:(F.Memo.create ()) plan
+               F.Fleet.verify_batch ~pool ~memo:(F.Memo.create ()) plan
                  batch)
          in
          let m = on.F.Fleet.metrics in
@@ -1041,7 +1025,7 @@ let lint_bench () =
    pipelines windows of rounds from many provers (cheap re-attestation
    per round: one device execution per prover, one SW-Att pass per
    challenge), so the gateway's verify stream saturates and the honest
-   comparison is gateway rounds/s vs raw Fleet.verify_stream reports/s
+   comparison is gateway rounds/s vs raw Fleet.verify_batch reports/s
    on the same host. Writes BENCH_swarm.json.                          *)
 
 module N = Dialed_net
@@ -1091,7 +1075,7 @@ let swarm_measure () =
           A.Device.attest device
             ~challenge:(Printf.sprintf "swarm-bench-%d" i) ))
   in
-  let engine = F.Fleet.verify_stream ~domains:cores plan reports in
+  let engine = F.Fleet.verify_batch ~domains:cores plan reports in
   assert (engine.F.Fleet.metrics.F.Metrics.rejected = 0);
   let engine_raw = F.Metrics.reports_per_sec engine.F.Fleet.metrics in
   let replay_us = 1e6 /. engine_raw *. float_of_int cores in

@@ -6,7 +6,7 @@
      dialed run      [--app NAME] [--variant V] [--arg N]...
      dialed attest   [--app NAME] [--arg N]...
      dialed fleet    [--app NAME (default fire-sensor)] [--count N]
-                     [--domains D] [--tamper K] [--stream]
+                     [--domains D] [--tamper K] [--memo]
      dialed disasm   [--app NAME] [--variant V]
      dialed lint     [--app NAME | --file F | --all] [--variant V] [--json]
                      [--loop-bound K] [--require-bounded]
@@ -301,13 +301,6 @@ let fleet_cmd =
     let doc = "Tamper with the last K reports (flip one OR log byte each)." in
     Arg.(value & opt int 0 & info [ "tamper" ] ~docv:"K" ~doc)
   in
-  let stream_arg =
-    let doc =
-      "Use the streaming engine (submit reports one at a time, bounded \
-       in-flight window) instead of one batch call."
-    in
-    Arg.(value & flag & info [ "stream" ] ~doc)
-  in
   let memo_arg =
     let doc =
       "Arm the verdict memo: repeat log shapes skip the abstract replay \
@@ -316,7 +309,7 @@ let fleet_cmd =
     in
     Arg.(value & flag & info [ "memo" ] ~doc)
   in
-  let run app file entry args count domains tamper use_stream use_memo =
+  let run app file entry args count domains tamper use_memo =
     (* a fleet of the paper's fire sensors unless told otherwise *)
     let app =
       match app, file with None, None -> Some "fire-sensor" | _ -> app
@@ -357,11 +350,7 @@ let fleet_cmd =
             in
             let plan = F.Plan.of_built built in
             let memo = if use_memo then Some (F.Memo.create ()) else None in
-            let summary =
-              if use_stream then
-                F.Fleet.verify_stream ~domains ?memo plan batch
-              else F.Fleet.verify_batch ~domains ?memo plan batch
-            in
+            let summary = F.Fleet.verify_batch ~domains ?memo plan batch in
             Format.printf "firmware %s@."
               (String.sub (F.Plan.fingerprint plan) 0 16);
             Format.printf "%a@." F.Fleet.pp_summary summary;
@@ -379,7 +368,7 @@ let fleet_cmd =
        ~doc:"Verify a simulated device fleet in parallel (batch replay)")
     Term.(term_result
             (const run $ app_arg $ file_arg $ entry_arg $ args_arg $ count_arg
-             $ domains_arg $ tamper_arg $ stream_arg $ memo_arg))
+             $ domains_arg $ tamper_arg $ memo_arg))
 
 let lint_cmd =
   let all_arg =

@@ -51,11 +51,9 @@ let with_scratch f =
 
 (* ------------------------------------------------------------------ *)
 
-let default_chunk = 4
-
-(* A batch/stream's view of a verdict memo: the per-plan handle plus
-   this run's own hit/miss counters (Atomic: workers on several domains
-   bump them). The memo itself is shared and outlives the run. *)
+(* A stream's view of a verdict memo: the per-plan handle plus this
+   stream's own hit/miss counters (Atomic: workers on several domains
+   bump them). The memo itself is shared and outlives the stream. *)
 type memo_ctx = {
   mc_memo : Memo.t;
   mc_handle : Memo.handle;
@@ -118,98 +116,27 @@ let verify_one ?memo ?digest vplan scratch device_id report =
        { device_id; accepted = entry.Memo.e_accepted;
          findings = entry.Memo.e_findings; replay_steps = entry.Memo.e_steps })
 
+(* Bucket a rejected verdict by the kind of its first (decisive)
+   finding. A rejection always names one; a rejected verdict with an
+   empty findings list (nothing downstream should produce one, but
+   synthetic or future verdicts might) still counts, under its own
+   bucket. *)
+let count_reject kinds v =
+  let kind =
+    match v.findings with
+    | f :: _ -> C.Verifier.finding_kind f
+    | [] -> "no-finding"
+  in
+  Hashtbl.replace kinds kind
+    (1 + Option.value ~default:0 (Hashtbl.find_opt kinds kind))
+
+let sorted_kinds kinds =
+  List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) kinds [])
+
 let rejects_by_kind verdicts =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun v ->
-       if not v.accepted then begin
-         (* a rejection always names its decisive finding; a rejected
-            verdict with an empty findings list (nothing downstream
-            should produce one, but synthetic or future verdicts might)
-            still counts, under its own bucket *)
-         let kind =
-           match v.findings with
-           | f :: _ -> C.Verifier.finding_kind f
-           | [] -> "no-finding"
-         in
-         Hashtbl.replace tbl kind
-           (1 + Option.value ~default:0 (Hashtbl.find_opt tbl kind))
-       end)
-    verdicts;
-  List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
-
-(* Memo counters for a finished run: this run's own hits/misses, plus
-   the shared cache's cumulative eviction count at snapshot time. *)
-let memo_counts memo =
-  match memo with
-  | None -> (0, 0, 0)
-  | Some mc ->
-    (Atomic.get mc.mc_hits, Atomic.get mc.mc_misses,
-     (Memo.stats mc.mc_memo).Memo.evictions)
-
-let summarize ?memo ~domains ~wall_seconds verdicts =
-  let n = List.length verdicts in
-  let accepted = List.length (List.filter (fun v -> v.accepted) verdicts) in
-  let replay_steps =
-    List.fold_left (fun acc v -> acc + v.replay_steps) 0 verdicts
-  in
-  let memo_hits, memo_misses, memo_evictions = memo_counts memo in
-  { verdicts;
-    metrics =
-      { Metrics.domains; batch_size = n; accepted;
-        rejected = n - accepted; replay_steps; wall_seconds;
-        rejects_by_kind = rejects_by_kind verdicts;
-        memo_hits; memo_misses; memo_evictions } }
-
-let verify_batch ?pool ?(domains = 1) ?(chunk = default_chunk) ?memo plan
-    batch =
-  if domains < 1 then invalid_arg "Fleet.verify_batch: domains must be >= 1";
-  if chunk < 1 then invalid_arg "Fleet.verify_batch: chunk must be >= 1";
-  let reports = Array.of_list batch in
-  let n = Array.length reports in
-  let n_chunks = (n + chunk - 1) / chunk in
-  let vplan = Plan.vplan plan in
-  let mc = Option.map (memo_ctx_of plan) memo in
-  let results = Array.make n None in
-  let verify_range (first, len) =
-    with_scratch (fun scratch ->
-        for i = first to first + len - 1 do
-          let device_id, report = reports.(i) in
-          (* slots are disjoint per worker; publication happens-before the
-             submitter reads them, via the pool's latch *)
-          results.(i) <- Some (verify_one ?memo:mc vplan scratch device_id report)
-        done)
-  in
-  let ranges =
-    List.init n_chunks (fun c -> (c * chunk, min chunk (n - (c * chunk))))
-  in
-  let run_on p =
-    (* never split finer than the pool can exploit *)
-    let par = max 1 (min (Pool.domains p) n_chunks) in
-    if par = 1 then begin
-      if n > 0 then verify_range (0, n)
-    end
-    else Pool.run p (List.map (fun r () -> verify_range r) ranges);
-    par
-  in
-  let t0 = Unix.gettimeofday () in
-  let domains_used =
-    match pool with
-    | Some p -> run_on p
-    | None ->
-      (* a private pool for this one call; it spawns nothing unless the
-         batch splits into more than one chunk *)
-      let p = Pool.create ~domains () in
-      Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> run_on p)
-  in
-  let wall_seconds = Unix.gettimeofday () -. t0 in
-  let verdicts =
-    Array.to_list
-      (Array.map
-         (function Some v -> v | None -> assert false (* every slot filled *))
-         results)
-  in
-  summarize ?memo:mc ~domains:domains_used ~wall_seconds verdicts
+  let kinds = Hashtbl.create 8 in
+  List.iter (fun v -> if not v.accepted then count_reject kinds v) verdicts;
+  sorted_kinds kinds
 
 (* ------------------------------------------------------------------ *)
 (* Streaming verification: reports arrive one at a time, verdicts are
@@ -328,10 +255,13 @@ let stream_memo_counts st =
       slots;
     (!h, !m, (Memo.stats memo).Memo.evictions)
 
-(* Register the next submission and build its replay job. Call with
+(* Register the next submission and start its replay: on the pool, or
+   inline on the calling thread when the pool has no workers. Call with
    [st_mutex] held and [st_closed] already checked; returns with the
-   lock released. *)
-let enqueue_locked ?digest ?plan st device_id report =
+   lock released. The job reaches the pool before the submission is
+   counted, so a pool that refuses it (shut down) raises here and
+   leaves nothing in flight for [stream_close] to wait on. *)
+let dispatch_locked ?digest ?plan st device_id report =
   let slot = slot_for_locked st plan in
   let seq = st.st_submitted in
   let len = Array.length st.st_results in
@@ -342,10 +272,7 @@ let enqueue_locked ?digest ?plan st device_id report =
     done;
     st.st_results <- bigger
   end;
-  st.st_submitted <- seq + 1;
-  st.st_inflight <- st.st_inflight + 1;
-  Mutex.unlock st.st_mutex;
-  fun () ->
+  let job () =
     let result =
       try
         Ok (with_scratch (fun scratch ->
@@ -361,13 +288,7 @@ let enqueue_locked ?digest ?plan st device_id report =
        if v.accepted then st.st_accepted <- st.st_accepted + 1
        else begin
          st.st_rejected <- st.st_rejected + 1;
-         let kind =
-           match v.findings with
-           | f :: _ -> C.Verifier.finding_kind f
-           | [] -> "no-finding"
-         in
-         Hashtbl.replace st.st_kinds kind
-           (1 + Option.value ~default:0 (Hashtbl.find_opt st.st_kinds kind))
+         count_reject st.st_kinds v
        end
      | Error e -> if st.st_exn = None then st.st_exn <- Some e);
     st.st_inflight <- st.st_inflight - 1;
@@ -377,6 +298,18 @@ let enqueue_locked ?digest ?plan st device_id report =
     let cb = st.st_on_progress in
     Mutex.unlock st.st_mutex;
     match cb with Some f -> f () | None -> ()
+  in
+  let inline = Pool.workers st.st_pool = 0 in
+  (* a worker that picks the job up at once blocks on [st_mutex] until
+     the counts below are in place *)
+  if not inline then begin
+    try Pool.submit st.st_pool job
+    with e -> Mutex.unlock st.st_mutex; raise e
+  end;
+  st.st_submitted <- seq + 1;
+  st.st_inflight <- st.st_inflight + 1;
+  Mutex.unlock st.st_mutex;
+  if inline then job ()
 
 let stream_submit ?digest ?plan st device_id report =
   Mutex.lock st.st_mutex;
@@ -384,10 +317,8 @@ let stream_submit ?digest ?plan st device_id report =
     Mutex.unlock st.st_mutex;
     invalid_arg "Fleet.stream_submit: stream is closed"
   end;
-  let job = enqueue_locked ?digest ?plan st device_id report in
-  if Pool.workers st.st_pool = 0 then job ()
-  else begin
-    Pool.submit st.st_pool job;
+  dispatch_locked ?digest ?plan st device_id report;
+  if Pool.workers st.st_pool > 0 then begin
     (* bounded window: block (helping) until in-flight drops below it *)
     Mutex.lock st.st_mutex;
     help_while st (fun () -> st.st_inflight >= st.st_window);
@@ -400,15 +331,14 @@ let stream_try_submit ?digest ?plan st device_id report =
     Mutex.unlock st.st_mutex;
     invalid_arg "Fleet.stream_try_submit: stream is closed"
   end;
+  (* a 0-worker pool runs the job inline (like stream_submit), so the
+     window can never be full there *)
   if Pool.workers st.st_pool > 0 && st.st_inflight >= st.st_window then begin
     Mutex.unlock st.st_mutex;
     false
   end
   else begin
-    let job = enqueue_locked ?digest ?plan st device_id report in
-    (* a 0-worker pool runs the job inline (like stream_submit), so the
-       window can never be full there *)
-    if Pool.workers st.st_pool = 0 then job () else Pool.submit st.st_pool job;
+    dispatch_locked ?digest ?plan st device_id report;
     true
   end
 
@@ -426,9 +356,7 @@ let metrics_locked st =
     rejected = st.st_rejected;
     replay_steps = st.st_steps;
     wall_seconds = Unix.gettimeofday () -. st.st_t0;
-    rejects_by_kind =
-      List.sort compare
-        (Hashtbl.fold (fun k n acc -> (k, n) :: acc) st.st_kinds []);
+    rejects_by_kind = sorted_kinds st.st_kinds;
     memo_hits = 0; memo_misses = 0; memo_evictions = 0 }
 
 (* memo counters live outside st_mutex (Atomics + the memo's own locks);
@@ -489,8 +417,12 @@ let stream_close st =
   (match failure with Some e -> raise e | None -> ());
   { verdicts; metrics = with_memo_counts st metrics }
 
-let verify_stream ?domains ?pool ?window ?memo plan batch =
-  let st = stream ?domains ?pool ?window ?memo plan in
+let verify_batch ?pool ?(domains = 1) ?memo plan batch =
+  if domains < 1 then invalid_arg "Fleet.verify_batch: domains must be >= 1";
+  (* a private pool is never wider than the batch, so a one-report call
+     spawns nothing *)
+  let domains = max 1 (min domains (List.length batch)) in
+  let st = stream ?pool ~domains ?memo plan in
   List.iter (fun (device_id, report) -> stream_submit st device_id report)
     batch;
   stream_close st

@@ -8,7 +8,9 @@
     table — through an immutable plan and spreads the per-report replays
     over the worker domains of a {!Pool}: a long-lived one the caller
     passes in (workers and their scratch arenas persist across batches),
-    or a private one made and shut down by the call.
+    or a private one made and shut down by the call. There is one
+    engine, the {!stream}: {!verify_batch} is a stream opened, fed every
+    report and closed.
 
     Every replaying domain reuses a per-domain
     {!Dialed_core.Verifier.scratch} arena via domain-local storage, so
@@ -17,8 +19,8 @@
     reports instead of being reallocated and re-imaged.
 
     Verdicts are deterministic: the result is independent of the domain
-    count, chunk scheduling, and scratch reuse, because every replay
-    only reads the shared plan and writes its own result slot. *)
+    count, scheduling, and scratch reuse, because every replay only
+    reads the shared plan and writes its own result slot. *)
 
 type verdict = {
   device_id : string;
@@ -33,20 +35,19 @@ type summary = {
 }
 
 val verify_batch :
-  ?pool:Pool.t -> ?domains:int -> ?chunk:int -> ?memo:Memo.t ->
+  ?pool:Pool.t -> ?domains:int -> ?memo:Memo.t ->
   Plan.t -> (string * Dialed_apex.Pox.report) list -> summary
-(** [verify_batch ~pool plan batch] replays every [(device_id, report)]
-    pair on the pool's domains (the caller participates) and aggregates
-    outcomes; the pool's workers stay warm for the next batch. Without
-    [pool], the call runs on a private [Pool.create ~domains] and shuts
-    it down before returning ([domains] defaults to 1 — strictly serial,
-    no spawning).
-    Parallelism is capped at the number of chunks so small batches do
-    not split below [chunk] reports per task. [chunk] (default 4) is the
-    number of reports a worker claims at a time: small enough to balance
-    skewed replay lengths, large enough to keep queue traffic
-    negligible. Raises [Invalid_argument] on non-positive [domains] or
-    [chunk].
+(** [verify_batch ~pool plan batch] is {!stream} + {!stream_submit} of
+    every [(device_id, report)] pair + {!stream_close}: the replays run
+    on the pool's domains (the caller helps whenever the in-flight
+    window is full), and the pool's workers stay warm for the next
+    batch. Nothing is polled, so the summary holds every verdict, in
+    input order. Without [pool], the call runs on a private pool of
+    [min domains (List.length batch)] domains (at least 1) and shuts it
+    down before returning; [domains] defaults to 1 — strictly serial,
+    no spawning — and a one-report batch never spawns. Raises
+    [Invalid_argument] on non-positive [domains], and when [pool]
+    refuses a report (see {!stream_submit}).
 
     Guidance: replay is CPU-bound and shares no mutable state, so a pool
     of [Domain.recommended_domain_count ()] is the sensible maximum;
@@ -66,9 +67,10 @@ val rejects_by_kind : verdict list -> (string * int) list
 (** Histogram of rejected verdicts by the
     {!Dialed_core.Verifier.finding_kind} of their first (decisive)
     finding, sorted by kind. A rejected verdict with no findings at all
-    is counted under ["no-finding"] rather than dropped. This is the
-    exact aggregation {!verify_batch} and {!stream_close} put in
-    {!Metrics.t.rejects_by_kind}. *)
+    is counted under ["no-finding"] rather than dropped. A stream
+    buckets each verdict the same way as it lands, so this is exactly
+    the {!Metrics.t.rejects_by_kind} that {!stream_snapshot} and
+    {!stream_close} report. *)
 
 (** {2 Streaming verification}
 
@@ -87,7 +89,7 @@ val stream :
     (default {!Domain.recommended_domain_count}) is created and shut
     down by {!stream_close}. [window] (default [max 16 (4 * domains)])
     bounds the submitted-but-unfinished report count. [memo] arms
-    verdict memoization exactly as in {!verify_batch}; the memo
+    verdict memoization as described at {!verify_batch}; the memo
     survives the stream. *)
 
 val stream_submit :
@@ -95,7 +97,10 @@ val stream_submit :
   string -> Dialed_apex.Pox.report -> unit
 (** Submit one report. Blocks (productively: the caller steals pool
     jobs) while the in-flight window is full. Raises [Invalid_argument]
-    on a closed stream. [digest], when the caller already computed the
+    on a closed stream, and when the pool refuses the job (it has
+    workers and has been shut down); a refused report is not counted,
+    so {!stream_close} still returns.
+    [digest], when the caller already computed the
     report's canonical log digest (e.g. incrementally during wire
     decode via {!Dialed_apex.Wire.decode_digested}), skips the memo
     path's own {!Dialed_core.Verifier.log_digest} pass; ignored on a
@@ -121,7 +126,8 @@ val stream_try_submit :
     gateway uses this so a full verify window queues reports at the
     session layer instead of blocking the loop thread. On a 0-worker
     pool the replay runs inline (as in {!stream_submit}) and the result
-    is always [true]. Raises [Invalid_argument] on a closed stream. *)
+    is always [true]. Raises [Invalid_argument] when {!stream_submit}
+    would. *)
 
 val stream_on_progress : stream -> (unit -> unit) option -> unit
 (** Register (or clear) a callback invoked after {e each} verdict lands,
@@ -155,14 +161,6 @@ val stream_close : stream -> summary
     once it has been polled, so a long-lived polled stream holds memory
     proportional to its unpolled backlog, not to its lifetime.
     [wall_seconds] spans stream open to drain. *)
-
-val verify_stream :
-  ?domains:int -> ?pool:Pool.t -> ?window:int -> ?memo:Memo.t ->
-  Plan.t -> (string * Dialed_apex.Pox.report) list -> summary
-(** [stream] + submit each pair + [stream_close]: batch semantics over
-    the streaming path. Nothing is polled, so the summary holds every
-    verdict; summaries are verdict-identical to {!verify_batch} on the
-    same input (pinned by [test_fleet]). *)
 
 val accepted : summary -> verdict list
 val rejected : summary -> verdict list

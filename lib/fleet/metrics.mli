@@ -1,7 +1,7 @@
 (** Aggregate counters for one fleet verification batch. *)
 
 type t = {
-  domains : int;          (** worker domains the batch actually used *)
+  domains : int;          (** parallelism of the pool the reports ran on *)
   batch_size : int;       (** reports submitted *)
   accepted : int;
   rejected : int;

@@ -7,11 +7,11 @@
    condition variable between batches, so steady-state fleet traffic
    pays queue operations only.
 
-   The submitting domain is a first-class worker: [run] pushes the
-   batch's jobs and then drains the queue itself alongside the spawned
-   workers, so a pool of [domains = n] applies n-way parallelism with
-   only n - 1 spawned domains (and [domains = 1] spawns nothing at
-   all, degrading to plain serial execution). *)
+   The submitting domain is a first-class worker: while it waits for
+   its jobs it drains the queue itself ([try_run_one]) alongside the
+   spawned workers, so a pool of [domains = n] applies n-way
+   parallelism with only n - 1 spawned domains (and [domains = 1]
+   spawns nothing at all, degrading to plain serial execution). *)
 
 type t = {
   parallelism : int;                     (* including the submitting domain *)
@@ -77,47 +77,6 @@ let try_run_one t =
   match Queue.take_opt t.jobs with
   | Some job -> Mutex.unlock t.mutex; job (); true
   | None -> Mutex.unlock t.mutex; false
-
-(* ------------------------------------------------------------------ *)
-(* Batch execution: a per-call countdown latch. Jobs may be picked up by
-   any domain (including submitters of unrelated batches helping out);
-   the latch, not the queue, defines batch completion.                  *)
-
-type latch = {
-  l_mutex : Mutex.t;
-  l_done : Condition.t;
-  mutable l_remaining : int;
-  mutable l_exn : exn option;
-}
-
-let run t thunks =
-  let n = List.length thunks in
-  if n > 0 then begin
-    let latch =
-      { l_mutex = Mutex.create (); l_done = Condition.create ();
-        l_remaining = n; l_exn = None }
-    in
-    let wrap job () =
-      let failure = (try job (); None with e -> Some e) in
-      Mutex.lock latch.l_mutex;
-      (match failure with
-       | Some e when latch.l_exn = None -> latch.l_exn <- Some e
-       | _ -> ());
-      latch.l_remaining <- latch.l_remaining - 1;
-      if latch.l_remaining = 0 then Condition.broadcast latch.l_done;
-      Mutex.unlock latch.l_mutex
-    in
-    List.iter (fun job -> submit t (wrap job)) thunks;
-    (* the submitting domain works too *)
-    while try_run_one t do () done;
-    Mutex.lock latch.l_mutex;
-    while latch.l_remaining > 0 do
-      Condition.wait latch.l_done latch.l_mutex
-    done;
-    let failure = latch.l_exn in
-    Mutex.unlock latch.l_mutex;
-    match failure with Some e -> raise e | None -> ()
-  end
 
 let shutdown t =
   Mutex.lock t.mutex;

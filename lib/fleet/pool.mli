@@ -8,12 +8,13 @@
     first job) and parked on a condition variable between batches, and
     each worker keeps its per-domain scratch arena warm across batches.
 
-    Jobs are opaque thunks; completion of a batch is tracked by a
-    per-{!run} countdown latch, so several submitters may share one pool
-    concurrently. The submitting domain always participates in draining
-    the queue — a pool of [domains = n] spawns only [n - 1] domains, and
-    [domains = 1] spawns none (plain serial execution, no queue cost on
-    the replay path). *)
+    Jobs are opaque thunks on one FIFO queue; several submitters may
+    share a pool, each tracking completion of its own jobs (a
+    [Fleet.stream] counts its in-flight reports). A submitter helps
+    drain the queue with {!try_run_one} while it waits, so a pool of
+    [domains = n] spawns only [n - 1] domains, and [domains = 1] spawns
+    none: its user runs every job inline, with no queue cost on the
+    replay path. *)
 
 type t
 
@@ -32,20 +33,14 @@ val workers : t -> int
 
 val submit : t -> (unit -> unit) -> unit
 (** Enqueue one job; spawns the workers on first use. The job runs on an
-    arbitrary pool domain (or on a caller inside {!run}/{!try_run_one}).
-    Raises [Invalid_argument] after {!shutdown}. *)
+    arbitrary pool domain (or on a caller of {!try_run_one}). Raises
+    [Invalid_argument] after {!shutdown}. *)
 
 val try_run_one : t -> bool
 (** Steal and run one queued job on the calling domain; [false] when the
     queue is empty. Lets a producer (the streaming submitter) help when
     it would otherwise block. *)
 
-val run : t -> (unit -> unit) list -> unit
-(** Submit the thunks, drain the queue on the calling domain alongside
-    the workers, and return when {e all} of them have finished (even if
-    other pool users stole some). The first exception a thunk raised is
-    re-raised here after the batch completes. *)
-
 val shutdown : t -> unit
 (** Stop accepting jobs, let the workers finish what is queued, and join
-    them. Idempotent. Subsequent {!submit}/{!run} calls raise. *)
+    them. Idempotent. Subsequent {!submit} calls raise. *)

@@ -326,7 +326,7 @@ type ev_waiting = {
   wt_report : A.Pox.report;
 }
 
-let run_evloop t =
+let event_loop t =
   let loop = Evloop.create () in
   locked t (fun () -> t.loop <- Some loop);
   let conns : (int, econn) Hashtbl.t = Hashtbl.create 256 in
@@ -678,25 +678,40 @@ let run_evloop t =
      any send to a closed connection *)
   Queue.clear pending;
   Queue.clear waiting;
-  Evloop.close loop;
-  locked t (fun () ->
-      t.loop <- None;
-      t.ev_done <- true;
-      Condition.broadcast t.cv)
+  Evloop.close loop
+
+(* The loop's whole life. Only the loop closes the listener it watches,
+   after the unwatch: closed from another thread first, its descriptor
+   number can be reused (even by the loop's own epoll fd) before the
+   loop registers or drops it. [ev_done] flips on every exit,
+   exceptions included, so [stop] never waits on a loop that died. *)
+let run_evloop t =
+  Fun.protect
+    ~finally:(fun () ->
+        (try Transport.shutdown t.listener with _ -> ());
+        locked t (fun () ->
+            t.loop <- None;
+            t.ev_done <- true;
+            Condition.broadcast t.cv))
+    (fun () -> event_loop t)
 
 (* ---------------------------------------------------------------- *)
 
+(* Claim the loop for [serve_forever] or [start]: false when a stop is
+   already pending, and then no loop runs. Call with [m] held. *)
+let claim_loop_locked t caller =
+  if t.ev_started then invalid_arg (caller ^ ": running");
+  t.ev_started <- not (t.stopping || Atomic.get t.stop_req);
+  t.ev_started
+
 let serve_forever t =
-  locked t (fun () ->
-      if t.ev_started then invalid_arg "Server.serve_forever: running";
-      t.ev_started <- true);
-  run_evloop t
+  if locked t (fun () -> claim_loop_locked t "Server.serve_forever") then
+    run_evloop t
 
 let start t =
   locked t (fun () ->
-      if t.ev_started then invalid_arg "Server.start: running";
-      t.ev_started <- true;
-      t.loop_thread <- Some (Thread.create (fun () -> run_evloop t) ()))
+      if claim_loop_locked t "Server.start" then
+        t.loop_thread <- Some (Thread.create (fun () -> run_evloop t) ()))
 
 (* call with [m] held: one critical section, one consistent view *)
 let snapshot t verify memo plan_cache =
@@ -748,13 +763,12 @@ let stats t =
    a signal handler — including one delivered to the loop thread
    itself, the [serve_forever] + SIGINT case where calling
    [stop] would self-deadlock waiting for a cleanup that can never run.
-   The loop unwinds and [serve_forever] returns; the caller then runs
-   [stop] normally to finish teardown and collect final stats. *)
+   The loop unwinds (closing the listener) and [serve_forever] returns;
+   the caller then runs [stop] normally to finish teardown and collect
+   final stats. *)
 let request_stop t =
   Atomic.set t.stop_req true;
-  (* closing the listener stops new dials; [Evloop.wake] is atomics + a
-     pipe write *)
-  (try Transport.shutdown t.listener with _ -> ());
+  (* [Evloop.wake] is atomics + a pipe write *)
   match t.loop with
   | Some l -> Evloop.wake l
   | None -> ()
@@ -766,8 +780,6 @@ let stop t =
   match already with
   | Some final -> final
   | None ->
-    (* no new connections *)
-    Transport.shutdown t.listener;
     let started =
       locked t (fun () ->
           t.ev_stop <- true;
@@ -776,11 +788,15 @@ let stop t =
     in
     if started then begin
       (* the loop thread runs its own cleanup (closing connections needs
-         loop state); wait for it before touching the stream *)
+         loop state, and it closes the listener it watches); wait for it
+         before touching the stream *)
       Mutex.lock t.m;
       while not t.ev_done do Condition.wait t.cv t.m done;
       Mutex.unlock t.m
-    end;
+    end
+    else
+      (* no loop ever watched the listener *)
+      Transport.shutdown t.listener;
     (match locked t (fun () -> t.loop_thread) with
      | Some th -> Thread.join th
      | None -> ());

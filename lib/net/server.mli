@@ -177,25 +177,29 @@ val create : ?config:config -> plan:Dialed_fleet.Plan.t ->
     [create] until {!stop}. *)
 
 val start : t -> unit
-(** Spawn the event loop in a background thread and return. *)
+(** Spawn the event loop in a background thread and return. Spawns
+    nothing when a stop is already pending. *)
 
 val serve_forever : t -> unit
 (** Run the event loop on the calling thread; returns when {!stop} or
-    {!request_stop} is called. *)
+    {!request_stop} is called, and at once when one already was. *)
 
 val request_stop : t -> unit
 (** Ask the event loop to unwind, without blocking and without taking any
     OCaml lock: safe from a signal handler, even one delivered to the
     thread running {!serve_forever} (where calling {!stop} directly
     would self-deadlock — it waits for a cleanup that thread can never
-    reach while suspended in the handler). Closes the listener and
-    wakes the loop; once {!serve_forever} returns, call {!stop} to
-    finish teardown and collect final stats. *)
+    reach while suspended in the handler). Wakes the loop, which closes
+    the listener and every connection as it unwinds; requested before
+    the loop starts, it keeps the loop from starting. Either way, call
+    {!stop} afterwards to finish teardown and collect final stats. *)
 
 val stop : t -> stats
-(** Shut the listener, close every live connection, wake and join the
-    event loop, close the fleet stream, and return the final stats. Idempotent
-    (later calls return the same final stats). *)
+(** Wake the event loop and wait for it to close the listener and every
+    live connection (or, when no loop ever ran, close the listener
+    itself), close the fleet stream, and return the final stats. Only
+    the loop closes a listener it watches. Idempotent (later calls
+    return the same final stats). *)
 
 val stats : t -> stats
 (** Non-blocking snapshot; callable at any time, including mid-traffic.

@@ -45,7 +45,7 @@ let test_determinism_across_domains () =
   let batch = mixed_batch built 16 in
   let plan = F.Plan.of_built built in
   let serial = F.Fleet.verify_batch ~domains:1 plan batch in
-  let parallel = F.Fleet.verify_batch ~domains:4 ~chunk:3 plan batch in
+  let parallel = F.Fleet.verify_batch ~domains:4 plan batch in
   check_int "verdict count (serial)" 16
     (List.length serial.F.Fleet.verdicts);
   List.iter2
@@ -213,8 +213,8 @@ let test_pool_reuse () =
     (fun n ->
        let batch = mixed_batch built n in
        let serial = F.Fleet.verify_batch ~domains:1 plan batch in
-       let per_call = F.Fleet.verify_batch ~domains:3 ~chunk:2 plan batch in
-       let pooled = F.Fleet.verify_batch ~pool ~chunk:2 plan batch in
+       let per_call = F.Fleet.verify_batch ~domains:3 plan batch in
+       let pooled = F.Fleet.verify_batch ~pool plan batch in
        check_bool
          (Printf.sprintf "batch %d: serial = per-call pool" n) true
          (verdict_keys serial = verdict_keys per_call);
@@ -237,7 +237,7 @@ let test_per_call_pool_released () =
   let batch = mixed_batch built 4 in
   let serial = verdict_keys (F.Fleet.verify_batch ~domains:1 plan batch) in
   for i = 1 to 80 do
-    let s = F.Fleet.verify_batch ~domains:3 ~chunk:1 plan batch in
+    let s = F.Fleet.verify_batch ~domains:3 plan batch in
     check_int (Printf.sprintf "call %d ran 3-way" i) 3
       s.F.Fleet.metrics.F.Metrics.domains;
     check_bool (Printf.sprintf "call %d = serial" i) true
@@ -268,8 +268,8 @@ let test_pool_across_plans () =
   (* interleave the two firmwares on one pool, twice each *)
   List.iter
     (fun () ->
-       let p = F.Fleet.verify_batch ~pool ~chunk:2 pump_plan pump_batch in
-       let s = F.Fleet.verify_batch ~pool ~chunk:2 sensor_plan sensor_batch in
+       let p = F.Fleet.verify_batch ~pool pump_plan pump_batch in
+       let s = F.Fleet.verify_batch ~pool sensor_plan sensor_batch in
        check_bool "pump verdicts survive rebinding" true
          (verdict_keys fresh_pump = verdict_keys p);
        check_bool "sensor verdicts survive rebinding" true
@@ -285,14 +285,18 @@ let test_stream_matches_batch () =
   let plan = F.Plan.of_built built in
   let batch = mixed_batch built 20 in
   let batch_sum = F.Fleet.verify_batch ~domains:1 plan batch in
+  let through st =
+    List.iter (fun (id, r) -> F.Fleet.stream_submit st id r) batch;
+    F.Fleet.stream_close st
+  in
   (* inline path: a 1-domain stream has no workers, replays run in
      stream_submit itself *)
-  let inline = F.Fleet.verify_stream ~domains:1 plan batch in
+  let inline = through (F.Fleet.stream ~domains:1 plan) in
   check_bool "stream (inline) = batch" true
     (verdict_keys batch_sum = verdict_keys inline);
   (* pooled path, with a window small enough to exercise backpressure *)
   let pool = F.Pool.create ~domains:3 () in
-  let streamed = F.Fleet.verify_stream ~pool ~window:4 plan batch in
+  let streamed = through (F.Fleet.stream ~pool ~window:4 plan) in
   check_bool "stream (pooled, window 4) = batch" true
     (verdict_keys batch_sum = verdict_keys streamed);
   check_int "stream batch size" 20
@@ -321,6 +325,97 @@ let test_stream_matches_batch () =
   match F.Fleet.stream_submit st "late" (snd (List.hd batch)) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "submit on a closed stream accepted"
+
+(* A pool that refuses a job (it was shut down) must leave the stream
+   as it was: the refused report is not in flight, so close returns. *)
+let test_stream_refused_submit () =
+  let built = Lazy.force vuln_built in
+  let plan = F.Plan.of_built built in
+  let id, report = List.hd (mixed_batch built 1) in
+  let pool = F.Pool.create ~domains:2 () in
+  F.Pool.shutdown pool;
+  let st = F.Fleet.stream ~pool plan in
+  (match F.Fleet.stream_submit st id report with
+   | exception Invalid_argument _ -> ()
+   | () -> Alcotest.fail "submit to a shut-down pool accepted");
+  check_int "refused submit leaves nothing in flight" 0
+    (F.Fleet.stream_pending st);
+  (match F.Fleet.stream_try_submit st id report with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "try_submit to a shut-down pool accepted");
+  check_int "refused try_submit leaves nothing in flight" 0
+    (F.Fleet.stream_pending st);
+  let final = F.Fleet.stream_close st in
+  check_int "nothing counted" 0 final.F.Fleet.metrics.F.Metrics.batch_size;
+  check_int "no verdicts" 0 (List.length final.F.Fleet.verdicts)
+
+(* The gateway's submission call. On a 2-domain pool whose one worker
+   is held by a blocking job, a window-1 stream fills on demand: a full
+   window refuses without blocking and without counting, and a landed
+   verdict reopens it. *)
+let test_stream_try_submit () =
+  let built = Lazy.force vuln_built in
+  let plan = F.Plan.of_built built in
+  let batch = mixed_batch built 3 in
+  let serial = verdict_keys (F.Fleet.verify_batch ~domains:1 plan batch) in
+  let take n = List.filteri (fun i _ -> i < n) in
+  let within_5s what cond =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (cond ())) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    if not (cond ()) then Alcotest.failf "%s within 5 s" what
+  in
+  let pool = F.Pool.create ~domains:2 () in
+  let started = Atomic.make false and release = Atomic.make false in
+  F.Pool.submit pool (fun () ->
+      Atomic.set started true;
+      while not (Atomic.get release) do Unix.sleepf 0.001 done);
+  Fun.protect
+    ~finally:(fun () -> Atomic.set release true; F.Pool.shutdown pool)
+    (fun () ->
+       within_5s "worker took the blocking job" (fun () -> Atomic.get started);
+       let st = F.Fleet.stream ~pool ~window:1 plan in
+       let id0, r0 = List.nth batch 0 and id1, r1 = List.nth batch 1 in
+       check_bool "empty window takes the report" true
+         (F.Fleet.stream_try_submit st id0 r0);
+       let submitted () =
+         (F.Fleet.stream_snapshot st).F.Metrics.batch_size
+       in
+       check_int "one in flight" 1 (F.Fleet.stream_pending st);
+       check_bool "full window refuses" false
+         (F.Fleet.stream_try_submit st id1 r1);
+       check_int "refusal changes no pending count" 1
+         (F.Fleet.stream_pending st);
+       check_int "refusal changes no batch size" 1 (submitted ());
+       Atomic.set release true;
+       let polled = ref [] in
+       within_5s "verdict landed" (fun () ->
+           polled := !polled @ F.Fleet.stream_poll st;
+           !polled <> []);
+       check_bool "window reopens after progress" true
+         (F.Fleet.stream_try_submit st id1 r1);
+       let final = F.Fleet.stream_close st in
+       check_int "two reports counted" 2
+         final.F.Fleet.metrics.F.Metrics.batch_size;
+       check_bool "verdicts = serial" true
+         (List.map verdict_key !polled @ verdict_keys final = take 2 serial);
+       match F.Fleet.stream_try_submit st id0 r0 with
+       | exception Invalid_argument _ -> ()
+       | _ -> Alcotest.fail "try_submit on a closed stream accepted");
+  (* a 0-worker pool replays inline, so even a window of 1 never fills *)
+  let st = F.Fleet.stream ~domains:1 ~window:1 plan in
+  List.iter
+    (fun (id, r) ->
+       check_bool "inline stream always takes the report" true
+         (F.Fleet.stream_try_submit st id r))
+    batch;
+  check_int "inline: nothing in flight" 0 (F.Fleet.stream_pending st);
+  let final = F.Fleet.stream_close st in
+  check_bool "inline verdicts = serial" true (verdict_keys final = serial);
+  match F.Fleet.stream_try_submit st "late" (snd (List.hd batch)) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "try_submit on a closed inline stream accepted"
 
 (* A long-lived stream whose verdicts are polled as they land (the
    gateway's pattern) must not keep them: its reachable heap after 10k
@@ -454,6 +549,10 @@ let suites =
          test_pool_across_plans;
        Alcotest.test_case "stream matches batch" `Quick
          test_stream_matches_batch;
+       Alcotest.test_case "stream refuses a shut-down pool" `Quick
+         test_stream_refused_submit;
+       Alcotest.test_case "stream_try_submit window" `Quick
+         test_stream_try_submit;
        Alcotest.test_case "stream retention bounded" `Quick
          test_stream_retention_bounded;
        Alcotest.test_case "rejects_by_kind keeps findingless rejects" `Quick

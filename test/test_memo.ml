@@ -452,7 +452,7 @@ let test_evictions_mid_stream_keep_verdicts () =
   in
   let off = F.Fleet.verify_batch plan batch in
   let memo = F.Memo.create ~config:(one_shard ~entries:1 ~bytes:(1 lsl 20)) () in
-  let on = F.Fleet.verify_stream ~domains:1 ~memo plan batch in
+  let on = F.Fleet.verify_batch ~domains:1 ~memo plan batch in
   check_bool "thrashing memo still agrees" true (same_verdicts off on);
   let s = F.Memo.stats memo in
   check_bool "evictions actually happened" true (s.F.Memo.evictions > 0);
@@ -511,9 +511,9 @@ let prop_memo_equals_fresh =
          F.Memo.create ~config:(one_shard ~entries:1 ~bytes:(1 lsl 20)) ()
        in
        let on_tiny = F.Fleet.verify_batch ~memo:tiny plan batch in
-       (* and a roomy one through the streaming path: repeats are hits *)
+       (* and a roomy one on two domains: repeats are hits *)
        let roomy = F.Memo.create () in
-       let on_roomy = F.Fleet.verify_stream ~domains:2 ~memo:roomy plan batch in
+       let on_roomy = F.Fleet.verify_batch ~domains:2 ~memo:roomy plan batch in
        if not (same_verdicts off on_tiny) then
          QCheck.Test.fail_reportf
            "thrashing memo diverged from fresh replay on:\n%s" source;

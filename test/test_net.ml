@@ -1028,9 +1028,10 @@ let test_half_open_fin_no_bye () =
        check_int "FIN is not an error" 0 stats.N.Server.protocol_errors)
 
 let test_request_stop_unwinds transport =
-  (* request_stop is the signal-handler path: lock-free, closes the
-     listener, and makes serve_forever return so the caller can run
-     the full stop for teardown + stats. A regression here shows up as
+  (* request_stop is the signal-handler path: lock-free, it makes
+     serve_forever return (the unwinding loop closes the listener) so the
+     caller can run the full stop for teardown + stats. A regression
+     here shows up as
      a gateway that ignores Ctrl-C (the handler used to call [stop]
      from the serving thread and self-deadlock). *)
   let built = build_app () in
@@ -1067,6 +1068,47 @@ let test_request_stop_unwinds transport =
   let stats = N.Server.stop server in
   check_int "no sessions leaked" 0 stats.N.Server.sessions_active;
   check_int "no conns leaked" 0 stats.N.Server.connections_active
+
+let test_request_stop_before_serve transport =
+  (* a signal that lands between create and serve_forever: the loop
+     must not start (over TCP it used to register the already-closed
+     listener and die in epoll_ctl, leaving [stop] waiting forever), and
+     stop must still tear down. Both calls run on a thread with a
+     deadline, so a hang fails the case instead of the suite. *)
+  let built = build_app () in
+  let plan = F.Plan.of_built built in
+  let listener, dial = listen transport in
+  let server = N.Server.create ~config:gateway_config ~plan listener in
+  N.Server.request_stop server;
+  let within_5s what f =
+    let result = Atomic.make None in
+    let th =
+      Thread.create
+        (fun () ->
+           Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+        ()
+    in
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Atomic.get result = None && Unix.gettimeofday () < deadline do
+      Thread.delay 0.01
+    done;
+    match Atomic.get result with
+    | None -> Alcotest.failf "%s did not return within 5 s" what
+    | Some (Error e) ->
+      Thread.join th;
+      Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+    | Some (Ok v) -> Thread.join th; v
+  in
+  within_5s "serve_forever" (fun () -> N.Server.serve_forever server);
+  let stats = within_5s "stop" (fun () -> N.Server.stop server) in
+  check_int "no sessions leaked" 0 stats.N.Server.sessions_active;
+  check_int "no conns leaked" 0 stats.N.Server.connections_active;
+  check_int "nothing accepted" 0 stats.N.Server.connections_accepted;
+  match dial () with
+  | conn ->
+    N.Transport.close conn;
+    Alcotest.fail "listener still accepting after stop"
+  | exception (N.Transport.Closed | Unix.Unix_error _) -> ()
 
 (* ------------------------------------------------------------- *)
 (* Client backoff.                                                 *)
@@ -1182,7 +1224,9 @@ let suites =
          ("idle connection reaped", test_idle_connection_reaped);
          ("chatty session outlives the deadline",
           test_chatty_session_outlives_deadline);
-         ("request_stop unwinds serve_forever", test_request_stop_unwinds) ]
+         ("request_stop unwinds serve_forever", test_request_stop_unwinds);
+         ("request_stop before serve_forever",
+          test_request_stop_before_serve) ]
      @ [ Alcotest.test_case "half-open FIN without Bye" `Quick
            test_half_open_fin_no_bye ]);
     ("net-pipelined",

@@ -141,7 +141,7 @@ let test_fleet_domains_equivalence () =
   in
   let plan = F.Plan.of_built built in
   let one = F.Fleet.verify_batch ~domains:1 plan batch in
-  let four = F.Fleet.verify_batch ~domains:4 ~chunk:2 plan batch in
+  let four = F.Fleet.verify_batch ~domains:4 plan batch in
   check_int "verdict count" (List.length batch)
     (List.length one.F.Fleet.verdicts);
   List.iter2
