@@ -55,15 +55,13 @@ let with_scratch f =
    stream's own hit/miss counters (Atomic: workers on several domains
    bump them). The memo itself is shared and outlives the stream. *)
 type memo_ctx = {
-  mc_memo : Memo.t;
   mc_handle : Memo.handle;
   mc_hits : int Atomic.t;
   mc_misses : int Atomic.t;
 }
 
 let memo_ctx_of plan memo =
-  { mc_memo = memo;
-    mc_handle =
+  { mc_handle =
       Memo.handle memo ~ns:(C.Verifier.plan_memo_ns (Plan.vplan plan));
     mc_hits = Atomic.make 0;
     mc_misses = Atomic.make 0 }

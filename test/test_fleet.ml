@@ -359,7 +359,7 @@ let test_stream_try_submit () =
   let batch = mixed_batch built 3 in
   let serial = verdict_keys (F.Fleet.verify_batch ~domains:1 plan batch) in
   let take n = List.filteri (fun i _ -> i < n) in
-  let within_5s what cond =
+  let wait_until what cond =
     let deadline = Unix.gettimeofday () +. 5.0 in
     while (not (cond ())) && Unix.gettimeofday () < deadline do
       Unix.sleepf 0.001
@@ -374,7 +374,7 @@ let test_stream_try_submit () =
   Fun.protect
     ~finally:(fun () -> Atomic.set release true; F.Pool.shutdown pool)
     (fun () ->
-       within_5s "worker took the blocking job" (fun () -> Atomic.get started);
+       wait_until "worker took the blocking job" (fun () -> Atomic.get started);
        let st = F.Fleet.stream ~pool ~window:1 plan in
        let id0, r0 = List.nth batch 0 and id1, r1 = List.nth batch 1 in
        check_bool "empty window takes the report" true
@@ -390,7 +390,7 @@ let test_stream_try_submit () =
        check_int "refusal changes no batch size" 1 (submitted ());
        Atomic.set release true;
        let polled = ref [] in
-       within_5s "verdict landed" (fun () ->
+       wait_until "verdict landed" (fun () ->
            polled := !polled @ F.Fleet.stream_poll st;
            !polled <> []);
        check_bool "window reopens after progress" true
