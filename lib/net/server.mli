@@ -196,10 +196,9 @@ val request_stop : t -> unit
 
 val stop : t -> stats
 (** Wake the event loop and wait for it to close the listener and every
-    live connection (or, when no loop ever ran, close the listener
-    itself), close the fleet stream, and return the final stats. Only
-    the loop closes a listener it watches. Idempotent (later calls
-    return the same final stats). *)
+    live connection (when no loop ever ran, close the listener itself),
+    close the fleet stream, and return the final stats. Idempotent
+    (later calls return the same final stats). *)
 
 val stats : t -> stats
 (** Non-blocking snapshot; callable at any time, including mid-traffic.

@@ -1029,11 +1029,11 @@ let test_half_open_fin_no_bye () =
 
 let test_request_stop_unwinds transport =
   (* request_stop is the signal-handler path: lock-free, it makes
-     serve_forever return (the unwinding loop closes the listener) so the
-     caller can run the full stop for teardown + stats. A regression
-     here shows up as
-     a gateway that ignores Ctrl-C (the handler used to call [stop]
-     from the serving thread and self-deadlock). *)
+     serve_forever return (the unwinding loop closes the listener) so
+     the caller can run the full stop for teardown + stats. A
+     regression here shows up as a gateway that ignores Ctrl-C (the
+     handler used to call [stop] from the serving thread and
+     self-deadlock). *)
   let built = build_app () in
   let plan = F.Plan.of_built built in
   let listener, dial = listen transport in
