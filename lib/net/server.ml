@@ -98,27 +98,26 @@ type t = {
   pool : F.Pool.t;
   stream : F.Fleet.stream;
   memo_cache : F.Memo.t option;
-  (* shared mutable state: counters and the loop's lifecycle. Every
-     counter below is only ever read or written with [m] held, so
-     {!stats} snapshots one mutually-consistent view — a poller can
-     never observe a torn pair (e.g. a verdict counted before its
-     report). *)
+  (* The loop's lifecycle, guarded by [m] (connection state lives inside
+     [event_loop], never on [t]). [cv] is broadcast when [ev_done]
+     flips, when [final] is set and when a {!stats} reply lands. *)
   m : Mutex.t;
-  cv : Condition.t;                  (* signalled when [ev_done] flips *)
-  mutable next_conn_id : int;
+  cv : Condition.t;
   mutable stopping : bool;
   mutable final : stats option;
-  (* loop lifecycle (all guarded by [m]; loop internals live inside
-     [run_evloop], never on [t]) *)
   mutable loop : Evloop.t option;
   mutable loop_thread : Thread.t option;
   mutable ev_started : bool;
-  mutable ev_stop : bool;
   mutable ev_done : bool;
-  (* lock-free stop request, settable from a signal handler (which may
-     run on the loop thread itself — taking [m] there could self-
-     deadlock, and [stop]'s wait-for-cleanup certainly would) *)
+  (* The one stop flag. Lock-free, so a signal handler can set it, even
+     one that runs on the loop thread itself (taking [m] there could
+     self-deadlock, and [stop]'s wait-for-cleanup certainly would). *)
   stop_req : bool Atomic.t;
+  (* Connection ids and counters. Only the loop thread writes them, and
+     it takes no lock to do so. {!stats} reads them on the loop thread,
+     so one snapshot is one loop instant: a poller can never observe a
+     torn pair (e.g. a verdict counted before its report). *)
+  mutable next_conn_id : int;
   mutable c_accepted : int;
   mutable c_active : int;
   mutable c_peak : int;
@@ -136,9 +135,6 @@ type t = {
   mutable c_bad_seq : int;
   mutable c_proto_errors : int;
   mutable c_timeouts : int;
-  (* lifecycle counters: same discipline — only touched under [m], so
-     {!stats} sees them in the same consistent snapshot as everything
-     else (the PR 6 torn-stats rule extends to the new subsystem) *)
   mutable c_lc_admitted : int;
   mutable c_lc_anonymous : int;
   mutable c_lc_denied_unknown : int;
@@ -154,9 +150,7 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
 (* ---------------------------------------------------------------- *)
-(* Lifecycle plumbing. The registry has its own mutex; it is always
-   taken {e outside} [t.m] (a leaf lock), so the order is
-   lifecycle -> m, never the reverse.                                *)
+(* Lifecycle plumbing.                                               *)
 
 let denial_wire = function
   | L.Unknown_device -> Codec.Unknown_device
@@ -167,8 +161,7 @@ let denial_wire = function
 let denial_msg d =
   Codec.Denied { cause = denial_wire d; detail = L.denial_to_string d }
 
-(* call with [m] held *)
-let count_denial_locked t = function
+let count_denial t = function
   | L.Unknown_device -> t.c_lc_denied_unknown <- t.c_lc_denied_unknown + 1
   | L.Revoked -> t.c_lc_denied_revoked <- t.c_lc_denied_revoked + 1
   | L.Quarantined_device ->
@@ -183,14 +176,11 @@ let lifecycle_admit t ~device_id ~firmware =
   | Some lc ->
     (match L.admit lc ~device_id ~firmware with
      | Ok () ->
-       let known = L.find lc device_id <> None in
-       locked t (fun () ->
-           if known then t.c_lc_admitted <- t.c_lc_admitted + 1
-           else t.c_lc_anonymous <- t.c_lc_anonymous + 1);
+       if L.find lc device_id <> None then
+         t.c_lc_admitted <- t.c_lc_admitted + 1
+       else t.c_lc_anonymous <- t.c_lc_anonymous + 1;
        Ok ()
-     | Error d ->
-       locked t (fun () -> count_denial_locked t d);
-       Error d)
+     | Error d -> count_denial t d; Error d)
 
 (* Mid-session gate: ran on every inbound session frame and again right
    before each verdict leaves, so a revocation landing mid-window stops
@@ -207,7 +197,7 @@ let lifecycle_attested t device_id =
   | Some lc ->
     if device_id <> "" && L.find lc device_id <> None then begin
       L.note_attested lc device_id;
-      locked t (fun () -> t.c_lc_attested <- t.c_lc_attested + 1)
+      t.c_lc_attested <- t.c_lc_attested + 1
     end
 
 (* The verify plan this session's reports route to: the per-firmware
@@ -218,20 +208,18 @@ let resolve_session_plan t firmware =
   | Some f when firmware <> "" -> f firmware
   | _ -> None
 
-let verdict_msg (v : F.Fleet.verdict) =
-  let findings =
-    List.map
-      (fun f ->
-         ( C.Verifier.finding_kind f,
-           Format.asprintf "%a" C.Verifier.pp_finding f ))
-      v.F.Fleet.findings
-  in
-  (v.F.Fleet.accepted, findings)
-
-let rejection ~legacy seq kind detail =
-  let findings = [ (kind, detail) ] in
-  if legacy then Codec.Verdict { accepted = false; findings }
-  else Codec.Verdict_seq { seq; accepted = false; findings }
+(* The dialect is an encoding at the edge. The session machine speaks
+   sequence-numbered frames; a legacy session is a window-1 session
+   whose frames omit the number. *)
+let at_edge es msg =
+  if not es.es_legacy then msg
+  else
+    match msg with
+    | Codec.Request_seq { challenge; args; _ } ->
+      Codec.Request { challenge; args }
+    | Codec.Verdict_seq { accepted; findings; _ } ->
+      Codec.Verdict { accepted; findings }
+    | msg -> msg
 
 let create ?(config = default_config) ~plan listener =
   if config.max_conns < 1 then invalid_arg "Server.create: max_conns < 1";
@@ -249,7 +237,7 @@ let create ?(config = default_config) ~plan listener =
   { cfg = config; listener; pool; stream; memo_cache;
     m = Mutex.create (); cv = Condition.create ();
     next_conn_id = 0; stopping = false; final = None;
-    loop = None; loop_thread = None; ev_started = false; ev_stop = false;
+    loop = None; loop_thread = None; ev_started = false;
     ev_done = false; stop_req = Atomic.make false;
     c_accepted = 0; c_active = 0; c_peak = 0; c_sessions = 0;
     c_frames_rx = 0;
@@ -261,19 +249,6 @@ let create ?(config = default_config) ~plan listener =
     c_lc_denied_revoked = 0; c_lc_denied_quarantined = 0;
     c_lc_denied_stale = 0; c_lc_midsession = 0; c_lc_attested = 0 }
 
-(* Admission control: called with [m] held. *)
-let admit_locked t =
-  if t.stopping then `Refuse "shutting down"
-  else if t.c_active >= t.cfg.max_conns then `Refuse "server full"
-  else begin
-    let id = t.next_conn_id in
-    t.next_conn_id <- id + 1;
-    t.c_accepted <- t.c_accepted + 1;
-    t.c_active <- t.c_active + 1;
-    if t.c_active > t.c_peak then t.c_peak <- t.c_active;
-    `Admit id
-  end
-
 (* Best effort, like every send to a peer about to be dropped: a freshly
    accepted socket takes the ~20-byte frame whole, and loopback sends
    always complete. *)
@@ -283,10 +258,7 @@ let refuse t conn reason =
   in
   (try ignore (Transport.try_send conn frame 0 (String.length frame))
    with _ -> ());
-  Transport.close conn;
-  locked t (fun () ->
-      if reason = "server full" then
-        t.c_ratelimited <- t.c_ratelimited + 1)
+  Transport.close conn
 
 (* ---------------------------------------------------------------- *)
 (* The gateway loop: every connection is an [econn] state machine on a
@@ -297,26 +269,33 @@ let refuse t conn reason =
    backpressure without blocking the loop. Any exit path — clean Bye,
    EOF, hostile bytes, deadline — lands in [close_conn].
 
-   The windowed-session machine (DESIGN §5e):
+   The windowed-session machine (DESIGN §5e). One machine serves both
+   dialects: a legacy session is OPEN with W=1, and [at_edge] drops the
+   seq from its frames. A legacy Report answers the session's one open
+   round (none open: an unnumbered bad-token rejection), and a legacy
+   Bye closes cleanly even with that round open.
 
      AWAIT_HELLO --Hello----------> OPEN(legacy, W=1)
      AWAIT_HELLO --Hello_ex-------> OPEN(pipelined, W=min(req,max))  [Welcome]
-     OPEN: Ready      | open < W  -> issue seq, open+1        [Request(_seq)]
+     OPEN: Ready      | open < W  -> issue seq, open+1        [Request]
            Ready      | open >= W -> window overflow          [Busy]
            Ready      | no token  -> rate limited             [Busy]
            Report(seq)| issued    -> decode/redeem -> submit or reject(open-1)
-           Report(seq)| unknown   -> bad-seq                  [Verdict(_seq)-]
+           Report(seq)| unknown   -> bad-seq                  [Verdict-]
+           Report     | other dialect -> protocol error       close
            Bye        | open = 0  -> close (clean)
            Bye        | open > 0  -> protocol error           [Busy] close
-           <verdict from stream>  -> open-1                   [Verdict(_seq)]
+           <verdict from stream>  -> open-1                   [Verdict]
 
    Invariants: 0 <= open <= W at every step; a seq is issued at most
    once and answered at most once; per-session verdicts leave in issue
    order (the fleet stream and the wait queue are FIFO, and only
    [drain_verdicts] sends verdicts for submitted rounds).
 
-   Everything inside [run_evloop] is loop-thread-only; only the shared
-   counters (under [t.m]) and the stream cross threads.              *)
+   Everything inside [event_loop] is loop-thread-only, and so are the
+   counters on [t]: the loop writes them without a lock, and {!stats}
+   reads them through a posted thunk. Only the stream, [t.loop] and the
+   stop flag cross threads.                                          *)
 
 type ev_waiting = {
   wt_ec : econn;
@@ -328,17 +307,17 @@ type ev_waiting = {
 
 let event_loop t =
   let loop = Evloop.create () in
+  (* published before the first counter write: from here until the exit
+     in [run_evloop], {!stats} reads the counters on this thread *)
   locked t (fun () -> t.loop <- Some loop);
   let conns : (int, econn) Hashtbl.t = Hashtbl.create 256 in
   (* submitted reports awaiting verdicts, in stream-submission order *)
   let pending : (econn * int) Queue.t = Queue.create () in
   (* reports that found the stream window full *)
   let waiting : ev_waiting Queue.t = Queue.create () in
-  let count f = locked t (fun () -> f t) in
   let on_traffic ~rx ~tx =
-    locked t (fun () ->
-        t.c_bytes_rx <- t.c_bytes_rx + rx;
-        t.c_bytes_tx <- t.c_bytes_tx + tx)
+    t.c_bytes_rx <- t.c_bytes_rx + rx;
+    t.c_bytes_tx <- t.c_bytes_tx + tx
   in
   let send ec msg =
     match ec.ec_ev with
@@ -348,9 +327,11 @@ let event_loop t =
         Evconn.send ev msg;
         (* a send that discovered a dead peer closed the pump; count
            only frames that were actually queued *)
-        if not (Evconn.is_closed ev) then
-          count (fun t -> t.c_frames_tx <- t.c_frames_tx + 1)
+        if not (Evconn.is_closed ev) then t.c_frames_tx <- t.c_frames_tx + 1
       end
+  in
+  let send_verdict ec es seq accepted findings =
+    send ec (at_edge es (Codec.Verdict_seq { seq; accepted; findings }))
   in
   let close_conn ?(flush = false) ec =
     if ec.ec_alive then begin
@@ -363,13 +344,12 @@ let event_loop t =
          if flush then Evconn.close_after_flush ev else Evconn.close ev
        | None -> ());
       Hashtbl.remove conns ec.ec_id;
-      locked t (fun () ->
-          t.c_active <- t.c_active - 1;
-          if ec.ec_sess <> None then t.c_sessions <- t.c_sessions - 1)
+      t.c_active <- t.c_active - 1;
+      if ec.ec_sess <> None then t.c_sessions <- t.c_sessions - 1
     end
   in
   let proto_error ?(flush = false) ?busy ec =
-    count (fun t -> t.c_proto_errors <- t.c_proto_errors + 1);
+    t.c_proto_errors <- t.c_proto_errors + 1;
     (match busy with Some reason -> send ec (Codec.Busy reason) | None -> ());
     close_conn ~flush ec
   in
@@ -398,26 +378,29 @@ let event_loop t =
              it for our own queueing delay *)
           arm_deadline ec
         | _ ->
-          count (fun t -> t.c_timeouts <- t.c_timeouts + 1);
+          t.c_timeouts <- t.c_timeouts + 1;
           close_conn ec
       end
     end
   in
+  let reject ec es seq kind detail =
+    t.c_rejected_verdicts <- t.c_rejected_verdicts + 1;
+    send_verdict ec es seq false [ (kind, detail) ]
+  in
   let reject_round ec es seq kind detail =
     es.es_open <- es.es_open - 1;
-    count (fun t -> t.c_rejected_verdicts <- t.c_rejected_verdicts + 1);
-    send ec (rejection ~legacy:es.es_legacy seq kind detail)
+    reject ec es seq kind detail
   in
   let on_ready ec es =
     let admit =
       match es.es_limiter with None -> true | Some l -> Ratelimit.try_take l
     in
     if not admit then begin
-      count (fun t -> t.c_ratelimited <- t.c_ratelimited + 1);
+      t.c_ratelimited <- t.c_ratelimited + 1;
       send ec (Codec.Busy "rate limited")
     end
     else if es.es_open >= es.es_window then begin
-      count (fun t -> t.c_window_overflow <- t.c_window_overflow + 1);
+      t.c_window_overflow <- t.c_window_overflow + 1;
       send ec (Codec.Busy "window full")
     end
     else begin
@@ -426,18 +409,12 @@ let event_loop t =
       let req = C.Protocol.gate_issue es.es_gate ~args:t.cfg.args in
       Hashtbl.replace es.es_issued seq req;
       es.es_open <- es.es_open + 1;
-      count (fun t -> t.c_requests <- t.c_requests + 1);
-      let msg =
-        if es.es_legacy then
-          Codec.Request
-            { challenge = req.C.Protocol.challenge;
-              args = req.C.Protocol.args }
-        else
-          Codec.Request_seq
-            { seq; challenge = req.C.Protocol.challenge;
-              args = req.C.Protocol.args }
-      in
-      send ec msg
+      t.c_requests <- t.c_requests + 1;
+      send ec
+        (at_edge es
+           (Codec.Request_seq
+              { seq; challenge = req.C.Protocol.challenge;
+                args = req.C.Protocol.args }))
     end
   in
   (* Submission. Per-session verdict FIFO requires global submission
@@ -492,7 +469,7 @@ let event_loop t =
   let deny_midsession ec es d =
     if not es.es_denied then begin
       es.es_denied <- true;
-      count (fun t -> t.c_lc_midsession <- t.c_lc_midsession + 1);
+      t.c_lc_midsession <- t.c_lc_midsession + 1;
       send ec (denial_msg d)
     end;
     close_conn ~flush:true ec
@@ -503,10 +480,9 @@ let event_loop t =
         match Queue.take_opt pending with
         | None -> ()   (* unreachable: enqueued at submission *)
         | Some (ec, seq) ->
-          count (fun t ->
-              if v.F.Fleet.accepted then
-                t.c_accepted_verdicts <- t.c_accepted_verdicts + 1
-              else t.c_rejected_verdicts <- t.c_rejected_verdicts + 1);
+          if v.F.Fleet.accepted then
+            t.c_accepted_verdicts <- t.c_accepted_verdicts + 1
+          else t.c_rejected_verdicts <- t.c_rejected_verdicts + 1;
           (match ec.ec_sess with
            | None -> ()
            | Some es ->
@@ -517,34 +493,44 @@ let event_loop t =
                match lifecycle_recheck t es.es_device with
                | Error d -> deny_midsession ec es d
                | Ok () ->
-                 let accepted, findings = verdict_msg v in
-                 let msg =
-                   if es.es_legacy then Codec.Verdict { accepted; findings }
-                   else Codec.Verdict_seq { seq; accepted; findings }
-                 in
-                 send ec msg;
+                 send_verdict ec es seq v.F.Fleet.accepted
+                   (List.map
+                      (fun f ->
+                         ( C.Verifier.finding_kind f,
+                           Format.asprintf "%a" C.Verifier.pp_finding f ))
+                      v.F.Fleet.findings);
                  if v.F.Fleet.accepted then lifecycle_attested t es.es_device
              end))
       (F.Fleet.stream_poll t.stream);
     drain_waiting ()
   in
-  let start_session ec ~legacy ~window ~firmware device_id =
-    let es =
-      { es_legacy = legacy; es_window = window;
-        es_gate =
-          C.Protocol.make_gate
-            ~seed:(t.cfg.session_seed ^ "/" ^ device_id) ();
-        es_limiter =
-          Option.map
-            (fun rate -> Ratelimit.create ~rate ~burst:t.cfg.burst ())
-            t.cfg.rate;
-        es_issued = Hashtbl.create 8; es_next_seq = 0;
-        es_device = device_id; es_plan = resolve_session_plan t firmware;
-        es_denied = false; es_open = 0 }
-    in
-    ec.ec_sess <- Some es;
-    count (fun t -> t.c_sessions <- t.c_sessions + 1);
-    es
+  (* Both greetings open the same session; the granted window is
+     answered only in the dialect that asked for one. *)
+  let on_hello ec ~legacy ~window ~firmware device_id =
+    if device_id = "" || String.length device_id > 128 || window < 1 then
+      proto_error ec
+    else
+      match lifecycle_admit t ~device_id ~firmware with
+      | Error d ->
+        send ec (denial_msg d);
+        close_conn ~flush:true ec
+      | Ok () ->
+        let window = min window t.cfg.max_window in
+        ec.ec_sess <-
+          Some
+            { es_legacy = legacy; es_window = window;
+              es_gate =
+                C.Protocol.make_gate
+                  ~seed:(t.cfg.session_seed ^ "/" ^ device_id) ();
+              es_limiter =
+                Option.map
+                  (fun rate -> Ratelimit.create ~rate ~burst:t.cfg.burst ())
+                  t.cfg.rate;
+              es_issued = Hashtbl.create 8; es_next_seq = 0;
+              es_device = device_id; es_plan = resolve_session_plan t firmware;
+              es_denied = false; es_open = 0 };
+        t.c_sessions <- t.c_sessions + 1;
+        if not legacy then send ec (Codec.Welcome { window })
   in
   (* Inbound mid-session gate: [true] = carry on, [false] = session cut
      (Denied sent, connection closing). *)
@@ -554,77 +540,58 @@ let event_loop t =
     | Error d -> deny_midsession ec es d; false
   in
   let on_msg ec msg =
-    count (fun t -> t.c_frames_rx <- t.c_frames_rx + 1);
+    t.c_frames_rx <- t.c_frames_rx + 1;
     arm_deadline ec;
     match ec.ec_sess, msg with
-    | None, Codec.Hello { device_id }
-      when device_id <> "" && String.length device_id <= 128 ->
-      (match lifecycle_admit t ~device_id ~firmware:"" with
-       | Ok () ->
-         ignore (start_session ec ~legacy:true ~window:1 ~firmware:"" device_id)
-       | Error d ->
-         send ec (denial_msg d);
-         close_conn ~flush:true ec)
-    | None, Codec.Hello_ex { device_id; window; firmware }
-      when device_id <> "" && String.length device_id <= 128 && window >= 1
-      ->
-      (match lifecycle_admit t ~device_id ~firmware with
-       | Ok () ->
-         let granted = min window t.cfg.max_window in
-         ignore
-           (start_session ec ~legacy:false ~window:granted ~firmware
-              device_id);
-         send ec (Codec.Welcome { window = granted })
-       | Error d ->
-         send ec (denial_msg d);
-         close_conn ~flush:true ec)
-    | None, _ -> proto_error ec
-    | Some _, (Codec.Hello _ | Codec.Hello_ex _) -> proto_error ec
+    | None, Codec.Hello { device_id } ->
+      on_hello ec ~legacy:true ~window:1 ~firmware:"" device_id
+    | None, Codec.Hello_ex { device_id; window; firmware } ->
+      on_hello ec ~legacy:false ~window ~firmware device_id
     | Some es, Codec.Bye ->
       if (not es.es_legacy) && es.es_open > 0 then
         proto_error ~flush:true ~busy:"bye with rounds in flight" ec
       else close_conn ec
     | Some es, Codec.Ready -> if lifecycle_ok ec es then on_ready ec es
-    | Some es, Codec.Report wire ->
+    | Some es, (Codec.Report _ | Codec.Report_seq _) ->
       if lifecycle_ok ec es then begin
-        count (fun t -> t.c_reports <- t.c_reports + 1);
-        (* a pipelined session names its round; an unnumbered report
-           there is as hostile as a numbered one on a legacy session *)
-        if not es.es_legacy then proto_error ec
-        else
-        match Hashtbl.fold (fun k v _ -> Some (k, v)) es.es_issued None with
-        | None ->
-          count (fun t ->
-              t.c_rejected_verdicts <- t.c_rejected_verdicts + 1);
-          send ec
-            (rejection ~legacy:es.es_legacy 0 "bad-token"
-               "no outstanding challenge")
-        | Some (seq, req) -> on_report ec es seq req wire
+        t.c_reports <- t.c_reports + 1;
+        (* the round the report answers: a legacy session's one open
+           round, or the round a pipelined report names. A report of the
+           other dialect is hostile: a pipelined session cannot tell
+           which round an unnumbered report answers. *)
+        match msg with
+        | Codec.Report wire when es.es_legacy ->
+          (match Hashtbl.fold (fun k v _ -> Some (k, v)) es.es_issued None with
+           | Some (seq, req) -> on_report ec es seq req wire
+           | None -> reject ec es 0 "bad-token" "no outstanding challenge")
+        | Codec.Report_seq { seq; wire } when not es.es_legacy ->
+          (match Hashtbl.find_opt es.es_issued seq with
+           | Some req -> on_report ec es seq req wire
+           | None ->
+             t.c_bad_seq <- t.c_bad_seq + 1;
+             reject ec es seq "bad-seq"
+               "unknown or already-answered sequence number")
+        | _ -> proto_error ec
       end
-    | Some es, Codec.Report_seq { seq; wire } ->
-      if lifecycle_ok ec es then begin
-        count (fun t -> t.c_reports <- t.c_reports + 1);
-        if es.es_legacy then proto_error ec
-        else (
-          match Hashtbl.find_opt es.es_issued seq with
-          | None ->
-            count (fun t ->
-                t.c_bad_seq <- t.c_bad_seq + 1;
-                t.c_rejected_verdicts <- t.c_rejected_verdicts + 1);
-            send ec
-              (rejection ~legacy:es.es_legacy seq "bad-seq"
-                 "unknown or already-answered sequence number")
-          | Some req -> on_report ec es seq req wire)
-      end
+    | None, _
     | Some _,
-      ( Codec.Request _ | Codec.Verdict _ | Codec.Busy _ | Codec.Welcome _
-      | Codec.Request_seq _ | Codec.Verdict_seq _ | Codec.Denied _ ) ->
+      ( Codec.Hello _ | Codec.Hello_ex _ | Codec.Request _ | Codec.Verdict _
+      | Codec.Busy _ | Codec.Welcome _ | Codec.Request_seq _
+      | Codec.Verdict_seq _ | Codec.Denied _ ) ->
       proto_error ec
   in
   let admit conn =
-    match locked t (fun () -> admit_locked t) with
-    | `Refuse reason -> refuse t conn reason
-    | `Admit id ->
+    if Atomic.get t.stop_req then refuse t conn "shutting down"
+    else if t.c_active >= t.cfg.max_conns then begin
+      t.c_ratelimited <- t.c_ratelimited + 1;
+      refuse t conn "server full"
+    end
+    else begin
+      let id = t.next_conn_id in
+      t.next_conn_id <- id + 1;
+      t.c_accepted <- t.c_accepted + 1;
+      t.c_active <- t.c_active + 1;
+      if t.c_active > t.c_peak then t.c_peak <- t.c_active;
       let ec =
         { ec_id = id; ec_ev = None; ec_sess = None; ec_alive = true;
           ec_deadline = None; ec_due = 0.0 }
@@ -643,6 +610,7 @@ let event_loop t =
       in
       ec.ec_ev <- Some ev;
       arm_deadline ec
+    end
   in
   let accept_burst () =
     let rec go () =
@@ -664,8 +632,7 @@ let event_loop t =
      Evloop.post loop accept_burst);
   F.Fleet.stream_on_progress t.stream
     (Some (Evloop.hook_source loop drain_verdicts));
-  Evloop.run loop ~stop:(fun () ->
-      Atomic.get t.stop_req || locked t (fun () -> t.ev_stop));
+  Evloop.run loop ~stop:(fun () -> Atomic.get t.stop_req);
   (* cleanup, still on the loop thread *)
   F.Fleet.stream_on_progress t.stream None;
   (match Transport.listener_readiness t.listener with
@@ -684,7 +651,9 @@ let event_loop t =
    after the unwatch: closed from another thread first, its descriptor
    number can be reused (even by the loop's own epoll fd) before the
    loop registers or drops it. [ev_done] flips on every exit,
-   exceptions included, so [stop] never waits on a loop that died. *)
+   exceptions included, so [stop] never waits on a loop that died, and
+   [t.loop] is withdrawn after the loop's last counter write, so a
+   {!stats} caller still waiting reads the counters itself. *)
 let run_evloop t =
   Fun.protect
     ~finally:(fun () ->
@@ -701,7 +670,7 @@ let run_evloop t =
    already pending, and then no loop runs. Call with [m] held. *)
 let claim_loop_locked t caller =
   if t.ev_started then invalid_arg (caller ^ ": running");
-  t.ev_started <- not (t.stopping || Atomic.get t.stop_req);
+  t.ev_started <- not (Atomic.get t.stop_req);
   t.ev_started
 
 let serve_forever t =
@@ -713,7 +682,7 @@ let start t =
       if claim_loop_locked t "Server.start" then
         t.loop_thread <- Some (Thread.create (fun () -> run_evloop t) ()))
 
-(* call with [m] held: one critical section, one consistent view *)
+(* on the loop thread, or under [m] with no loop running *)
 let snapshot t verify memo plan_cache =
   let lifecycle =
     match t.cfg.lifecycle with
@@ -748,6 +717,11 @@ let snapshot t verify memo plan_cache =
     deadline_timeouts = t.c_timeouts;
     verify; memo; plan_cache; lifecycle }
 
+(* The counters are read where they are written: a thunk posted to a
+   running loop copies them there. The loop publishes [t.loop] under [m]
+   before its first counter write and withdraws it under [m] after its
+   last, so a caller holding [m] that finds no loop (not started, or
+   exited before the thunk ran) reads them itself. *)
 let stats t =
   match locked t (fun () -> t.final) with
   | Some final -> final
@@ -757,7 +731,21 @@ let stats t =
     let verify = F.Fleet.stream_snapshot t.stream in
     let memo = Option.map F.Memo.stats t.memo_cache in
     let plan_cache = Option.map F.Plan.cache_counters t.cfg.plan_cache in
-    locked t (fun () -> snapshot t verify memo plan_cache)
+    let read () = snapshot t verify memo plan_cache in
+    locked t (fun () ->
+        match t.loop with
+        | None -> read ()
+        | Some loop ->
+          let reply = ref None in
+          Evloop.post loop (fun () ->
+              let s = read () in
+              locked t (fun () ->
+                  reply := Some s;
+                  Condition.broadcast t.cv));
+          while Option.is_none !reply && Option.is_some t.loop do
+            Condition.wait t.cv t.m
+          done;
+          match !reply with Some s -> s | None -> read ())
 
 (* Async-signal-safe stop request: no OCaml mutexes, so it can run from
    a signal handler — including one delivered to the loop thread
@@ -774,43 +762,44 @@ let request_stop t =
   | None -> ()
 
 let stop t =
-  let already = locked t (fun () ->
-      if t.stopping then t.final else begin t.stopping <- true; None end)
+  let later =
+    locked t (fun () ->
+        if not t.stopping then begin t.stopping <- true; None end
+        else begin
+          (* another caller is tearing down: wait for its final stats *)
+          while Option.is_none t.final do Condition.wait t.cv t.m done;
+          t.final
+        end)
   in
-  match already with
+  match later with
   | Some final -> final
   | None ->
-    let started =
+    Atomic.set t.stop_req true;
+    let started, thread =
       locked t (fun () ->
-          t.ev_stop <- true;
-          (match t.loop with Some l -> Evloop.wake l | None -> ());
-          t.ev_started)
+          (* under [m], a loop that has published itself is woken, and one
+             that has not yet sees [stop_req] before it blocks. The loop
+             runs its own cleanup (closing connections needs loop state,
+             and it closes the listener it watches): wait for it before
+             touching the stream. *)
+          Option.iter Evloop.wake t.loop;
+          while t.ev_started && not t.ev_done do Condition.wait t.cv t.m done;
+          (t.ev_started, t.loop_thread))
     in
-    if started then begin
-      (* the loop thread runs its own cleanup (closing connections needs
-         loop state, and it closes the listener it watches); wait for it
-         before touching the stream *)
-      Mutex.lock t.m;
-      while not t.ev_done do Condition.wait t.cv t.m done;
-      Mutex.unlock t.m
-    end
-    else
-      (* no loop ever watched the listener *)
-      Transport.shutdown t.listener;
-    (match locked t (fun () -> t.loop_thread) with
-     | Some th -> Thread.join th
-     | None -> ());
+    (* no loop ever watched the listener *)
+    if not started then Transport.shutdown t.listener;
+    Option.iter Thread.join thread;
     (* everything submitted has been dispatched or dropped, so closing
        the stream cannot block on lost work *)
     let summary = F.Fleet.stream_close t.stream in
     F.Pool.shutdown t.pool;
     let memo = Option.map F.Memo.stats t.memo_cache in
     let plan_cache = Option.map F.Plan.cache_counters t.cfg.plan_cache in
-    let final =
-      locked t (fun () -> snapshot t summary.F.Fleet.metrics memo plan_cache)
-    in
-    locked t (fun () -> t.final <- Some final);
-    final
+    locked t (fun () ->
+        let final = snapshot t summary.F.Fleet.metrics memo plan_cache in
+        t.final <- Some final;
+        Condition.broadcast t.cv;
+        final)
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -166,9 +166,8 @@ type stats = {
       (** counters of the plan cache named in the config, snapshotted at
           {!stats} time; [None] when no cache was handed over *)
   lifecycle : lifecycle_stats option;
-      (** lifecycle counters, snapshotted in the {e same} critical
-          section as every other counter; [None] on a registry-less
-          server *)
+      (** lifecycle counters, read at the {e same} loop instant as every
+          other counter; [None] on a registry-less server *)
 }
 
 val create : ?config:config -> plan:Dialed_fleet.Plan.t ->
@@ -197,16 +196,25 @@ val request_stop : t -> unit
 val stop : t -> stats
 (** Wake the event loop and wait for it to close the listener and every
     live connection (when no loop ever ran, close the listener itself),
-    close the fleet stream, and return the final stats. Idempotent
-    (later calls return the same final stats). *)
+    close the fleet stream, and return the final stats. Idempotent,
+    also across threads: a caller that finds a stop in progress waits
+    for it and returns the same final stats. *)
 
 val stats : t -> stats
-(** Non-blocking snapshot; callable at any time, including mid-traffic.
-    All counters are read in one critical section under the server
-    mutex, so the snapshot is internally consistent: a concurrent
-    poller can rely on cross-counter invariants (e.g.
-    [verdicts_accepted + verdicts_rejected <= reports_received +
-    window_overflow]) holding in every observation. *)
+(** A snapshot, callable mid-traffic from any thread but the loop's own.
+    Only the event loop writes the counters, and [stats] reads them
+    there: it posts the read to the loop and waits for the loop to reach
+    it (with no loop running, it reads them directly). So a snapshot is
+    one loop instant. It is internally consistent: a concurrent poller
+    can rely on cross-counter invariants (e.g. [verdicts_accepted +
+    verdicts_rejected <= reports_received + window_overflow]) holding
+    in every observation. It is also fresh: a verdict a prover has
+    received is already counted. Called on the loop's own thread (from
+    a signal handler that interrupts {!serve_forever}, say) it would
+    wait on itself forever; a process that serves on its main thread,
+    like the CLI's [serve] and bench/e2e's gateway, reads its stats
+    through {!stop} once {!serve_forever} returns. After {!stop},
+    [stats] returns the final stats. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

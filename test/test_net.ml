@@ -98,6 +98,64 @@ let test_codec_roundtrip () =
         { seq = 9; accepted = false;
           findings = [ ("bad-seq", "unknown sequence") ] } ]
 
+(* Golden frames: both dialects' bytes, written out by hand from the
+   layout (a tag byte, then little-endian u16 lengths and counts and u32
+   sequence numbers), so a change to the encoding of either dialect
+   fails here instead of at a deployed peer. *)
+let golden_frames =
+  [ (* the legacy set *)
+    (N.Codec.Hello { device_id = "dev" }, "010300646576");
+    (N.Codec.Ready, "02");
+    (N.Codec.Request { challenge = "ch"; args = [ 1; 0xFFFF ] },
+     "030200636802000100ffff");
+    (N.Codec.Report "wire", "0477697265");
+    (N.Codec.Verdict { accepted = false; findings = [ ("bad-token", "x") ] },
+     "0500010009006261642d746f6b656e010078");
+    (N.Codec.Verdict { accepted = true; findings = [] }, "05010000");
+    (N.Codec.Busy "full", "06040066756c6c");
+    (N.Codec.Bye, "07");
+    (* the pipelined set; a Hello_ex without a firmware claim is the
+       pre-lifecycle encoding, the claim is appended *)
+    (N.Codec.Hello_ex { device_id = "dev"; window = 8; firmware = "" },
+     "0803006465760800");
+    (N.Codec.Hello_ex { device_id = "dev"; window = 8; firmware = "v2" },
+     "080300646576080002007632");
+    (N.Codec.Welcome { window = 258 }, "090201");
+    (N.Codec.Request_seq { seq = 0x01020304; challenge = "ch"; args = [ 7 ] },
+     "0a040302010200636801000700");
+    (N.Codec.Report_seq { seq = 1; wire = "w" }, "0b0100000077");
+    (N.Codec.Verdict_seq { seq = 2; accepted = true; findings = [] },
+     "0c02000000010000");
+    (N.Codec.Verdict_seq
+       { seq = 3; accepted = false; findings = [ ("k", "d") ] },
+     "0c0300000000010001006b010064");
+    (* lifecycle denials *)
+    (N.Codec.Denied { cause = N.Codec.Revoked; detail = "key" },
+     "0d0103006b6579");
+    (N.Codec.Denied { cause = N.Codec.Unknown_device; detail = "" },
+     "0d040000") ]
+
+let to_hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let test_codec_golden_frames () =
+  List.iter
+    (fun (msg, hex) ->
+       let name = Format.asprintf "%a" N.Codec.pp_msg msg in
+       Alcotest.(check string) ("encode " ^ name) hex
+         (to_hex (N.Codec.encode msg));
+       match N.Codec.decode (of_hex hex) with
+       | Ok m -> check_bool ("decode " ^ name) true (m = msg)
+       | Error e ->
+         Alcotest.failf "decode %s: %s" name (N.Codec.error_to_string e))
+    golden_frames
+
 let test_codec_window_bounds () =
   (* a zero window would deadlock a session; the codec rejects it on
      both ends *)
@@ -636,6 +694,26 @@ let test_e2e_pipelined transport =
       check_int "no bad seq" 0 stats.N.Server.bad_seq;
       check_int "no sessions left" 0 stats.N.Server.sessions_active)
 
+let test_stats_fresh_after_session transport =
+  (* the counters are read on the loop that writes them, so the verdicts
+     a prover already holds are in the very next snapshot: no settle
+     loop *)
+  with_gateway ~transport (fun ~server ~dial ~device ->
+      let conn = dial () in
+      let session =
+        N.Client.attest_pipelined ~config:client_config ~window:4 ~device
+          ~device_id:"dev-fresh" ~rounds:4 conn
+      in
+      let stats = N.Server.stats server in
+      N.Transport.close conn;
+      check_bool "all rounds accepted" true
+        (Array.for_all
+           (fun (r : N.Client.pipelined_round) -> r.N.Client.p_accepted)
+           session.N.Client.results);
+      check_int "requests issued" 4 stats.N.Server.requests_issued;
+      check_int "reports received" 4 stats.N.Server.reports_received;
+      check_int "verdicts accepted" 4 stats.N.Server.verdicts_accepted)
+
 let test_e2e_pipelined_window_clamped transport =
   let config = { gateway_config with N.Server.max_window = 2 } in
   with_gateway ~config ~transport (fun ~server:_ ~dial ~device ->
@@ -829,6 +907,59 @@ let test_hostile_unsequenced_report transport =
       check_bool "violation counted" true (stats.N.Server.protocol_errors >= 1);
       check_int "nothing reached the engine" 0
         stats.N.Server.verify.F.Metrics.batch_size)
+
+(* The legacy dialect runs the pipelined machine with a window of 1,
+   and keeps two quirks of its own. *)
+
+let test_legacy_report_without_round transport =
+  (* a report before any Ready: the verdict is unnumbered bad-token,
+     not bad-seq, and the session stays open *)
+  with_gateway ~transport (fun ~server ~dial ~device ->
+      let p = Peer.create (dial ()) in
+      Peer.send p (N.Codec.Hello { device_id = "dev-early" });
+      Peer.send p (N.Codec.Report "early");
+      (match Peer.msg p with
+       | N.Codec.Verdict { accepted = false; findings } ->
+         check_bool "no outstanding challenge" true
+           (findings = [ ("bad-token", "no outstanding challenge") ])
+       | m -> Alcotest.failf "expected Verdict, got %a" N.Codec.pp_msg m);
+      let stats = N.Server.stats server in
+      check_int "rejection counted" 1 stats.N.Server.verdicts_rejected;
+      check_int "report counted" 1 stats.N.Server.reports_received;
+      check_int "not a bad seq" 0 stats.N.Server.bad_seq;
+      check_int "not a protocol error" 0 stats.N.Server.protocol_errors;
+      (* still open: an honest round goes through *)
+      Peer.send p N.Codec.Ready;
+      (match Peer.msg p with
+       | N.Codec.Request { challenge; args } ->
+         let report, _ =
+           C.Protocol.prover_execute (device ()) { C.Protocol.challenge; args }
+         in
+         Peer.send p (N.Codec.Report (A.Wire.encode report))
+       | m -> Alcotest.failf "expected Request, got %a" N.Codec.pp_msg m);
+      (match Peer.msg p with
+       | N.Codec.Verdict { accepted; _ } ->
+         check_bool "honest round accepted" true accepted
+       | m -> Alcotest.failf "expected Verdict, got %a" N.Codec.pp_msg m);
+      Peer.send p N.Codec.Bye;
+      Peer.close p)
+
+let test_legacy_bye_with_round_open transport =
+  (* a legacy Bye with its challenge unanswered closes cleanly, where a
+     pipelined one is a protocol error *)
+  with_gateway ~transport (fun ~server ~dial ~device:_ ->
+      let p = Peer.create (dial ()) in
+      Peer.send p (N.Codec.Hello { device_id = "dev-bye" });
+      Peer.send p N.Codec.Ready;
+      (match Peer.msg p with
+       | N.Codec.Request _ -> ()
+       | m -> Alcotest.failf "expected Request, got %a" N.Codec.pp_msg m);
+      Peer.send p N.Codec.Bye;
+      expect_drop p;
+      Peer.close p;
+      let stats = N.Server.stop server in
+      check_int "clean close" 0 stats.N.Server.protocol_errors;
+      check_int "no sessions left" 0 stats.N.Server.sessions_active)
 
 (* ------------------------------------------------------------- *)
 (* Hostile peers: the gateway must shed them and keep serving.     *)
@@ -1110,6 +1241,48 @@ let test_request_stop_before_serve transport =
     Alcotest.fail "listener still accepting after stop"
   | exception (N.Transport.Closed | Unix.Unix_error _) -> ()
 
+let test_concurrent_stop transport =
+  (* [stop] is idempotent across threads too: a caller that finds a stop
+     in progress waits for its final stats instead of tearing down a
+     second time, which would close the fleet stream twice *)
+  with_gateway ~transport (fun ~server ~dial ~device ->
+      let conn = dial () in
+      ignore
+        (N.Client.attest_rounds ~config:client_config ~device
+           ~device_id:"dev-stop" ~rounds:1 conn);
+      N.Transport.close conn;
+      let go = Atomic.make false in
+      let stopper () =
+        let result = Atomic.make None in
+        let (_ : Thread.t) =
+          Thread.create
+            (fun () ->
+               while not (Atomic.get go) do Thread.yield () done;
+               Atomic.set result
+                 (Some (try Ok (N.Server.stop server) with e -> Error e)))
+            ()
+        in
+        result
+      in
+      let results = [ stopper (); stopper () ] in
+      Atomic.set go true;
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      let finish result =
+        while Atomic.get result = None && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done;
+        match Atomic.get result with
+        | None -> Alcotest.fail "stop did not return within 5 s"
+        | Some (Error e) ->
+          Alcotest.failf "stop raised %s" (Printexc.to_string e)
+        | Some (Ok stats) -> stats
+      in
+      match List.map finish results with
+      | [ a; b ] ->
+        check_bool "one final stats" true (a = b);
+        check_int "the round is in it" 1 a.N.Server.verdicts_accepted
+      | _ -> assert false)
+
 (* ------------------------------------------------------------- *)
 (* Client backoff.                                                 *)
 
@@ -1191,7 +1364,8 @@ let suites =
      [ Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
        Alcotest.test_case "args masked" `Quick test_codec_masks_args;
        Alcotest.test_case "typed errors" `Quick test_codec_errors;
-       Alcotest.test_case "window bounds" `Quick test_codec_window_bounds ]);
+       Alcotest.test_case "window bounds" `Quick test_codec_window_bounds;
+       Alcotest.test_case "golden frames" `Quick test_codec_golden_frames ]);
     ("net-ratelimit",
      [ Alcotest.test_case "token bucket" `Quick test_ratelimit ]);
     ("net-transport",
@@ -1226,7 +1400,12 @@ let suites =
           test_chatty_session_outlives_deadline);
          ("request_stop unwinds serve_forever", test_request_stop_unwinds);
          ("request_stop before serve_forever",
-          test_request_stop_before_serve) ]
+          test_request_stop_before_serve);
+         ("concurrent stop returns one final stats", test_concurrent_stop);
+         ("stats fresh after a session", test_stats_fresh_after_session);
+         ("legacy report with no open round",
+          test_legacy_report_without_round);
+         ("legacy Bye with its round open", test_legacy_bye_with_round_open) ]
      @ [ Alcotest.test_case "half-open FIN without Bye" `Quick
            test_half_open_fin_no_bye ]);
     ("net-pipelined",
