@@ -280,7 +280,6 @@ let plan ?(key = A.Device.default_key) ?(policies = [])
     plan_audit = audit_report;
     plan_ns = ns }
 
-let plan_layout p = p.plan_built.Pipeline.layout
 let plan_audit p = p.plan_audit
 let plan_memo_ns p = p.plan_ns
 
@@ -309,8 +308,6 @@ type t = { t_plan : plan }
 
 let create ?key ?policies ?max_steps ?audit built =
   { t_plan = plan ?key ?policies ?max_steps ?audit built }
-
-let plan_of t = t.t_plan
 
 (* The peripheral oracle: a device over the MMIO space that answers every
    read with the value the Prover logged for it. The next log entry to be

@@ -242,8 +242,6 @@ val replay_outcome :
     is what makes its verdicts memoizable. Callers must have passed
     {!precheck} first; skipping it skips authenticity. *)
 
-val plan_layout : plan -> Dialed_apex.Layout.t
-
 type t
 
 val create :
@@ -254,9 +252,5 @@ val create :
     Requires a [Full]-variant build. *)
 
 val verify : t -> Dialed_apex.Pox.report -> outcome
-
-val plan_of : t -> plan
-(** The plan backing a single-session verifier, for handing to the fleet
-    engine. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

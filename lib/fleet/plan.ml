@@ -11,13 +11,8 @@ let of_built ?key ?policies ?max_steps ?audit built =
 
 let audit_report t = C.Verifier.plan_audit t.vplan
 
-let of_verifier ~built verifier =
-  { fingerprint = C.Pipeline.fingerprint built;
-    vplan = C.Verifier.plan_of verifier }
-
 let vplan t = t.vplan
 let fingerprint t = t.fingerprint
-let layout t = C.Verifier.plan_layout t.vplan
 
 (* ------------------------------------------------------------------ *)
 (* Keyed cache. Every structure here is touched under [mutex] only, so
@@ -135,12 +130,6 @@ let cache_audits cache =
   Mutex.unlock cache.mutex;
   n
 
-let cache_evictions cache =
-  Mutex.lock cache.mutex;
-  let n = cache.evictions in
-  Mutex.unlock cache.mutex;
-  n
-
 let cache_size cache =
   Mutex.lock cache.mutex;
   let n = Hashtbl.length cache.table in
@@ -170,8 +159,6 @@ let cache_counters_to_json c =
     "{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"resident\":%d,\
      \"audits\":%d}"
     c.cc_hits c.cc_misses c.cc_evictions c.cc_resident c.cc_audits
-
-let cache_stats_json cache = cache_counters_to_json (cache_counters cache)
 
 let pp_cache_counters ppf c =
   Format.fprintf ppf

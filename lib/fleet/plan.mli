@@ -23,13 +23,8 @@ val of_built :
 val audit_report : t -> Dialed_staticcheck.Report.t option
 (** The static audit captured at plan-build time, when armed. *)
 
-val of_verifier : built:Dialed_core.Pipeline.built -> Dialed_core.Verifier.t -> t
-(** Reuse an existing single-session verifier's plan (keeps its key and
-    policies). *)
-
 val vplan : t -> Dialed_core.Verifier.plan
 val fingerprint : t -> string
-val layout : t -> Dialed_apex.Layout.t
 
 (** {2 Keyed plan cache} *)
 
@@ -66,9 +61,6 @@ val cache_audits : cache -> int
     per miss with [audit] armed; hits (including deduplicated concurrent
     lookups) never re-audit, and a build that raises counts nothing. *)
 
-val cache_evictions : cache -> int
-(** Plans evicted by LRU pressure so far. *)
-
 val cache_size : cache -> int
 (** Plans currently resident. *)
 
@@ -87,8 +79,5 @@ type cache_counters = {
 val cache_counters : cache -> cache_counters
 
 val cache_counters_to_json : cache_counters -> string
-
-val cache_stats_json : cache -> string
-(** [cache_counters_to_json (cache_counters cache)]. *)
 
 val pp_cache_counters : Format.formatter -> cache_counters -> unit
