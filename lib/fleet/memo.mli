@@ -25,7 +25,8 @@
 
     The structure is a sharded, mutex-striped LRU bounded both by entry
     count and by estimated resident bytes, safe to share between the
-    domain pool's workers and the gateway's dispatcher thread.
+    domain pool's workers, which look it up, and any thread that reads
+    its {!stats}, such as a gateway's [Server.stats] caller.
     Concurrent lookups of the same missing key deduplicate: one caller
     replays, the rest wait on the in-flight computation and count as
     hits — the same rule as the fleet's plan LRU, with no double

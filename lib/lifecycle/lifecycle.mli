@@ -33,8 +33,8 @@
     per line, and replayed by {!create} on restart — the registry
     survives gateway restarts without a database.
 
-    All operations are thread-safe (one internal mutex); both server
-    engines, the CLI, and tests share a [t] freely. *)
+    All operations are thread-safe (one internal mutex); the gateway's
+    loop thread, the CLI, and tests share a [t] freely. *)
 
 type reason =
   | Key_revoked       (** device's provisioned key was revoked *)
