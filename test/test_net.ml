@@ -1283,6 +1283,40 @@ let test_concurrent_stop transport =
         check_int "the round is in it" 1 a.N.Server.verdicts_accepted
       | _ -> assert false)
 
+let test_stats_racing_stop transport =
+  (* a stats caller whose loop exits before its posted read runs must
+     read the counters itself instead of waiting for a reply that never
+     comes *)
+  with_gateway ~transport (fun ~server ~dial ~device ->
+      let conn = dial () in
+      ignore
+        (N.Client.attest_rounds ~config:client_config ~device
+           ~device_id:"dev-race" ~rounds:2 conn);
+      N.Transport.close conn;
+      let stopped = Atomic.make false and polls = Atomic.make 0 in
+      let finished = Atomic.make false in
+      let (_ : Thread.t) =
+        Thread.create
+          (fun () ->
+             while not (Atomic.get stopped) do
+               ignore (N.Server.stats server : N.Server.stats);
+               Atomic.incr polls
+             done;
+             Atomic.set finished true)
+          ()
+      in
+      while Atomic.get polls < 10 do Thread.yield () done;
+      let final = N.Server.stop server in
+      Atomic.set stopped true;
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      check_bool "the poller returned" true (Atomic.get finished);
+      check_bool "stats after stop are the final stats" true
+        (N.Server.stats server = final);
+      check_int "both rounds counted" 2 final.N.Server.verdicts_accepted)
+
 (* ------------------------------------------------------------- *)
 (* Client backoff.                                                 *)
 
@@ -1402,6 +1436,7 @@ let suites =
          ("request_stop before serve_forever",
           test_request_stop_before_serve);
          ("concurrent stop returns one final stats", test_concurrent_stop);
+         ("stats racing stop", test_stats_racing_stop);
          ("stats fresh after a session", test_stats_fresh_after_session);
          ("legacy report with no open round",
           test_legacy_report_without_round);
