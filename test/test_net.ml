@@ -1305,10 +1305,12 @@ let test_stats_racing_stop transport =
              Atomic.set finished true)
           ()
       in
-      while Atomic.get polls < 10 do Thread.yield () done;
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while Atomic.get polls < 10 && Unix.gettimeofday () < deadline do
+        Thread.yield ()
+      done;
       let final = N.Server.stop server in
       Atomic.set stopped true;
-      let deadline = Unix.gettimeofday () +. 5.0 in
       while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
         Thread.delay 0.01
       done;
