@@ -1029,6 +1029,7 @@ let lint_bench () =
    on the same host. Writes BENCH_swarm.json.                          *)
 
 module N = Dialed_net
+module Swarm = Dialed_swarm.Swarm
 
 let swarm_engine_reports = 384
 let swarm_clients = 48
@@ -1040,13 +1041,13 @@ type swarm_results = {
   sw_replay_us : float;       (* verifier replay cost per report *)
   sw_engine_raw : float;      (* reports/s, pre-attested input *)
   sw_engine_colocated : float;(* reports/s, attest+replay on this host *)
-  sw_loopback : N.Swarm.outcome;     (* 48x16 *)
+  sw_loopback : Swarm.outcome;     (* 48x16 *)
   sw_loopback_stats : N.Server.stats;
-  sw_churn_4k : N.Swarm.outcome;     (* 4096 held sessions *)
+  sw_churn_4k : Swarm.outcome;     (* 4096 held sessions *)
   sw_churn_4k_stats : N.Server.stats;
-  sw_churn_10k : N.Swarm.outcome;    (* 10240 held sessions *)
+  sw_churn_10k : Swarm.outcome;    (* 10240 held sessions *)
   sw_churn_10k_stats : N.Server.stats;
-  sw_tcp : N.Swarm.outcome;
+  sw_tcp : Swarm.outcome;
   sw_tcp_stats : N.Server.stats;
 }
 
@@ -1105,14 +1106,14 @@ let swarm_measure () =
       args = app.Apps.benign_args }
   in
   let swarm_config =
-    { N.Swarm.default_config with
-      N.Swarm.clients = swarm_clients; rounds = swarm_rounds; window = 8;
+    { Swarm.default_config with
+      Swarm.clients = swarm_clients; rounds = swarm_rounds; window = 8;
       concurrency = 32;
       client = { N.Client.default_config with
                  N.Client.read_deadline = Some 60.0 } }
   in
   let respond ~client:_ ~shape:_ =
-    N.Swarm.cheap_responder
+    Swarm.cheap_responder
       ~build:(fun () ->
           let d = C.Pipeline.device built in
           app.Apps.setup d;
@@ -1129,7 +1130,7 @@ let swarm_measure () =
   let loopback, loopback_stats =
     let listener, dial = N.Transport.loopback_listener () in
     with_server ~listener (fun () ->
-        N.Swarm.run ~config:swarm_config ~dial ~respond ())
+        Swarm.run ~config:swarm_config ~dial ~respond ())
   in
   (* churn sweeps: every session held open simultaneously (provers over
      16 worker loops, barrier-released), shallow rounds, memo armed over
@@ -1143,9 +1144,9 @@ let swarm_measure () =
     in
     let listener, dial = N.Transport.loopback_listener () in
     with_server ~config ~listener (fun () ->
-        N.Swarm.run
+        Swarm.run
           ~config:{ swarm_config with
-                    N.Swarm.clients; rounds; window; concurrency = 16;
+                    Swarm.clients; rounds; window; concurrency = 16;
                     distinct_logs = 64 }
           ~dial ~respond ())
   in
@@ -1159,8 +1160,8 @@ let swarm_measure () =
   let tcp_listener, port = N.Transport.tcp_listener ~backlog:256 ~port:0 () in
   let tcp, tcp_stats =
     with_server ~listener:tcp_listener (fun () ->
-        N.Swarm.run
-          ~config:{ swarm_config with N.Swarm.clients = 24; rounds = 8 }
+        Swarm.run
+          ~config:{ swarm_config with Swarm.clients = 24; rounds = 8 }
           ~dial:(fun () -> N.Transport.tcp_connect ~host:"127.0.0.1" ~port ())
           ~respond ())
   in
@@ -1172,8 +1173,8 @@ let swarm_measure () =
     sw_tcp = tcp; sw_tcp_stats = tcp_stats }
 
 let swarm_json r =
-  let gap_raw = r.sw_engine_raw /. r.sw_loopback.N.Swarm.throughput in
-  let gap_col = r.sw_engine_colocated /. r.sw_loopback.N.Swarm.throughput in
+  let gap_raw = r.sw_engine_raw /. r.sw_loopback.Swarm.throughput in
+  let gap_col = r.sw_engine_colocated /. r.sw_loopback.Swarm.throughput in
   let max_held =
     max r.sw_churn_4k_stats.N.Server.connections_peak
       r.sw_churn_10k_stats.N.Server.connections_peak
@@ -1204,44 +1205,44 @@ let swarm_json r =
     (methodology_json ~runs:1 ()) r.sw_cores r.sw_attest_us r.sw_replay_us
     r.sw_engine_raw r.sw_engine_colocated gap_raw gap_col max_held
     (if r.sw_cores >= 2 then "raw" else "colocated")
-    (N.Swarm.outcome_to_json r.sw_loopback)
+    (Swarm.outcome_to_json r.sw_loopback)
     (N.Server.stats_to_json r.sw_loopback_stats)
-    (N.Swarm.outcome_to_json r.sw_churn_4k)
+    (Swarm.outcome_to_json r.sw_churn_4k)
     (N.Server.stats_to_json r.sw_churn_4k_stats)
-    (N.Swarm.outcome_to_json r.sw_churn_10k)
+    (Swarm.outcome_to_json r.sw_churn_10k)
     (N.Server.stats_to_json r.sw_churn_10k_stats)
-    (N.Swarm.outcome_to_json r.sw_tcp)
+    (Swarm.outcome_to_json r.sw_tcp)
     (N.Server.stats_to_json r.sw_tcp_stats)
 
 let swarm_report r =
-  let gap_raw = r.sw_engine_raw /. r.sw_loopback.N.Swarm.throughput in
-  let gap_col = r.sw_engine_colocated /. r.sw_loopback.N.Swarm.throughput in
+  let gap_raw = r.sw_engine_raw /. r.sw_loopback.Swarm.throughput in
+  let gap_col = r.sw_engine_colocated /. r.sw_loopback.Swarm.throughput in
   printf "%-48s %10.1f@." "prover SW-Att (us/round)" r.sw_attest_us;
   printf "%-48s %10.1f@." "verifier replay (us/report)" r.sw_replay_us;
   printf "%-48s %10.0f@." "engine, raw stream (reports/s)" r.sw_engine_raw;
   printf "%-48s %10.0f@." "engine, co-located attest+replay (reports/s)"
     r.sw_engine_colocated;
   printf "%-48s %10.0f@." "gateway swarm, loopback (rounds/s)"
-    r.sw_loopback.N.Swarm.throughput;
+    r.sw_loopback.Swarm.throughput;
   printf "%-48s %10.0f@." "churn, 4096 held sessions (rounds/s)"
-    r.sw_churn_4k.N.Swarm.throughput;
+    r.sw_churn_4k.Swarm.throughput;
   printf "%-48s %10.0f@." "churn, 10240 held sessions (rounds/s)"
-    r.sw_churn_10k.N.Swarm.throughput;
+    r.sw_churn_10k.Swarm.throughput;
   printf "%-48s %10d@." "peak simultaneously-held connections"
     (max r.sw_churn_4k_stats.N.Server.connections_peak
        r.sw_churn_10k_stats.N.Server.connections_peak);
   printf "%-48s %10.0f@." "gateway swarm, tcp (rounds/s)"
-    r.sw_tcp.N.Swarm.throughput;
+    r.sw_tcp.Swarm.throughput;
   printf "%-48s %10.2f@." "gap vs raw engine (x)" gap_raw;
   printf "%-48s %10.2f@." "gap vs co-located engine (x)" gap_col;
   printf "%-48s %10.1f@." "loopback p50 round latency (ms)"
-    (1000.0 *. N.Swarm.latency_p r.sw_loopback 50.0);
+    (1000.0 *. Swarm.latency_p r.sw_loopback 50.0);
   printf "%-48s %10.1f@." "loopback p99 round latency (ms)"
-    (1000.0 *. N.Swarm.latency_p r.sw_loopback 99.0);
+    (1000.0 *. Swarm.latency_p r.sw_loopback 99.0);
   printf
     "loopback swarm: %d clients x %d rounds, %d failed; server: %d \
      rate-limited, %d window-overflow, %d protocol errors@."
-    swarm_clients swarm_rounds r.sw_loopback.N.Swarm.clients_failed
+    swarm_clients swarm_rounds r.sw_loopback.Swarm.clients_failed
     r.sw_loopback_stats.N.Server.rate_limited
     r.sw_loopback_stats.N.Server.window_overflow
     r.sw_loopback_stats.N.Server.protocol_errors;
@@ -1249,12 +1250,12 @@ let swarm_report r =
     "churn: 4096 held -> peak %d, %d busy, %d timeouts, %d failed; 10240 \
      held -> peak %d, %d busy, %d timeouts, %d failed@."
     r.sw_churn_4k_stats.N.Server.connections_peak
-    r.sw_churn_4k.N.Swarm.busy_bounces r.sw_churn_4k.N.Swarm.reply_timeouts
-    r.sw_churn_4k.N.Swarm.clients_failed
+    r.sw_churn_4k.Swarm.busy_bounces r.sw_churn_4k.Swarm.reply_timeouts
+    r.sw_churn_4k.Swarm.clients_failed
     r.sw_churn_10k_stats.N.Server.connections_peak
-    r.sw_churn_10k.N.Swarm.busy_bounces
-    r.sw_churn_10k.N.Swarm.reply_timeouts
-    r.sw_churn_10k.N.Swarm.clients_failed;
+    r.sw_churn_10k.Swarm.busy_bounces
+    r.sw_churn_10k.Swarm.reply_timeouts
+    r.sw_churn_10k.Swarm.clients_failed;
   if r.sw_cores < 2 then
     printf
       "(1 core: provers and verifier share it, so attest %.0f us rides on \
@@ -1284,15 +1285,15 @@ let swarm_gate () =
     if cores >= 2 then (r.sw_engine_raw, "raw")
     else (r.sw_engine_colocated, "co-located")
   in
-  let gap = baseline /. r.sw_loopback.N.Swarm.throughput in
+  let gap = baseline /. r.sw_loopback.Swarm.throughput in
   printf "gate: gateway %.0f rounds/s vs %s engine %.0f reports/s = \
           %.2fx on %d core%s@."
-    r.sw_loopback.N.Swarm.throughput name baseline gap cores
+    r.sw_loopback.Swarm.throughput name baseline gap cores
     (if cores = 1 then "" else "s");
-  if r.sw_loopback.N.Swarm.clients_failed > 0 then
+  if r.sw_loopback.Swarm.clients_failed > 0 then
     failwith
       (Printf.sprintf "swarm-gate: %d clients failed"
-         r.sw_loopback.N.Swarm.clients_failed);
+         r.sw_loopback.Swarm.clients_failed);
   if gap > 1.5 then
     failwith
       (Printf.sprintf
@@ -1306,21 +1307,21 @@ let swarm_gate () =
   else begin
     let c = r.sw_churn_4k and cs = r.sw_churn_4k_stats in
     printf "gate: churn smoke peak %d held, %d busy, %d timeouts@."
-      cs.N.Server.connections_peak c.N.Swarm.busy_bounces
-      c.N.Swarm.reply_timeouts;
+      cs.N.Server.connections_peak c.Swarm.busy_bounces
+      c.Swarm.reply_timeouts;
     if cs.N.Server.connections_peak < 4096 then
       failwith
         (Printf.sprintf
            "swarm-gate: churn held only %d of 4096 sessions at peak"
            cs.N.Server.connections_peak);
-    if c.N.Swarm.busy_bounces > 0 || c.N.Swarm.reply_timeouts > 0
-       || c.N.Swarm.clients_failed > 0
+    if c.Swarm.busy_bounces > 0 || c.Swarm.reply_timeouts > 0
+       || c.Swarm.clients_failed > 0
     then
       failwith
         (Printf.sprintf
            "swarm-gate: churn smoke unhealthy (%d busy, %d timeouts, %d \
-            failed)" c.N.Swarm.busy_bounces c.N.Swarm.reply_timeouts
-           c.N.Swarm.clients_failed)
+            failed)" c.Swarm.busy_bounces c.Swarm.reply_timeouts
+           c.Swarm.clients_failed)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1377,7 +1378,7 @@ let lifecycle_revocation () =
   N.Server.start server;
   let rounds = 256 in
   let respond =
-    N.Swarm.cheap_responder
+    Swarm.cheap_responder
       ~build:(fun () ->
           let d = C.Pipeline.device built in
           app.Apps.setup d;
@@ -1444,7 +1445,7 @@ type rollout_result = {
   ro_clients : int;
   ro_stale : int;             (* provers claiming the retired version *)
   ro_canary_assigned : int;   (* deterministic cohort size *)
-  ro_outcome : N.Swarm.outcome;
+  ro_outcome : Swarm.outcome;
   ro_stats : N.Server.stats;
 }
 
@@ -1501,7 +1502,7 @@ let lifecycle_rollout () =
         (canary_app, canary_built)
       else (stable_app, stable_built)
     in
-    N.Swarm.cheap_responder
+    Swarm.cheap_responder
       ~build:(fun () ->
           let d = C.Pipeline.device built in
           app.Apps.setup d;
@@ -1509,9 +1510,9 @@ let lifecycle_rollout () =
       ()
   in
   let outcome =
-    N.Swarm.run
-      ~config:{ N.Swarm.default_config with
-                N.Swarm.clients; rounds = 8; window = 4; concurrency = 24;
+    Swarm.run
+      ~config:{ Swarm.default_config with
+                Swarm.clients; rounds = 8; window = 4; concurrency = 24;
                 device_prefix = "roll"; firmware;
                 client = { N.Client.default_config with
                            N.Client.read_deadline = Some 60.0 } }
@@ -1558,7 +1559,7 @@ let lifecycle_json rv ro =
     (methodology_json ~runs:1 ()) (revocation_json rv)
     ro.ro_clients ro.ro_stale ro.ro_canary_assigned
     pc.F.Plan.cc_misses pc.F.Plan.cc_evictions pc.F.Plan.cc_resident
-    (N.Swarm.outcome_to_json ro.ro_outcome)
+    (Swarm.outcome_to_json ro.ro_outcome)
     (N.Server.stats_to_json ro.ro_stats)
 
 let lifecycle_report rv ro =
@@ -1571,12 +1572,12 @@ let lifecycle_report rv ro =
   printf "%-48s %10d@." "  canary cohort (of 64, at 50%)"
     ro.ro_canary_assigned;
   printf "%-48s %10d@." "  rounds accepted"
-    ro.ro_outcome.N.Swarm.rounds_accepted;
+    ro.ro_outcome.Swarm.rounds_accepted;
   printf "%-48s %10d@." "  sessions denied"
-    ro.ro_outcome.N.Swarm.clients_denied;
+    ro.ro_outcome.Swarm.clients_denied;
   List.iter
     (fun (cause, n) -> printf "%-48s %10d@." ("    " ^ cause) n)
-    ro.ro_outcome.N.Swarm.denied_by_cause;
+    ro.ro_outcome.Swarm.denied_by_cause;
   printf "%-48s %10d@." "  plan-cache misses (= versions built)"
     pc.F.Plan.cc_misses;
   printf "%-48s %10d@." "  plan-cache evictions (no thrash = 0)"

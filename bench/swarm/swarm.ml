@@ -1,3 +1,4 @@
+open Dialed_net
 module C = Dialed_core
 module A = Dialed_apex
 

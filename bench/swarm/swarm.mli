@@ -13,6 +13,8 @@
     prover index, so two runs bounce off a loaded gateway with the same
     (decorrelated) retry pattern. Wall-clock numbers of course vary. *)
 
+open Dialed_net
+
 type config = {
   clients : int;            (** simulated provers (one session each) *)
   rounds : int;             (** attestation rounds per prover *)

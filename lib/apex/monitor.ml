@@ -10,16 +10,6 @@ type violation =
   | Or_written_outside of int
   | Er_written_at_rest of int
 
-let pp_violation ppf v =
-  match v with
-  | Entered_er_mid a -> Format.fprintf ppf "control flow entered ER mid-way at 0x%04x" a
-  | Left_er_early a -> Format.fprintf ppf "ER left early from 0x%04x" a
-  | Write_to_er a -> Format.fprintf ppf "write into ER at 0x%04x during execution" a
-  | Irq_in_er -> Format.fprintf ppf "interrupt during ER execution"
-  | Dma_in_er a -> Format.fprintf ppf "DMA at 0x%04x during ER execution" a
-  | Or_written_outside a -> Format.fprintf ppf "OR written at 0x%04x outside ER execution" a
-  | Er_written_at_rest a -> Format.fprintf ppf "ER modified at 0x%04x outside execution" a
-
 type phase = Idle | Running
 
 type t = {

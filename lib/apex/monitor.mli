@@ -22,8 +22,6 @@ type violation =
   | Or_written_outside of int   (** OR modified by non-ER code *)
   | Er_written_at_rest of int   (** ER modified outside execution *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 type t
 
 val create : Layout.t -> t

@@ -53,5 +53,3 @@ let verify_with ~key_state ~expected_er r =
 
 let verify ~key ~expected_er r =
   verify_with ~key_state:(Hmac.key_state ~key) ~expected_er r
-
-let accept_exec r = r.exec

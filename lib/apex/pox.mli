@@ -34,6 +34,3 @@ val verify_with :
   (unit, string) result
 (** {!verify} with a precomputed {!Dialed_crypto.Hmac.key_state} — the
     fleet path, which MACs thousands of reports under one device key. *)
-
-val accept_exec : report -> bool
-(** Just the EXEC bit (meaningful only after {!verify} succeeded). *)

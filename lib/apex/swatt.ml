@@ -4,11 +4,11 @@ module Cpu = M.Cpu
 module Isa = M.Isa
 module Sha256 = Dialed_crypto.Sha256
 
-let rom_base = 0xA000
+let rom_base = 0xA000 (* the SW-Att ROM region *)
 let key_base = 0x6A00
-let challenge_base = 0x0240
-let mac_base = 0x0260
-let exec_reg = 0x0130
+let challenge_base = 0x0240 (* the network stack deposits the challenge *)
+let mac_base = 0x0260 (* SW-Att leaves the 32-byte tag *)
+let exec_reg = 0x0130 (* read-only EXEC flag byte, exported by the monitor *)
 let challenge_bytes = 32
 
 (* secure scratch (VRASED's exclusive stack region) *)

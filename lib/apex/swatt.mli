@@ -10,7 +10,7 @@
     - a code generator emitting ~2 KiB of MSP430 assembly (32-bit
       arithmetic synthesized from 16-bit add/addc/rrc chains, the full
       SHA-256 schedule and compression, HMAC ipad/opad staging) placed in
-      a ROM region at {!rom_base};
+      a ROM region at 0xA000;
     - a key-gate device: reads of the key region return the key bytes only
       while the PC is inside the ROM — anywhere else reads as zero (and
       the key never sits in simulator RAM at all);
@@ -29,33 +29,12 @@
     consistent with VRASED's published seconds-scale runtimes at MCU clock
     rates. *)
 
-val rom_base : int
-(** 0xA000 — start of the SW-Att ROM region. *)
-
 val key_base : int
 (** 0x6A00 — the gated key region (64 bytes), VRASED's key address. *)
 
-val challenge_base : int
-(** 0x0240 — where the untrusted network stack deposits the 32-byte
-    challenge. *)
-
-val mac_base : int
-(** 0x0260 — where SW-Att leaves the 32-byte tag. *)
-
-val exec_reg : int
-(** 0x0130 — memory-mapped read-only EXEC flag (byte), exported by the
-    monitor so SW-Att can bind it into the tag. *)
-
-val challenge_bytes : int
-(** 32: on-device attestation uses fixed-size challenges; shorter ones
-    are zero-padded by {!attest}. *)
-
 val pad_challenge : string -> string
-(** Zero-pad to {!challenge_bytes}; raises [Failure] beyond 32 bytes. *)
-
-val generate : Layout.t -> string
-(** The SW-Att assembly for this layout (entry label [__swatt]; ends in a
-    self-jump halt). Exposed for inspection/tests. *)
+(** Zero-pad to 32 bytes, the fixed on-device challenge size; raises
+    [Failure] beyond 32 bytes. *)
 
 type installed
 
@@ -70,4 +49,4 @@ val attest : installed -> Device.t -> challenge:string -> string
 
 val report : installed -> Device.t -> challenge:string -> Pox.report
 (** A full PoX report whose token was computed by the device itself
-    (challenge padded to {!challenge_bytes}). *)
+    (challenge padded to 32 bytes). *)

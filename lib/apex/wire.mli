@@ -30,7 +30,6 @@ type error =
   | Bad_field of { what : string; value : int }
   | Trailing_garbage of { extra : int }
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val decode : string -> (Pox.report, error) result

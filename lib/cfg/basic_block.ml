@@ -19,7 +19,6 @@ type block = {
 
 type t = {
   cfg_blocks : block list;
-  cfg_entry : int;
   instr_starts : (int, unit) Hashtbl.t;
   by_start : (int, block) Hashtbl.t;          (* O(1) block_at *)
   sorted : block array;                       (* by b_start, for containment *)
@@ -107,10 +106,9 @@ let build mem ~lo ~hi ~entry =
   List.iter (fun b -> Hashtbl.replace by_start b.b_start b) cfg_blocks;
   let sorted = Array.of_list cfg_blocks in
   Array.sort (fun a b -> compare a.b_start b.b_start) sorted;
-  { cfg_blocks; cfg_entry = entry; instr_starts; by_start; sorted }
+  { cfg_blocks; instr_starts; by_start; sorted }
 
 let blocks t = t.cfg_blocks
-let entry t = t.cfg_entry
 
 let block_at t a = Hashtbl.find_opt t.by_start a
 
@@ -152,24 +150,3 @@ let call_return_sites t =
     t.cfg_blocks
 
 let is_instruction_start t a = Hashtbl.mem t.instr_starts a
-
-let pp_term ppf term =
-  match term with
-  | Fallthrough n -> Format.fprintf ppf "fallthrough 0x%04x" n
-  | Jump_uncond n -> Format.fprintf ppf "jmp 0x%04x" n
-  | Jump_cond { taken; fallthrough } ->
-    Format.fprintf ppf "cond(taken 0x%04x, else 0x%04x)" taken fallthrough
-  | Call { target = Some n; return_to } ->
-    Format.fprintf ppf "call 0x%04x (ret 0x%04x)" n return_to
-  | Call { target = None; return_to } ->
-    Format.fprintf ppf "call indirect (ret 0x%04x)" return_to
-  | Ret -> Format.pp_print_string ppf "ret"
-  | Branch_indirect -> Format.pp_print_string ppf "indirect"
-  | Halt -> Format.pp_print_string ppf "halt"
-
-let pp ppf t =
-  List.iter
-    (fun b ->
-       Format.fprintf ppf "block 0x%04x..0x%04x -> %a@." b.b_start b.b_last
-         pp_term b.term)
-    t.cfg_blocks

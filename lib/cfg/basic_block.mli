@@ -1,9 +1,9 @@
 (** Static control-flow graph recovery from a binary range.
 
     Linear-sweep disassembly over the executable range, leader detection,
-    and basic-block construction. The verifier uses the CFG to decide
-    whether each control-flow transfer reported in CF-Log is an edge the
-    original program could legally take. *)
+    and basic-block construction. The static audit ([Dialed_staticcheck])
+    runs its register-discipline, footprint and dataflow passes over
+    these blocks. *)
 
 (** How a basic block ends. *)
 type terminator =
@@ -29,7 +29,6 @@ val build : Dialed_msp430.Memory.t -> lo:int -> hi:int -> entry:int -> t
 (** Decode [\[lo, hi\]] and build the CFG rooted at [entry]. *)
 
 val blocks : t -> block list
-val entry : t -> int
 
 val block_at : t -> int -> block option
 (** The block starting at this address. O(1). *)
@@ -48,6 +47,3 @@ val call_return_sites : t -> int list
 val is_instruction_start : t -> int -> bool
 (** Whether the address is the start of a decoded instruction (jumping
     anywhere else is an illegal edge by construction). *)
-
-val pp_term : Format.formatter -> terminator -> unit
-val pp : Format.formatter -> t -> unit

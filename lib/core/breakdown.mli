@@ -14,8 +14,6 @@ type category =
   | Read_check      (** F4 stack-range checks *)
   | Abort           (** the abort loop *)
 
-val category_name : category -> string
-
 type row = {
   cat : category;
   instructions : int;
@@ -23,9 +21,6 @@ type row = {
   est_cycles : int;  (** static cycle estimate (sum of per-instruction
                          costs; loops not unrolled) *)
 }
-
-val analyze : Dialed_msp430.Program.t -> row list
-(** One row per category present, [Original] first. *)
 
 val of_built : Pipeline.built -> row list
 

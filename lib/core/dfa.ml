@@ -20,7 +20,7 @@ type config = {
 let default_config =
   { static_fast_path = true; trust_frame_reads = true; selective = None }
 
-let frame_pointer = 6
+let frame_pointer = 6 (* r6: MiniC's frame pointer *)
 let r4 = T.reserved_register
 
 let log_input ~fresh op = T.log_value_tagged ~fresh `Input op

@@ -52,10 +52,6 @@ val default_config : config
 (** Both booleans true, [selective = None] — the configuration the
     evaluation uses. *)
 
-val frame_pointer : Dialed_msp430.Isa.reg
-(** [r6]: the register the MiniC code generator uses as frame pointer and
-    this pass trusts under [trust_frame_reads]. *)
-
 val instrument :
   ?config:config -> Dialed_msp430.Program.t -> Dialed_msp430.Program.t
 (** Apply F3 + F4 to an operation body (before Tiny-CFA). Raises {!Error}

@@ -36,15 +36,6 @@ let negate name p =
       | Ok () -> Error (Printf.sprintf "%s passed" p.Verifier.policy_name)
       | Error _ -> Ok ())
 
-let final_byte ~name ~addr ~expect =
-  make name (fun trace ->
-      let v = Memory.peek8 trace.Verifier.replay_memory addr in
-      if v = expect then Ok ()
-      else
-        Error
-          (Printf.sprintf "memory[0x%04x] = 0x%02x, expected 0x%02x" addr v
-             expect))
-
 let final_word ~name ~addr ~expect =
   make name (fun trace ->
       let v = Memory.peek16 trace.Verifier.replay_memory addr in
@@ -100,21 +91,9 @@ let never_writes ~name ~lo ~hi =
         Error (Printf.sprintf "a store touched [0x%04x, 0x%04x]" lo hi)
       else Ok ())
 
-let runtime_inputs trace =
-  List.filteri (fun i _ -> i >= 9) trace.Verifier.inputs
-
 let argument trace i =
   if i < 0 || i > 7 then None
   else List.nth_opt trace.Verifier.inputs (8 - i)
-
-let input_range ~name ~index ~lo ~hi =
-  make name (fun trace ->
-      match List.nth_opt (runtime_inputs trace) index with
-      | None -> Error (Printf.sprintf "no runtime input %d" index)
-      | Some v ->
-        let v = M.Word.signed16 v in
-        if v >= lo && v <= hi then Ok ()
-        else Error (Printf.sprintf "input %d = %d outside [%d, %d]" index v lo hi))
 
 let arg_range ~name ~arg ~lo ~hi =
   make name (fun trace ->

@@ -15,11 +15,9 @@ val any_of : string -> t list -> t
 
 val negate : string -> t -> t
 
-val final_byte : name:string -> addr:int -> expect:int -> t
-(** The replayed memory must end with this byte value at [addr]
-    (e.g. an actuation port left in a safe state). *)
-
 val final_word : name:string -> addr:int -> expect:int -> t
+(** The replayed memory must end with this word value at [addr]
+    (e.g. an actuation port left in a safe state). *)
 
 val writes_to : name:string -> addr:int -> max_count:int -> t
 (** At most [max_count] stores touched [addr] during the operation
@@ -29,19 +27,9 @@ val never_writes : name:string -> lo:int -> hi:int -> t
 (** No store may touch [\[lo, hi\]] (e.g. a configuration block that the
     operation must treat as read-only). *)
 
-val input_range : name:string -> index:int -> lo:int -> hi:int -> t
-(** The [index]-th runtime data input (0-based, after the 9 F3 entries)
-    must lie within [\[lo, hi\]] as a signed 16-bit value. *)
-
 val arg_range : name:string -> arg:int -> lo:int -> hi:int -> t
 (** Operation argument [arg] (0 = r15) must lie within the range. *)
 
 val max_steps : name:string -> int -> t
 (** The replayed execution retired at most N instructions (runtime
     budget / liveness bound). *)
-
-val runtime_inputs : Verifier.trace -> int list
-(** Helper: the I-Log entries after the 9 F3 entries, in order. *)
-
-val argument : Verifier.trace -> int -> int option
-(** Helper: operation argument [i] (0 = r15) from the F3 entries. *)

@@ -12,16 +12,15 @@ type request = {
    per-process session instance, counter) — reproducible run to run,
    yet never shared between two sessions, so a report accepted under
    one session can never satisfy a later session even if both were
-   created with the same seed.                                        *)
+   created with the same seed. Several challenges may be pending at
+   once (a pipelined session's window); they are redeemed in any
+   order.                                                             *)
 
 type gate = {
   g_seed : string;
   g_instance : int;
   mutable g_counter : int;
-  mutable g_outstanding : string option;
-  g_pending : (string, unit) Hashtbl.t;
-      (* challenges issued by [gate_issue], not yet redeemed: the
-         windowed counterpart of [g_outstanding] *)
+  g_pending : (string, unit) Hashtbl.t;   (* issued, not yet redeemed *)
   g_used : (string, unit) Hashtbl.t;   (* challenges already consumed *)
 }
 
@@ -29,26 +28,12 @@ let instances = Atomic.make 0
 
 let make_gate ?(seed = "dialed-session-seed") () =
   { g_seed = seed; g_instance = Atomic.fetch_and_add instances 1;
-    g_counter = 0; g_outstanding = None; g_pending = Hashtbl.create 8;
+    g_counter = 0; g_pending = Hashtbl.create 8;
     g_used = Hashtbl.create 8 }
 
 let derive_challenge g =
   g.g_counter <- g.g_counter + 1;
   Sha256.digest (Printf.sprintf "%s|%d|%d" g.g_seed g.g_instance g.g_counter)
-
-let gate_request g ~args =
-  let challenge = derive_challenge g in
-  g.g_outstanding <- Some challenge;
-  { challenge; args }
-
-(* ------------------------------------------------------------------ *)
-(* Windowed freshness: a pipelined gateway session keeps several
-   challenges outstanding at once. Each [gate_issue] derives a fresh
-   challenge from the same (seed, instance, counter) chain as
-   [gate_request] — the two families share one counter and one used set,
-   so mixing them on a single gate still never re-issues a challenge —
-   and parks it in the pending set; [gate_redeem] consumes pending
-   challenges in any order. *)
 
 let gate_issue g ~args =
   let challenge = derive_challenge g in
@@ -78,28 +63,6 @@ let gate_redeem g req (report : A.Pox.report) =
     Ok ()
   end
 
-let gate_check g req (report : A.Pox.report) =
-  match g.g_outstanding with
-  | None -> Error "no outstanding challenge"
-  | Some challenge ->
-    if not (String.equal challenge req.challenge) then
-      Error "request does not match the outstanding challenge"
-    else if Hashtbl.mem g.g_used report.A.Pox.challenge then begin
-      (* the challenge was consumed by an earlier round: a replay, even
-         if some confused caller re-issued the same challenge *)
-      g.g_outstanding <- None;
-      Error "challenge already consumed (replay)"
-    end
-    else if not (String.equal report.A.Pox.challenge challenge) then
-      Error "response challenge is stale or replayed"
-    else begin
-      (* consume the challenge whatever the verifier later decides:
-         one challenge, one verification attempt *)
-      g.g_outstanding <- None;
-      Hashtbl.replace g.g_used challenge ();
-      Ok ()
-    end
-
 (* ------------------------------------------------------------------ *)
 
 type session = {
@@ -109,7 +72,7 @@ type session = {
 
 let make_session ?seed verifier = { gate = make_gate ?seed (); verifier }
 
-let next_request s ~args = gate_request s.gate ~args
+let next_request s ~args = gate_issue s.gate ~args
 
 let prover_execute device req =
   let result = A.Device.run_operation ~args:req.args device in
@@ -117,7 +80,7 @@ let prover_execute device req =
   (report, result)
 
 let check_response s req report =
-  match gate_check s.gate req report with
+  match gate_redeem s.gate req report with
   | Error reason ->
     { Verifier.accepted = false;
       findings = [ Verifier.Bad_token reason ];

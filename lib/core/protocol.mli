@@ -22,30 +22,15 @@ type request = {
     unique per gate within a process — reproducible run to run, but a
     challenge is never issued twice, so a report accepted under one gate
     can never satisfy another gate created with the same seed (replay
-    across sessions is rejected, not just replay within one). *)
+    across sessions is rejected, not just replay within one).
+
+    A gate keeps a pending {e set}, so a pipelined session can have up
+    to a window of challenges live at once; a session that runs one
+    round at a time redeems each challenge before it issues the next. *)
 
 type gate
 
 val make_gate : ?seed:string -> unit -> gate
-
-val gate_request : gate -> args:int list -> request
-(** Derive the next challenge and remember it as outstanding. *)
-
-val gate_check : gate -> request -> Dialed_apex.Pox.report -> (unit, string) result
-(** Freshness only (no verification): reject when there is no
-    outstanding challenge, the request does not carry it, the report
-    answers a different challenge, or the challenge was already consumed
-    by an earlier round. On [Ok] the challenge is consumed — a second
-    presentation of the same report is rejected. *)
-
-(** {3 Windowed gates}
-
-    A pipelined session keeps up to a window of challenges live at
-    once. [gate_issue]/[gate_redeem] generalize
-    [gate_request]/[gate_check] from one outstanding challenge to a
-    pending {e set}; both families share the gate's derivation counter
-    and consumed set, so no challenge is ever issued twice even when
-    they are mixed on one gate. *)
 
 val gate_issue : gate -> args:int list -> request
 (** Derive the next challenge and add it to the pending set. *)
@@ -70,6 +55,7 @@ val make_session : ?seed:string -> Verifier.t -> session
     randomness — see {!make_gate}), so runs are reproducible. *)
 
 val next_request : session -> args:int list -> request
+(** {!gate_issue} on the session's gate. *)
 
 val prover_execute :
   Dialed_apex.Device.t -> request ->
@@ -79,8 +65,9 @@ val prover_execute :
 
 val check_response :
   session -> request -> Dialed_apex.Pox.report -> Verifier.outcome
-(** Verifier side: reject stale/mismatched/replayed challenges (a
-    [Bad_token] finding), then run the full DIALED verification. *)
+(** Verifier side: {!gate_redeem} rejects stale/mismatched/replayed
+    challenges (a [Bad_token] finding), then the full DIALED
+    verification runs. *)
 
 val attest_round :
   session -> Dialed_apex.Device.t -> args:int list ->

@@ -155,20 +155,13 @@ val log_digest : Dialed_apex.Pox.report -> string
     the replay. [Dialed_apex.Wire.decode_digested] computes the same
     digest incrementally during wire decode. *)
 
-val effective_audit_config :
-  ?config:Dialed_staticcheck.Audit.config ->
-  Pipeline.built -> Dialed_staticcheck.Audit.config
-(** The configuration a build must be audited against: for a selective
-    build, [config] with [selective] forced to the build's resolved
-    critical ranges; otherwise [config] unchanged (default
-    {!Dialed_staticcheck.Audit.default_config}). *)
-
 val audit_built :
   ?config:Dialed_staticcheck.Audit.config ->
   Pipeline.built -> Dialed_staticcheck.Report.t
 (** Run the static auditor over an assembled build without building a
     plan: loads the image into a scratch memory and audits the ER range
-    from its bytes alone (always via {!effective_audit_config}). Works on
+    from its bytes alone. A selective build is audited against its own
+    resolved critical ranges, whatever [config] says. Works on
     any variant — auditing a [Cfa_only]/[Unmodified] build is exactly how
     one demonstrates what the auditor rejects. *)
 

@@ -50,9 +50,6 @@ val reference_digest : string -> string
 val hex : string -> string
 (** Lowercase hex of a raw byte string (handy for digests). *)
 
-val digest_size : int
-(** 32. *)
-
 val block_size : int
 (** 64, needed by HMAC. *)
 

@@ -427,7 +427,6 @@ let verify_batch ?pool ?(domains = 1) ?memo plan batch =
 
 (* ------------------------------------------------------------------ *)
 
-let accepted s = List.filter (fun v -> v.accepted) s.verdicts
 let rejected s = List.filter (fun v -> not v.accepted) s.verdicts
 
 let pp_verdict ppf v =

@@ -162,9 +162,5 @@ val stream_close : stream -> summary
     proportional to its unpolled backlog, not to its lifetime.
     [wall_seconds] spans stream open to drain. *)
 
-val accepted : summary -> verdict list
-val rejected : summary -> verdict list
-
-val pp_verdict : Format.formatter -> verdict -> unit
 val pp_summary : Format.formatter -> summary -> unit
 (** Metrics plus one line per rejected device. *)

@@ -90,6 +90,8 @@ let ratio num den =
   if den = 0 then if num = 0 then 1.0 else infinity
   else float_of_int num /. float_of_int den
 
+(* DFA data-log shrink factor over OR bytes; [infinity] when the
+   selective build logs no data at all *)
 let data_log_reduction s =
   ratio
     (data_log_bytes ~over:s.ss_cfa s.ss_full)

@@ -25,10 +25,6 @@ val baseline_luts : int
 val baseline_registers : int
 (** 691. *)
 
-val catalog : arch list
-(** C-FLAT, OAT, Atrium, LO-FAT, LiteHAX, Tiny-CFA, DIALED — Table I's
-    rows, in the paper's order. *)
-
 val overhead_pct : baseline:int -> int -> float
 (** [overhead_pct ~baseline extra] = 100 * extra / baseline. *)
 
@@ -72,23 +68,6 @@ type selective_savings = {
   ss_full : log_cost;       (** full DIALED discipline *)
   ss_selective : log_cost;  (** OAT-style reduced discipline *)
 }
-
-val data_log_reduction : selective_savings -> float
-(** DFA data-log overhead shrink factor:
-    [(full - cfa) / (selective - cfa)] over OR bytes. [infinity] when
-    the selective build logs no data at all. *)
-
-val total_log_reduction : selective_savings -> float
-(** Whole-report shrink factor (CF-Log included) — what the radio sees. *)
-
-val report_bytes_saved : selective_savings -> int
-(** OR bytes the reduced discipline removes from every PoX report. *)
-
-val cycle_overhead_reduction : selective_savings -> float
-(** DFA runtime-overhead shrink factor over cycles, measured the same
-    way against the Tiny-CFA baseline. *)
-
-val cycles_saved : selective_savings -> int
 
 val pp_selective : Format.formatter -> selective_savings -> unit
 

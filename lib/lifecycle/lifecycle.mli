@@ -53,7 +53,6 @@ type denial =
   | Stale_firmware    (** firmware outside the current allowlist *)
 
 val denial_to_string : denial -> string
-val reason_to_string : reason -> string
 val state_to_string : state -> string
 
 type device = {

@@ -67,48 +67,3 @@ let rec pp_expr ppf e =
          ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
          pp_expr)
       args
-
-let rec pp_stmt ppf s =
-  match s with
-  | Sexpr e -> Format.fprintf ppf "%a;" pp_expr e
-  | Assign (v, e) -> Format.fprintf ppf "%s = %a;" v pp_expr e
-  | Store (a, i, e) -> Format.fprintf ppf "%s[%a] = %a;" a pp_expr i pp_expr e
-  | If (c, t, []) -> Format.fprintf ppf "if (%a) { %a }" pp_expr c pp_block t
-  | If (c, t, e) ->
-    Format.fprintf ppf "if (%a) { %a } else { %a }" pp_expr c pp_block t
-      pp_block e
-  | While (c, b) -> Format.fprintf ppf "while (%a) { %a }" pp_expr c pp_block b
-  | Return None -> Format.pp_print_string ppf "return;"
-  | Return (Some e) -> Format.fprintf ppf "return %a;" pp_expr e
-  | Local (v, None) -> Format.fprintf ppf "int %s;" v
-  | Local (v, Some e) -> Format.fprintf ppf "int %s = %a;" v pp_expr e
-  | Break -> Format.pp_print_string ppf "break;"
-  | Continue -> Format.pp_print_string ppf "continue;"
-
-and pp_block ppf b =
-  Format.pp_print_list ~pp_sep:Format.pp_print_space pp_stmt ppf b
-
-let pp_global ppf g =
-  match g with
-  | Gvar (n, v, crit) ->
-    Format.fprintf ppf "%sint %s = %d;" (if crit then "critical " else "") n v
-  | Garray (n, size, inits, crit) ->
-    Format.fprintf ppf "%sint %s[%d] = {%a};"
-      (if crit then "critical " else "") n size
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         Format.pp_print_int)
-      inits
-  | Gio (n, Wword, a) -> Format.fprintf ppf "volatile int %s @ 0x%04x;" n a
-  | Gio (n, Wbyte, a) -> Format.fprintf ppf "volatile char %s @ 0x%04x;" n a
-  | Gfunc f ->
-    Format.fprintf ppf "%s %s(%a) { %a }"
-      (if f.returns_value then "int" else "void")
-      f.fname
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         (fun ppf p -> Format.fprintf ppf "int %s" p))
-      f.params pp_block f.body
-
-let pp_program ppf p =
-  Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_global ppf p

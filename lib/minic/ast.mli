@@ -59,4 +59,3 @@ val unop_name : unop -> string
 val binop_name : binop -> string
 
 val pp_expr : Format.formatter -> expr -> unit
-val pp_program : Format.formatter -> program -> unit

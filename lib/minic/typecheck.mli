@@ -20,4 +20,3 @@ val check : Ast.program -> env
 (** Raises {!Error} with a readable message on any violation. *)
 
 val lookup_global : env -> string -> kind option
-val lookup_func : env -> string -> (int * bool) option

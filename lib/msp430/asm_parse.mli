@@ -27,5 +27,3 @@ exception Error of int * string
 
 val parse : string -> Program.t
 (** Parse a whole source text. *)
-
-val parse_lines : string list -> Program.t

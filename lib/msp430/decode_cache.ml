@@ -37,8 +37,3 @@ let build ?(lo = 0) ?(hi = 0xFFFF) ~get_word () =
                  dc_cycles = Isa.cycles instr; dc_control = Isa.control instr }
   done;
   { lo; hi; entries }
-
-let coverage t =
-  Array.fold_left
-    (fun n e -> match e with Some _ -> n + 1 | None -> n)
-    0 t.entries

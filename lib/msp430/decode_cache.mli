@@ -36,6 +36,3 @@ val hi : t -> int
 
 val entries : t -> entry option array
 (** The raw table, indexed by [(pc - lo) lsr 1]. Treat as read-only. *)
-
-val coverage : t -> int
-(** Number of cached slots (diagnostics). *)

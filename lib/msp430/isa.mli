@@ -60,13 +60,6 @@ val two_op_name : two_op -> string
 val one_op_name : one_op -> string
 val cond_name : cond -> string
 
-val src_extension_words : src -> int
-(** Number of 16-bit extension words the source operand occupies (0 or 1);
-    accounts for the constant generator (#0,#1,#2,#4,#8,#-1 are free). *)
-
-val dst_extension_words : dst -> int
-(** Extension words for the destination operand (0 or 1). *)
-
 val instr_size_bytes : instr -> int
 (** Encoded size of the instruction in bytes (2, 4 or 6). *)
 

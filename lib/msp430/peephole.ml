@@ -75,8 +75,6 @@ let pass prog =
   in
   (go prog, !count)
 
-let count_rewrites prog = snd (pass prog)
-
 let optimize prog =
   let rec fixpoint prog n =
     if n = 0 then prog

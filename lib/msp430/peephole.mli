@@ -15,7 +15,3 @@
     Runs before instrumentation; iterated to a fixpoint. *)
 
 val optimize : Program.t -> Program.t
-
-val count_rewrites : Program.t -> int
-(** How many rewrites a single [optimize] pass would perform
-    (diagnostics). *)

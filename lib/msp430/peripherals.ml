@@ -1,12 +1,10 @@
 let p1in = 0x0020
 let p1out = 0x0021
-let p1dir = 0x0022
 let p2in = 0x0028
 let p2out = 0x0029
 let p2dir = 0x002A
 let p3in = 0x0018
 let p3out = 0x0019
-let p3dir = 0x001A
 let ifg1 = 0x0002
 let u0rxbuf = 0x0076
 let u0txbuf = 0x0077
@@ -48,8 +46,6 @@ let gpio_writes t = List.rev t.gpio_writes_rev
 let last_gpio t ~port =
   let p1, p2, p3 = t.gpio_out in
   match port with `P1 -> p1 | `P2 -> p2 | `P3 -> p3
-
-let timer_now t = t.timer
 
 let adc_read t =
   (match Queue.take_opt t.adc_samples with

@@ -12,14 +12,8 @@
 (** {1 Register addresses} *)
 
 val p1in : int
-val p1out : int
-val p1dir : int
-val p2in : int
 val p2out : int
-val p2dir : int
-val p3in : int
 val p3out : int
-val p3dir : int
 
 val ifg1 : int
 (** Interrupt-flag byte: bit 6 = UART RX data ready. *)
@@ -70,5 +64,3 @@ val gpio_writes : t -> (string * int) list
 
 val last_gpio : t -> port:[ `P1 | `P2 | `P3 ] -> int
 (** Last value written to the port's OUT register (0 if never written). *)
-
-val timer_now : t -> int

@@ -85,7 +85,5 @@ val fresh_label : t -> prefix:string -> unit -> string
 
 val pp_operand : Format.formatter -> operand -> unit
 val pp_instr : Format.formatter -> instr -> unit
-val pp : Format.formatter -> t -> unit
-(** Emit the program as assembler-ready text (inverse of {!Asm_parse}). *)
 
 val to_string : t -> string

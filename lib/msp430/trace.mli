@@ -20,9 +20,6 @@ val create : unit -> t
 val record : t -> Cpu.step_info -> unit
 (** Feed from a {!Cpu.run} callback. *)
 
-val entries : t -> entry list
-(** Chronological. *)
-
 val length : t -> int
 
 val total_cycles : t -> int
@@ -36,9 +33,6 @@ val unique_pcs : t -> int list
 val coverage : t -> static_starts:int list -> int * int
 (** [(executed, total)] over a static list of instruction-start addresses
     (e.g. from {!Disasm.range}): basic execution coverage of a region. *)
-
-val pp_entry : Format.formatter -> entry -> unit
-(** One line: index, pc, disassembly, memory effects. *)
 
 val pp : ?limit:int -> Format.formatter -> t -> unit
 (** Print up to [limit] entries (default all), eliding the middle when

@@ -24,9 +24,6 @@ val signed8 : int -> int
 val is_neg16 : int -> bool
 (** Sign bit (bit 15) of the low 16 bits. *)
 
-val is_neg8 : int -> bool
-(** Sign bit (bit 7) of the low 8 bits. *)
-
 val low_byte : int -> int
 (** Synonym of {!mask8}. *)
 

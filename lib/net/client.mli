@@ -105,8 +105,9 @@ val attest_pipelined :
 
 (** {2 Sessions on a shared loop}
 
-    What the blocking drivers above run, exposed so that {!Swarm} can
-    hold thousands of sessions on a few loops. *)
+    What the blocking drivers above run, exposed so that a caller with
+    its own loop can hold thousands of sessions on a few loops (the
+    bench-side load generator in [bench/swarm] does). *)
 
 type greeting =
   | Legacy  (** [Hello]: window 1, unsequenced frames *)

@@ -40,7 +40,7 @@ let pp_error ppf = function
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
-let max_string = 1 lsl 16
+let max_string = 1 lsl 16 (* fields carry 16-bit length prefixes *)
 let max_window = 1 lsl 16 - 1
 
 (* tags *)

@@ -81,12 +81,7 @@ type error =
   | Trailing of { extra : int }
   | Bad_value of { what : string; value : int }
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
-
-val max_string : int
-(** Per-field string cap (64 KiB): device ids, challenges, finding texts
-    and report payloads are all length-prefixed with 16-bit lengths. *)
 
 val max_window : int
 (** Largest expressible pipeline window (u16; 65535). Sequence numbers
@@ -94,8 +89,8 @@ val max_window : int
     far past any realistic connection lifetime. *)
 
 val encode : msg -> string
-(** Raises [Invalid_argument] if a field exceeds {!max_string} — caller
-    bug, not peer input. *)
+(** Raises [Invalid_argument] if a field reaches 64 KiB, past its 16-bit
+    length prefix — caller bug, not peer input. *)
 
 val decode : string -> (msg, error) result
 

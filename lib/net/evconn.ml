@@ -45,7 +45,6 @@ type t = {
   on_traffic : rx:int -> tx:int -> unit;
 }
 
-let peer t = t.conn |> Transport.peer
 let is_closed t = t.closed
 
 let close t =

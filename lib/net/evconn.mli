@@ -54,5 +54,4 @@ val close_after_flush : t -> unit
     Reading stops at once — a draining connection is condemned, so the
     peer's further messages are never surfaced. *)
 
-val peer : t -> string
 val is_closed : t -> bool

@@ -29,7 +29,6 @@ type fd_watch = {
 }
 
 type t = {
-  be : backend;
   epfd : Unix.file_descr option;
   watches : (int, fd_watch) Hashtbl.t;
   mutable dirty : bool; (* poll backend: flattened array needs rebuild *)
@@ -50,7 +49,6 @@ type t = {
   waking : int Atomic.t; (* wakes between their [shut] check and write *)
 }
 
-let backend t = t.be
 let scratch t = t.scratch_buf
 
 let mask_of w =
@@ -108,10 +106,16 @@ let insert t tm =
   let slot = (eff lsr (8 * level)) land (wheel_slots - 1) in
   t.levels.(level).(slot) <- tm :: t.levels.(level).(slot)
 
+(* The fire tick counts from the clock, not from [cur_tick]: [advance]
+   moves [cur_tick] only at the top of an iteration, so after a blocked
+   wait or an idle spell it lags the clock by that long, and a delay
+   counted from it would fire early by as much. *)
 let after t delay fire =
-  let ticks = int_of_float (ceil (delay /. tick_s)) in
-  let ticks = if ticks < 1 then 1 else ticks in
-  let tm = { t_live = true; t_fire = fire; t_ticks = t.cur_tick + ticks } in
+  let due = Unix.gettimeofday () +. delay -. t.start in
+  let ticks = int_of_float (ceil (due /. tick_s)) in
+  let tm =
+    { t_live = true; t_fire = fire; t_ticks = max ticks (t.cur_tick + 1) }
+  in
   insert t tm;
   t.n_timers <- t.n_timers + 1;
   tm
@@ -299,7 +303,7 @@ let create ?backend () =
   Unix.set_nonblock pipe_r;
   Unix.set_nonblock pipe_w;
   let t =
-    { be; epfd;
+    { epfd;
       watches = Hashtbl.create 64;
       dirty = true;
       pfds = Array.make 128 0;

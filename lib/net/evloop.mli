@@ -21,8 +21,6 @@ val create : ?backend:backend -> unit -> t
     [`Poll]; forcing [`Epoll] on a platform without it raises
     [Invalid_argument]. *)
 
-val backend : t -> backend
-
 val close : t -> unit
 (** Release the loop's file descriptors (self-pipe, epoll instance).
     Idempotent. Only call once {!run} has returned. Later {!post}s and
@@ -49,8 +47,11 @@ type timer
 
 val after : t -> float -> (unit -> unit) -> timer
 (** [after t seconds fire] arms a one-shot timer. Resolution is one
-    wheel tick (10 ms); timers never fire early, and fire at most one
-    tick late under a responsive loop. *)
+    wheel tick (10 ms). The delay counts from this call, even when the
+    loop has not run for a while (a timer armed from a readiness
+    callback after a long blocked wait, or on a loop that sat idle):
+    timers never fire early, and fire at most one tick late under a
+    responsive loop. *)
 
 val cancel : t -> timer -> unit
 (** O(1) lazy cancel; idempotent. A cancelled timer never fires, and

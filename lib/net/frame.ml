@@ -50,14 +50,11 @@ let declared_len d =
   let at i = Char.code (Buffer.nth d.buf (d.consumed + i)) in
   at 0 lor (at 1 lsl 8) lor (at 2 lsl 16) lor (at 3 lsl 24)
 
-let feed d ?(pos = 0) ?len chunk =
+let feed d chunk =
   match d.poisoned with
   | Some e -> Error e
   | None ->
-    let len = match len with Some l -> l | None -> String.length chunk - pos in
-    if pos < 0 || len < 0 || pos + len > String.length chunk then
-      invalid_arg "Frame.feed: slice out of bounds";
-    Buffer.add_substring d.buf chunk pos len;
+    Buffer.add_string d.buf chunk;
     let out = ref [] in
     let rec drain () =
       if residue d >= header_bytes then begin

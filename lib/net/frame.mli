@@ -22,14 +22,10 @@ type error =
           it would let a hostile peer make the gateway buffer [declared]
           bytes, so the connection must be cut instead *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val default_cap : int
 (** 1 MiB — comfortably above any PoX report this repo produces. *)
-
-val header_bytes : int
-(** 4. *)
 
 val encode : ?cap:int -> string -> string
 (** Frame one payload. Raises [Invalid_argument] when the payload exceeds
@@ -39,12 +35,11 @@ type decoder
 
 val decoder : ?cap:int -> unit -> decoder
 
-val feed : decoder -> ?pos:int -> ?len:int -> string -> (string list, error) result
-(** Absorb the next chunk of bytes ([pos]/[len] delimit a slice, default
-    the whole string) and return every frame payload that completed, in
-    order. [Ok []] simply means no frame has closed yet. Once an [Error]
-    is returned the decoder is poisoned and every later call returns the
-    same error. *)
+val feed : decoder -> string -> (string list, error) result
+(** Absorb the next chunk of bytes and return every frame payload that
+    completed, in order. [Ok []] simply means no frame has closed yet.
+    Once an [Error] is returned the decoder is poisoned and every later
+    call returns the same error. *)
 
 val residue : decoder -> int
 (** Bytes buffered towards an incomplete frame. Nonzero residue at

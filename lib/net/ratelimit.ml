@@ -23,19 +23,11 @@ let refill t now =
     t.last <- now
   end
 
-let try_take ?now ?(cost = 1.0) t =
+let try_take ?now t =
   let now = match now with Some c -> c | None -> wall () in
   Mutex.lock t.m;
   refill t now;
-  let ok = t.tokens >= cost in
-  if ok then t.tokens <- t.tokens -. cost;
+  let ok = t.tokens >= 1.0 in
+  if ok then t.tokens <- t.tokens -. 1.0;
   Mutex.unlock t.m;
   ok
-
-let available ?now t =
-  let now = match now with Some c -> c | None -> wall () in
-  Mutex.lock t.m;
-  refill t now;
-  let v = t.tokens in
-  Mutex.unlock t.m;
-  v

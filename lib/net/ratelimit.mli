@@ -16,9 +16,6 @@ val create : ?now:float -> rate:float -> burst:float -> unit -> t
 (** [burst] is the bucket capacity (and the initial fill). Raises
     [Invalid_argument] on a negative rate or a non-positive burst. *)
 
-val try_take : ?now:float -> ?cost:float -> t -> bool
-(** Take [cost] (default 1.0) tokens; [false] when not enough are
-    available — the caller should decline the request. *)
-
-val available : ?now:float -> t -> float
-(** Tokens in the bucket at [now] (diagnostic). *)
+val try_take : ?now:float -> t -> bool
+(** Take one token; [false] when the bucket is dry — the caller should
+    decline the request. *)

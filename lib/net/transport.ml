@@ -4,7 +4,6 @@ type readiness = Fd of Unix.file_descr | Hook
 
 type conn = {
   close_impl : unit -> unit;
-  peer_name : string;
   readiness : readiness;
   set_nonblock_impl : unit -> unit;
   try_recv_impl : bytes -> int -> int -> [ `Data of int | `Eof | `Again ];
@@ -13,7 +12,6 @@ type conn = {
 }
 
 let close conn = conn.close_impl ()
-let peer conn = conn.peer_name
 let readiness conn = conn.readiness
 let set_nonblock conn = conn.set_nonblock_impl ()
 
@@ -104,9 +102,8 @@ let pipe_try_read p buf pos len =
   Mutex.unlock p.m;
   r
 
-let loopback_conn ~peer_name rx tx =
+let loopback_conn rx tx =
   { close_impl = (fun () -> pipe_close rx; pipe_close tx);
-    peer_name;
     readiness = Hook;
     set_nonblock_impl = (fun () -> ());
     try_recv_impl = (fun buf pos len -> pipe_try_read rx buf pos len);
@@ -118,8 +115,7 @@ let loopback_conn ~peer_name rx tx =
 
 let loopback () =
   let a_to_b = pipe () and b_to_a = pipe () in
-  ( loopback_conn ~peer_name:"loopback:b" b_to_a a_to_b,
-    loopback_conn ~peer_name:"loopback:a" a_to_b b_to_a )
+  (loopback_conn b_to_a a_to_b, loopback_conn a_to_b b_to_a)
 
 let loopback_listener () =
   let m = Mutex.create () in
@@ -176,7 +172,7 @@ let loopback_listener () =
 let ignore_sigpipe =
   lazy (if Sys.unix then Sys.set_signal Sys.sigpipe Sys.Signal_ignore)
 
-let of_fd ~peer_name fd =
+let of_fd fd =
   Lazy.force ignore_sigpipe;
   let closed = ref false in
   let close_impl () =
@@ -203,7 +199,7 @@ let of_fd ~peer_name fd =
     | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF | ENOTCONN), _, _)
       -> raise Closed
   in
-  { close_impl; peer_name;
+  { close_impl;
     readiness = Fd fd;
     set_nonblock_impl = (fun () -> Unix.set_nonblock fd);
     try_recv_impl; try_send_impl;
@@ -212,7 +208,7 @@ let of_fd ~peer_name fd =
 
 let socketpair () =
   let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
-  (of_fd ~peer_name:"socketpair:b" a, of_fd ~peer_name:"socketpair:a" b)
+  (of_fd a, of_fd b)
 
 let tcp_listener ?(backlog = 16) ?(host = "127.0.0.1") ~port () =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
@@ -226,18 +222,12 @@ let tcp_listener ?(backlog = 16) ?(host = "127.0.0.1") ~port () =
     | ADDR_UNIX _ -> port
   in
   let closed = ref false in
-  let wrap_accepted (peer_fd, addr) =
+  let wrap_accepted (peer_fd, _) =
     (* framed request/report messages are small; Nagle + delayed ACK
        would add ~40 ms per round-trip and flatten any pipelining *)
     (try Unix.setsockopt peer_fd Unix.TCP_NODELAY true
      with Unix.Unix_error _ -> ());
-    let peer_name =
-      match addr with
-      | Unix.ADDR_INET (a, p) ->
-        Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
-      | Unix.ADDR_UNIX s -> s
-    in
-    of_fd ~peer_name peer_fd
+    of_fd peer_fd
   in
   let nonblock_set = ref false in
   let try_accept_impl () =
@@ -270,4 +260,4 @@ let tcp_connect ~host ~port () =
      Unix.connect fd (ADDR_INET (Unix.inet_addr_of_string host, port));
      Unix.setsockopt fd Unix.TCP_NODELAY true
    with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
-  of_fd ~peer_name:(Printf.sprintf "%s:%d" host port) fd
+  of_fd fd

@@ -10,8 +10,8 @@
     There is one driving style, readiness: non-blocking {!try_recv} and
     {!try_send}, plus either a pollable file descriptor ({!Fd}) or a
     writer-invoked callback ({!Hook}) that tells an event loop when to
-    read. The gateway, the prover {!Client} and the swarm all drive
-    connections this way through {!Evconn}.
+    read. The gateway and the prover {!Client} both drive connections
+    this way through {!Evconn}.
 
     Loopback connections and listeners are internally locked and safe to
     drive from multiple threads, and start no thread of their own;
@@ -29,9 +29,6 @@ type conn
 
 val close : conn -> unit
 (** Idempotent. The peer's pending and future reads see end-of-stream. *)
-
-val peer : conn -> string
-(** Human-readable peer name, for logs and stats. *)
 
 (** {2 Readiness (event-loop driving)} *)
 

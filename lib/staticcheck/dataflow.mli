@@ -21,10 +21,6 @@
     covered, no taint is ever created, and the fixpoint is immediate —
     the pass then costs one sweep over the blocks. *)
 
-val mmio_limit : int
-(** 0x0200 — addresses below it are memory-mapped peripherals, matching
-    the replay oracle's window. *)
-
 val run :
   config:Scan.config ->
   stream:Stream.t ->

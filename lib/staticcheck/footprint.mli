@@ -9,9 +9,6 @@
     [Unbounded] when no bound is given. Recursion, indirect calls and
     indirect branches are always [Unbounded]. *)
 
-val g_add : Report.growth -> Report.growth -> Report.growth
-val g_max : Report.growth -> Report.growth -> Report.growth
-
 val worst_case :
   cfg:Dialed_cfg.Basic_block.t ->
   appends:(int * [ `Cf | `Input ]) list ->

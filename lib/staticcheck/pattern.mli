@@ -40,8 +40,6 @@ type store_check = {
   sc_next : int;   (** index of the store the check guards *)
 }
 
-val store_check_len : int
-
 val store_check :
   Stream.t -> abort:int option -> or_max:int -> int -> store_check option
 

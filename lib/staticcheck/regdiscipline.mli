@@ -5,12 +5,6 @@
 
 type event = { ev_addr : int; ev_write : bool }
 
-val events_of_instr :
-  int -> Dialed_msp430.Isa.instr -> event list
-(** r4 defs and uses of one instruction at an address. *)
-
-val block_events : Dialed_cfg.Basic_block.block -> event list
-
 val check :
   cfg:Dialed_cfg.Basic_block.t ->
   allowed:(int -> bool) ->

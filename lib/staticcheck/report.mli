@@ -41,12 +41,6 @@ val finding_kind : finding -> string
 (** Stable short tag ("unlogged-cf", "r4-clobber", ...) — the error class
     the adversarial mutation tests assert on. *)
 
-val finding_addr : finding -> int option
-(** The instruction address a finding anchors to, when it has one. *)
-
-val pp_finding : Format.formatter -> finding -> unit
-val pp_growth : Format.formatter -> growth -> unit
-
 val normalize : finding list -> finding list
 (** Canonical presentation order — sorted by (anchor address, kind), with
     structurally identical findings deduplicated. Every audit report is

@@ -33,12 +33,6 @@ val slice : t -> int -> int -> entry list option
 val jump_target : entry -> int -> int
 (** Resolved target of [Jump (_, off)] at this entry. *)
 
-val is_self_jump : entry -> bool
-(** Whether the entry is a [jmp $] (one-instruction halt loop). *)
-
-val guard_target : entry -> int option
-(** [Some a] when the entry is the guard branch [mov #a, pc]. *)
-
 val discover_abort : t -> int option
 (** The abort-loop address: the self-jump most guards branch to (via
     [mov #a, pc]); [None] when no guard names a self-jump. *)

@@ -40,14 +40,6 @@ type config = {
 
 val default_config : config
 
-val log_value :
-  fresh:(unit -> string) -> Dialed_msp430.Program.operand ->
-  Dialed_msp430.Program.item list
-(** The shared log-append primitive, tagged as a CF-Log site:
-    [mov <op>, 0(r4); sub #2, r4; cmp #__OR_MIN, r4; <abort if below>].
-    The abort branch uses the long (inverted-condition + [br]) form so it
-    reaches the abort loop from anywhere in a large operation. *)
-
 val log_value_tagged :
   fresh:(unit -> string) -> [ `Cf | `Input ] ->
   Dialed_msp430.Program.operand -> Dialed_msp430.Program.item list
@@ -60,10 +52,6 @@ val validate_no_insertion_hazard :
 (** Shared flag-liveness validator: raises {!Error} if an instruction the
     given pass would prepend code to sits between a flag definition and the
     conditional jump consuming it. *)
-
-val entry_check :
-  fresh:(unit -> string) -> Dialed_msp430.Program.item list
-(** [cmp #__OR_MAX, r4; <abort unless equal>] — Fig. 4 lines 2-4. *)
 
 val read_guard :
   fresh:(unit -> string) -> lo:Dialed_msp430.Program.expr ->
@@ -81,7 +69,8 @@ val read_guard :
 
 val instrument :
   ?config:config -> Dialed_msp430.Program.t -> Dialed_msp430.Program.t
-(** Instrument an operation body. Prepends {!entry_check}, rewrites
+(** Instrument an operation body. Prepends the entry check
+    ([cmp #__OR_MAX, r4], abort unless equal: Fig. 4 lines 2-4), rewrites
     control flow and stores, appends the abort loop. Raises {!Error} on
     contract violations (use of r4, [reti], flag-liveness hazards,
     computed branches it cannot attest). *)

@@ -14,7 +14,6 @@ module A = Dialed_apex
 module C = Dialed_core
 module Apps = Dialed_apps.Apps
 module Asm_parse = M.Asm_parse
-module Hmac = Dialed_crypto.Hmac
 
 let check_bool = Alcotest.(check bool)
 
@@ -40,39 +39,13 @@ let verify report =
 let kinds outcome =
   List.map C.Verifier.finding_kind outcome.C.Verifier.findings
 
-(* log entry k lives at address or_max - 2k; as an or_data offset *)
-let entry_offset (report : A.Pox.report) k =
-  report.A.Pox.or_max - (2 * k) - report.A.Pox.or_min
-
 let entry_word (report : A.Pox.report) k =
-  let off = entry_offset report k in
+  let off = Forge.entry_offset report k in
   Char.code report.A.Pox.or_data.[off]
   lor (Char.code report.A.Pox.or_data.[off + 1] lsl 8)
 
-let set_entry_word or_data off v =
-  Bytes.set or_data off (Char.chr (v land 0xFF));
-  Bytes.set or_data (off + 1) (Char.chr ((v lsr 8) land 0xFF))
-
 let with_or_data (report : A.Pox.report) or_data =
   { report with A.Pox.or_data = Bytes.to_string or_data }
-
-(* the strong attacker: recompute the token over the doctored report with
-   the device key (mirrors Pox.issue's binding order) *)
-let le16 v =
-  Printf.sprintf "%c%c" (Char.chr (v land 0xFF))
-    (Char.chr ((v lsr 8) land 0xFF))
-
-let forge_token built (r : A.Pox.report) =
-  let token =
-    Hmac.mac_parts ~key:A.Device.default_key
-      [ r.A.Pox.challenge;
-        le16 r.A.Pox.er_min; le16 r.A.Pox.er_max; le16 r.A.Pox.er_exit;
-        le16 r.A.Pox.or_min; le16 r.A.Pox.or_max;
-        (if r.A.Pox.exec then "\001" else "\000");
-        built.C.Pipeline.expected_er;
-        r.A.Pox.or_data ]
-  in
-  { r with A.Pox.token }
 
 (* ---------------------------------------------------------------- *)
 (* Network attacker (no key): every byte-level mutation is caught by
@@ -115,8 +88,8 @@ let prop_entry_swap =
        if wi = wj then true   (* an equal-word swap is not a mutation *)
        else begin
          let or_data = Bytes.of_string report.A.Pox.or_data in
-         set_entry_word or_data (entry_offset report i) wj;
-         set_entry_word or_data (entry_offset report j) wi;
+         Forge.set_entry_word or_data (Forge.entry_offset report i) wj;
+         Forge.set_entry_word or_data (Forge.entry_offset report j) wi;
          let outcome = verify (with_or_data report or_data) in
          (not outcome.C.Verifier.accepted) && kinds outcome = [ "bad-token" ]
        end)
@@ -138,9 +111,9 @@ let test_forged_mac_entry_flips () =
   List.iter
     (fun k ->
        let or_data = Bytes.of_string report.A.Pox.or_data in
-       let off = entry_offset report k in
-       set_entry_word or_data off (entry_word report k lxor 0x8000);
-       let forged = forge_token built (with_or_data report or_data) in
+       let off = Forge.entry_offset report k in
+       Forge.set_entry_word or_data off (entry_word report k lxor 0x8000);
+       let forged = Forge.token built (with_or_data report or_data) in
        let outcome = verify forged in
        if outcome.C.Verifier.accepted then
          Alcotest.failf "forged-MAC flip of entry %d accepted" k;
@@ -167,7 +140,7 @@ let test_forged_mac_truncation_is_malformed () =
          { report with
            A.Pox.or_data = String.sub report.A.Pox.or_data 0 keep }
        in
-       let forged = forge_token built truncated in
+       let forged = Forge.token built truncated in
        let outcome = verify forged in
        check_bool
          (Printf.sprintf "truncated-to-%d rejected" keep)
@@ -655,16 +628,16 @@ let prop_scratch_equivalence =
       with_or_data report or_data
     | 2 ->
       (* key-holder: truncated log under a valid token (malformed path) *)
-      forge_token built
+      Forge.token built
         { report with
           A.Pox.or_data = String.sub report.A.Pox.or_data 0 (a mod len) }
     | _ ->
       (* key-holder: one log entry flipped and re-MACed (replay path) *)
       let k = a mod used in
       let or_data = Bytes.of_string report.A.Pox.or_data in
-      set_entry_word or_data (entry_offset report k)
+      Forge.set_entry_word or_data (Forge.entry_offset report k)
         (entry_word report k lxor 0x8000);
-      forge_token built (with_or_data report or_data)
+      Forge.token built (with_or_data report or_data)
   in
   QCheck.Test.make
     ~name:"scratch-arena replay is bit-identical to fresh replay"

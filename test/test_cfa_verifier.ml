@@ -159,6 +159,100 @@ let test_forged_log_rejected () =
    | Some (C.Cfa_verifier.Bad_token _) -> ()
    | _ -> Alcotest.fail "expected token failure")
 
+(* The strong attacker (Forge): overwrite logged destinations, given as
+   (entry, value) pairs, and re-MAC the report, so the token passes and
+   only the walk can object. *)
+let doctor built (report : A.Pox.report) entries =
+  let or_data = Bytes.of_string report.A.Pox.or_data in
+  List.iter
+    (fun (k, v) ->
+       Forge.set_entry_word or_data (Forge.entry_offset report k) v)
+    entries;
+  Forge.token built { report with A.Pox.or_data = Bytes.to_string or_data }
+
+let index_of v dests =
+  match List.find_index (( = ) v) dests with
+  | Some i -> i
+  | None -> Alcotest.failf "0x%04x was never logged" v
+
+let benign_parse_run () =
+  let built = build_cfa parse_op () in
+  let feed device =
+    M.Peripherals.feed_uart (A.Device.board device) [ 4; 1; 2; 3; 4 ]
+  in
+  let _, _, report = attest_after built feed [ 50 ] in
+  let outcome = C.Cfa_verifier.verify built report in
+  check_bool "benign run validates" true outcome.C.Cfa_verifier.ok;
+  (built, report, outcome.C.Cfa_verifier.dests)
+
+let test_redirected_call_rejected () =
+  let built, report, dests = benign_parse_run () in
+  let image = built.C.Pipeline.image in
+  let parse = Assemble.symbol image "parse" in
+  let elsewhere = Assemble.symbol image "check_and_actuate" in
+  let forged = doctor built report [ (index_of parse dests, elsewhere) ] in
+  match (C.Cfa_verifier.verify built forged).C.Cfa_verifier.error with
+  | Some (C.Cfa_verifier.Illegal_target { expected; got; _ }) ->
+    Alcotest.(check int) "static target" parse expected;
+    Alcotest.(check int) "logged target" elsewhere got
+  | Some e ->
+    Alcotest.failf "expected an illegal target, got %a"
+      C.Cfa_verifier.pp_error e
+  | None -> Alcotest.fail "redirected call accepted"
+
+(* A log that claims the parse loop never ends: every entry after the
+   call repeats one iteration's two destinations, so the walk runs off
+   the end of the OR. *)
+let test_endless_loop_exhausts_log () =
+  let built, report, dests = benign_parse_run () in
+  let ploop = Assemble.symbol built.C.Pipeline.image "ploop" in
+  let i = index_of ploop dests in
+  let fall = List.nth dests (i - 1) in
+  let capacity = String.length report.A.Pox.or_data / 2 in
+  let entries =
+    List.init (capacity - i + 1) (fun j ->
+        let k = i - 1 + j in
+        (k, if j mod 2 = 0 then fall else ploop))
+  in
+  match
+    (C.Cfa_verifier.verify built (doctor built report entries))
+      .C.Cfa_verifier.error
+  with
+  | Some (C.Cfa_verifier.Log_exhausted _) -> ()
+  | Some e ->
+    Alcotest.failf "expected an exhausted log, got %a"
+      C.Cfa_verifier.pp_error e
+  | None -> Alcotest.fail "endless loop accepted"
+
+let dispatch_op = {|
+    dispatch:
+        mov #landing, r5
+        br r5
+    landing:
+        br #__op_exit
+    |}
+
+let test_branch_out_of_er_rejected () =
+  let built = build_cfa dispatch_op () in
+  let _, result, report = attest_after built (fun _ -> ()) [] in
+  check_bool "completed" true result.A.Device.completed;
+  let outcome = C.Cfa_verifier.verify built report in
+  check_bool "benign dispatch validates" true outcome.C.Cfa_verifier.ok;
+  let landing = Assemble.symbol built.C.Pipeline.image "landing" in
+  let k = index_of landing outcome.C.Cfa_verifier.dests in
+  (* the OR is data memory: never code *)
+  let outside = report.A.Pox.or_min in
+  match
+    (C.Cfa_verifier.verify built (doctor built report [ (k, outside) ]))
+      .C.Cfa_verifier.error
+  with
+  | Some (C.Cfa_verifier.Not_code a) ->
+    Alcotest.(check int) "destination" outside a
+  | Some e ->
+    Alcotest.failf "expected a non-code destination, got %a"
+      C.Cfa_verifier.pp_error e
+  | None -> Alcotest.fail "branch out of the ER accepted"
+
 let test_no_exec_rejected () =
   let built = build_cfa inject_op ~data:inject_data () in
   let device = C.Pipeline.device built in
@@ -174,4 +268,10 @@ let suites =
        Alcotest.test_case "cf attack caught statically" `Quick test_cf_attack_caught_statically;
        Alcotest.test_case "data attack invisible to CFA" `Quick test_data_attack_invisible_to_cfa;
        Alcotest.test_case "forged log rejected" `Quick test_forged_log_rejected;
+       Alcotest.test_case "redirected call rejected" `Quick
+         test_redirected_call_rejected;
+       Alcotest.test_case "branch out of the ER rejected" `Quick
+         test_branch_out_of_er_rejected;
+       Alcotest.test_case "endless loop exhausts the log" `Quick
+         test_endless_loop_exhausts_log;
        Alcotest.test_case "no exec rejected" `Quick test_no_exec_rejected ]) ]

@@ -1,4 +1,4 @@
-(* CFG recovery and static path validation. *)
+(* CFG recovery: blocks, edges, return sites and instruction starts. *)
 
 module M = Dialed_msp430
 module Cfg = Dialed_cfg
@@ -104,156 +104,10 @@ let test_block_containing () =
   | Some b -> check_int "block starts at entry" 0xE000 b.Cfg.Basic_block.b_start
   | None -> Alcotest.fail "no block"
 
-(* ------------------------------------------------------------- *)
-(* Path validation.                                                *)
-
-let diamond_source = {|
-        .org 0xe000
-    start:
-        cmp #0, r15
-        jeq else_
-        mov #1, r5
-        jmp join
-    else_:
-        mov #2, r5
-    join:
-        call #sub
-    after:
-        jmp $
-    sub:
-        ret
-    |}
-
-let test_valid_paths () =
-  let cfg, img = build_cfg diamond_source in
-  let at name = Assemble.symbol img name in
-  let fall = 0xE004 (* after the 2-word... cmp #0,r15 is 1 word CG: 2 bytes; jeq at 0xe002; fall = 0xe004 *) in
-  (* taken path: else_ -> (fallthrough join) -> call sub -> ret after *)
-  (match
-     Cfg.Validate.check_path cfg
-       ~dests:[ at "else_"; at "sub"; at "after" ] ()
-   with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "taken path rejected: %a" Cfg.Validate.pp_error e);
-  (* fallthrough path adds the jmp join edge *)
-  (match
-     Cfg.Validate.check_path cfg
-       ~dests:[ fall; at "join"; at "sub"; at "after" ] ()
-   with
-   | Ok () -> ()
-   | Error e ->
-     Alcotest.failf "fallthrough path rejected: %a" Cfg.Validate.pp_error e)
-
-let test_illegal_edge () =
-  let cfg, img = build_cfg diamond_source in
-  let at name = Assemble.symbol img name in
-  (* jumping straight to 'after' from the conditional is not an edge *)
-  match Cfg.Validate.check_path cfg ~dests:[ at "after" ] () with
-  | Error (Cfg.Validate.Illegal_edge _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %a" Cfg.Validate.pp_error e
-  | Ok () -> Alcotest.fail "illegal edge accepted"
-
-let test_bad_return () =
-  let cfg, img = build_cfg diamond_source in
-  let at name = Assemble.symbol img name in
-  (* return to else_ instead of the call site *)
-  match
-    Cfg.Validate.check_path cfg
-      ~dests:[ at "else_"; at "sub"; at "else_" ] ()
-  with
-  | Error (Cfg.Validate.Bad_return _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %a" Cfg.Validate.pp_error e
-  | Ok () -> Alcotest.fail "bad return accepted"
-
-let test_truncated_log () =
-  let cfg, img = build_cfg diamond_source in
-  let at name = Assemble.symbol img name in
-  match Cfg.Validate.check_path cfg ~dests:[ at "else_"; at "sub" ] () with
-  | Error (Cfg.Validate.Log_truncated _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %a" Cfg.Validate.pp_error e
-  | Ok () -> Alcotest.fail "truncated log accepted"
-
-let test_trailing_entries () =
-  let cfg, img = build_cfg diamond_source in
-  let at name = Assemble.symbol img name in
-  match
-    Cfg.Validate.check_path cfg
-      ~dests:[ at "else_"; at "sub"; at "after"; 0xBEEF ] ()
-  with
-  | Error (Cfg.Validate.Trailing_entries _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %a" Cfg.Validate.pp_error e
-  | Ok () -> Alcotest.fail "trailing entries accepted"
-
-let test_mid_instruction_dest () =
-  let cfg, _ =
-    build_cfg {|
-        .org 0xe000
-    start:
-        mov #0x1234, r5
-        br r5             ; indirect: any code destination is plausible
-    next:
-        jmp $
-    |}
-  in
-  (* 0xE002 is the extension word of the first mov, not an instruction *)
-  match Cfg.Validate.check_path cfg ~dests:[ 0xE002 ] () with
-  | Error (Cfg.Validate.Not_instruction_start _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %a" Cfg.Validate.pp_error e
-  | Ok () -> Alcotest.fail "mid-instruction destination accepted"
-
-let test_unknown_block () =
-  let cfg, _ =
-    build_cfg {|
-        .org 0xe000
-    start:
-        mov #0x1234, r5
-        br r5
-    next:
-        jmp $
-    |}
-  in
-  (* 0xE004 (the br itself) is an instruction start but not a block
-     leader, so landing there is an unknown block, not a mid-instruction
-     destination *)
-  match Cfg.Validate.check_path cfg ~dests:[ 0xE004 ] () with
-  | Error (Cfg.Validate.Unknown_block a) -> check_int "address" 0xE004 a
-  | Error e -> Alcotest.failf "wrong error: %a" Cfg.Validate.pp_error e
-  | Ok () -> Alcotest.fail "unknown block accepted"
-
-(* golden strings: verifier diagnostics are part of the tool's surface *)
-let test_error_messages () =
-  let golden expected err =
-    Alcotest.(check string) expected expected
-      (Format.asprintf "%a" Cfg.Validate.pp_error err)
-  in
-  golden "3 unexplained trailing log entries"
-    (Cfg.Validate.Trailing_entries 3);
-  golden "destination 0xe001 is not an instruction boundary"
-    (Cfg.Validate.Not_instruction_start 0xE001);
-  golden "no block starts at 0xbeef" (Cfg.Validate.Unknown_block 0xBEEF);
-  golden "control-flow log exhausted inside block 0xe000"
-    (Cfg.Validate.Log_truncated { at = 0xE000 });
-  golden "illegal edge at 0xe000 -> 0xe010 (allowed: 0xe004 0xe008)"
-    (Cfg.Validate.Illegal_edge
-       { at = 0xE000; dest = 0xE010; allowed = [ 0xE004; 0xE008 ] });
-  golden "return at 0xe00a to 0xe000, call site expects 0xe004"
-    (Cfg.Validate.Bad_return
-       { at = 0xE00A; dest = 0xE000; expected = Some 0xE004 });
-  golden "return at 0xe00a to 0xe000 with an empty shadow stack"
-    (Cfg.Validate.Bad_return { at = 0xE00A; dest = 0xE000; expected = None })
-
 let suites =
   [ ("cfg",
      [ Alcotest.test_case "straight line" `Quick test_straight_line;
        Alcotest.test_case "diamond" `Quick test_diamond;
        Alcotest.test_case "calls and return sites" `Quick test_call_and_return_sites;
        Alcotest.test_case "instruction starts" `Quick test_instruction_starts;
-       Alcotest.test_case "block containing" `Quick test_block_containing;
-       Alcotest.test_case "valid paths" `Quick test_valid_paths;
-       Alcotest.test_case "illegal edge" `Quick test_illegal_edge;
-       Alcotest.test_case "bad return" `Quick test_bad_return;
-       Alcotest.test_case "truncated log" `Quick test_truncated_log;
-       Alcotest.test_case "trailing entries" `Quick test_trailing_entries;
-       Alcotest.test_case "mid-instruction dest" `Quick test_mid_instruction_dest;
-       Alcotest.test_case "unknown block" `Quick test_unknown_block;
-       Alcotest.test_case "error messages" `Quick test_error_messages ]) ]
+       Alcotest.test_case "block containing" `Quick test_block_containing ]) ]

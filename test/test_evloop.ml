@@ -103,6 +103,68 @@ let test_timer_cascade () =
       check_bool "cascaded timer not early" true (el >= 2.7 -. 0.001);
       check_bool "cascaded timer not wildly late" true (el < 4.0))
 
+(* [after] counts its delay from the call. The loop advances its
+   clock only at the top of an iteration, so on a loop that sat idle,
+   or in a read callback after a long blocked wait, that clock lags by
+   the idle or blocked time; a delay counted from it fires early by as
+   much, or at once. *)
+let lag_s = 0.3
+let delay_s = 0.2
+
+let check_not_early ~armed ~fired =
+  let el = fired -. armed in
+  if el < delay_s -. 0.001 then
+    Alcotest.failf "timer fired %.3fs after arming, delay %.3fs" el delay_s
+
+let test_timer_after_idle backend () =
+  with_loop backend (fun loop ->
+      Thread.delay lag_s;
+      let armed = Unix.gettimeofday () in
+      let fired = ref Float.nan in
+      ignore
+        (N.Evloop.after loop delay_s (fun () -> fired := Unix.gettimeofday ())
+         : N.Evloop.timer);
+      run_until loop (fun () -> not (Float.is_nan !fired));
+      check_not_early ~armed ~fired:!fired)
+
+let test_timer_after_blocked_wait backend () =
+  with_loop backend (fun loop ->
+      let r, w = Unix.pipe ~cloexec:true () in
+      Fun.protect
+        ~finally:(fun () -> Unix.close r; Unix.close w)
+        (fun () ->
+           let armed = ref Float.nan and fired = ref Float.nan in
+           let expired = ref false in
+           N.Evloop.watch loop r
+             ~read:
+               (Some
+                  (fun () ->
+                    ignore (Unix.read r (Bytes.create 1) 0 1 : int);
+                    N.Evloop.unwatch loop r;
+                    armed := Unix.gettimeofday ();
+                    ignore
+                      (N.Evloop.after loop delay_s (fun () ->
+                           fired := Unix.gettimeofday ())
+                       : N.Evloop.timer);
+                    ignore
+                      (N.Evloop.after loop 5.0 (fun () -> expired := true)
+                       : N.Evloop.timer)))
+             ~write:None;
+           (* no timer is armed: the loop blocks in its wait until the
+              writer's byte arrives *)
+           let writer =
+             Thread.create
+               (fun () ->
+                  Thread.delay lag_s;
+                  ignore (Unix.write_substring w "x" 0 1 : int))
+               ()
+           in
+           N.Evloop.run loop ~stop:(fun () ->
+               !expired || not (Float.is_nan !fired));
+           Thread.join writer;
+           if Float.is_nan !fired then Alcotest.fail "timer never fired";
+           check_not_early ~armed:!armed ~fired:!fired))
+
 (* ------------------------------------------------------------- *)
 (* Cross-thread machinery.                                         *)
 
@@ -291,6 +353,9 @@ let suites =
           [ t "timers fire in deadline order" test_timer_order;
             t "cancelled timers never fire" test_timer_cancel;
             t "cancel releases the callback" test_cancel_releases_callback;
+            t "timer armed on an idle loop is not early" test_timer_after_idle;
+            t "timer armed after a blocked wait is not early"
+              test_timer_after_blocked_wait;
             t "hook source coalesces bursts" test_hook_source_dedup;
             t "cross-thread post wakes a blocked loop" test_cross_thread_post;
             t "concurrent posts all run" test_concurrent_posts_all_run;

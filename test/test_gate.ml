@@ -20,17 +20,17 @@ let honest_report built req =
 let test_gate_consumes_challenge () =
   let built = build () in
   let gate = C.Protocol.make_gate () in
-  let req = C.Protocol.gate_request gate ~args:[ 4 ] in
+  let req = C.Protocol.gate_issue gate ~args:[ 4 ] in
   let report = honest_report built req in
-  (match C.Protocol.gate_check gate req report with
+  (match C.Protocol.gate_redeem gate req report with
    | Ok () -> ()
    | Error e -> Alcotest.failf "fresh report rejected: %s" e);
-  (match C.Protocol.gate_check gate req report with
+  (match C.Protocol.gate_redeem gate req report with
    | Ok () -> Alcotest.fail "replayed report accepted"
    | Error _ -> ());
   (* the stale report cannot satisfy the next challenge either *)
-  let req2 = C.Protocol.gate_request gate ~args:[ 4 ] in
-  match C.Protocol.gate_check gate req2 report with
+  let req2 = C.Protocol.gate_issue gate ~args:[ 4 ] in
+  match C.Protocol.gate_redeem gate req2 report with
   | Ok () -> Alcotest.fail "stale report accepted for a new challenge"
   | Error _ -> ()
 
@@ -39,8 +39,8 @@ let test_gate_instances_never_repeat_challenges () =
      the same challenge — otherwise recorded reports replay *)
   let g1 = C.Protocol.make_gate ~seed:"same-seed" () in
   let g2 = C.Protocol.make_gate ~seed:"same-seed" () in
-  let r1 = C.Protocol.gate_request g1 ~args:[] in
-  let r2 = C.Protocol.gate_request g2 ~args:[] in
+  let r1 = C.Protocol.gate_issue g1 ~args:[] in
+  let r2 = C.Protocol.gate_issue g2 ~args:[] in
   check_bool "distinct challenges across gate instances" true
     (r1.C.Protocol.challenge <> r2.C.Protocol.challenge)
 
@@ -83,8 +83,7 @@ let test_session_rejects_cross_session_replay () =
 
 (* --------------------------------------------------------------- *)
 (* Windowed gates: several challenges pending at once, redeemed in
-   any order, sharing one derivation counter and used-set with the
-   single-shot API.                                                  *)
+   any order.                                                        *)
 
 let check_int = Alcotest.(check int)
 
@@ -137,16 +136,12 @@ let test_gate_window_rejects_replay_and_unissued () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "honest answer rejected after replay: %s" e
 
-let test_gate_mixed_apis_share_counter () =
-  (* interleaving gate_request and gate_issue on one gate must never
-     produce the same challenge twice *)
+let test_gate_never_repeats_a_challenge () =
+  (* one gate must never produce the same challenge twice *)
   let gate = C.Protocol.make_gate () in
   let seen = Hashtbl.create 16 in
-  for i = 0 to 19 do
-    let req =
-      if i mod 2 = 0 then C.Protocol.gate_issue gate ~args:[]
-      else C.Protocol.gate_request gate ~args:[]
-    in
+  for _ = 0 to 19 do
+    let req = C.Protocol.gate_issue gate ~args:[] in
     check_bool "challenge is fresh" true
       (not (Hashtbl.mem seen req.C.Protocol.challenge));
     Hashtbl.replace seen req.C.Protocol.challenge ()
@@ -166,5 +161,5 @@ let suites =
          test_gate_window_out_of_order_redeem;
        Alcotest.test_case "windowed replay/unissued rejected" `Quick
          test_gate_window_rejects_replay_and_unissued;
-       Alcotest.test_case "mixed APIs share counter" `Quick
-         test_gate_mixed_apis_share_counter ]) ]
+       Alcotest.test_case "one gate never repeats a challenge" `Quick
+         test_gate_never_repeats_a_challenge ]) ]

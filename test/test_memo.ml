@@ -22,6 +22,7 @@ module A = Dialed_apex
 module C = Dialed_core
 module F = Dialed_fleet
 module N = Dialed_net
+module Swarm = Dialed_swarm.Swarm
 module Apps = Dialed_apps.Apps
 
 let check_int = Alcotest.(check int)
@@ -496,7 +497,7 @@ let prop_memo_equals_fresh =
          Bytes.set b off
            (Char.chr
               (Char.code (Bytes.get b off) lxor (1 lsl (tamper_seed mod 8))));
-         Test_adversarial.forge_token built
+         Forge.token built
            { r1 with A.Pox.or_data = Bytes.to_string b }
        in
        let batch =
@@ -632,14 +633,14 @@ let test_swarm_repeat_knob_feeds_memo () =
   with_memo_gateway (fun ~server ~dial ->
       let distinct = 3 in
       let config =
-        { N.Swarm.default_config with
-          N.Swarm.clients = 9; rounds = 2; window = 2; concurrency = 3;
+        { Swarm.default_config with
+          Swarm.clients = 9; rounds = 2; window = 2; concurrency = 3;
           distinct_logs = distinct; client = client_config }
       in
       (* a shape-respecting responder: provers folded onto one shape
          feed identical ADC traces, so their logs collide by design *)
       let respond ~client:_ ~shape =
-        N.Swarm.cheap_responder
+        Swarm.cheap_responder
           ~build:(fun () ->
               let d = C.Pipeline.device (Lazy.force fs_built) in
               let base = 520 + (3 * shape) in
@@ -648,9 +649,9 @@ let test_swarm_repeat_knob_feeds_memo () =
               d)
           ()
       in
-      let outcome = N.Swarm.run ~config ~dial ~respond () in
-      check_int "no prover failed" 0 outcome.N.Swarm.clients_failed;
-      check_int "all rounds accepted" 18 outcome.N.Swarm.rounds_accepted;
+      let outcome = Swarm.run ~config ~dial ~respond () in
+      check_int "no prover failed" 0 outcome.Swarm.clients_failed;
+      check_int "all rounds accepted" 18 outcome.Swarm.rounds_accepted;
       let stats = N.Server.stats server in
       match stats.N.Server.memo with
       | None -> Alcotest.fail "memo stats missing"

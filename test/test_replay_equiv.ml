@@ -15,35 +15,17 @@ module C = Dialed_core
 module F = Dialed_fleet
 module Apps = Dialed_apps.Apps
 module Asm_parse = M.Asm_parse
-module Hmac = Dialed_crypto.Hmac
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* re-MAC a doctored report with the device key (Pox.issue binding order) *)
-let le16 v =
-  Printf.sprintf "%c%c" (Char.chr (v land 0xFF))
-    (Char.chr ((v lsr 8) land 0xFF))
-
-let forge_token built (r : A.Pox.report) =
-  let token =
-    Hmac.mac_parts ~key:A.Device.default_key
-      [ r.A.Pox.challenge;
-        le16 r.A.Pox.er_min; le16 r.A.Pox.er_max; le16 r.A.Pox.er_exit;
-        le16 r.A.Pox.or_min; le16 r.A.Pox.or_max;
-        (if r.A.Pox.exec then "\001" else "\000");
-        built.C.Pipeline.expected_er;
-        r.A.Pox.or_data ]
-  in
-  { r with A.Pox.token }
-
 let flip_or_word ~re_mac built (report : A.Pox.report) k =
-  let off = report.A.Pox.or_max - (2 * k) - report.A.Pox.or_min in
+  let off = Forge.entry_offset report k in
   let or_data = Bytes.of_string report.A.Pox.or_data in
   Bytes.set or_data off
     (Char.chr (Char.code (Bytes.get or_data off) lxor 0x80));
   let r = { report with A.Pox.or_data = Bytes.to_string or_data } in
-  if re_mac then forge_token built r else r
+  if re_mac then Forge.token built r else r
 
 (* benign fire-sensor run plus tampered variants covering every verdict
    class: accept, bad-token, log-divergence, malformed/replay-failed *)
@@ -58,7 +40,7 @@ let corpus =
          ("entry flip, forged MAC", flip_or_word ~re_mac:true built report 10);
          ("F3 frame flip, forged MAC", flip_or_word ~re_mac:true built report 0);
          ("truncated, forged MAC",
-          forge_token built
+          Forge.token built
             { report with
               A.Pox.or_data = String.sub report.A.Pox.or_data 0 17 }) ] ))
 
@@ -640,7 +622,7 @@ let test_bad_opcode_no_spurious_shadow_stack () =
   check_bool "device run faults" true (not result.A.Device.completed);
   (* a key-holding attacker claims the faulting run completed *)
   let report = A.Device.attest device ~challenge:"bad-opcode" in
-  let forged = forge_token built { report with A.Pox.exec = true } in
+  let forged = Forge.token built { report with A.Pox.exec = true } in
   let outcome = C.Verifier.verify_plan (C.Verifier.plan built) forged in
   check_bool "rejected" true (not outcome.C.Verifier.accepted);
   check_bool "replay failure names the opcode" true

@@ -8,6 +8,7 @@ module A = Dialed_apex
 module C = Dialed_core
 module F = Dialed_fleet
 module N = Dialed_net
+module Swarm = Dialed_swarm.Swarm
 module L = Dialed_lifecycle.Lifecycle
 module Apps = Dialed_apps.Apps
 
@@ -125,15 +126,15 @@ let prop_pipelined_equals_sequential (tag, transport) =
 let test_swarm_engine_sees_all_reports transport =
   with_gateway ~transport (fun ~server ~dial ->
       let config =
-        { N.Swarm.default_config with
-          N.Swarm.clients = 3; rounds = 2; window = 2; concurrency = 3;
+        { Swarm.default_config with
+          Swarm.clients = 3; rounds = 2; window = 2; concurrency = 3;
           client = client_config }
       in
       let respond ~client:_ ~shape:_ =
-        N.Swarm.cheap_responder ~build:make_device ()
+        Swarm.cheap_responder ~build:make_device ()
       in
-      let outcome = N.Swarm.run ~config ~dial ~respond () in
-      check_int "all accepted" 6 outcome.N.Swarm.rounds_accepted;
+      let outcome = Swarm.run ~config ~dial ~respond () in
+      check_int "all accepted" 6 outcome.Swarm.rounds_accepted;
       let stats = N.Server.stop server in
       check_int "engine saw every report" 6
         stats.N.Server.verify.F.Metrics.batch_size)
@@ -246,18 +247,18 @@ let test_stats_snapshot_consistent_under_load transport =
           ()
       in
       let config =
-        { N.Swarm.default_config with
-          N.Swarm.clients = 16; rounds = 3; window = 4; concurrency = 8;
+        { Swarm.default_config with
+          Swarm.clients = 16; rounds = 3; window = 4; concurrency = 8;
           client = client_config }
       in
       let respond ~client:_ ~shape:_ =
-        N.Swarm.cheap_responder ~build:make_device ()
+        Swarm.cheap_responder ~build:make_device ()
       in
-      let outcome = N.Swarm.run ~config ~dial ~respond () in
+      let outcome = Swarm.run ~config ~dial ~respond () in
       Atomic.set stop_polling true;
       Thread.join poller;
-      check_int "swarm completed clean" 0 outcome.N.Swarm.clients_failed;
-      check_int "all rounds accepted" 48 outcome.N.Swarm.rounds_accepted;
+      check_int "swarm completed clean" 0 outcome.Swarm.clients_failed;
+      check_int "all rounds accepted" 48 outcome.Swarm.rounds_accepted;
       check_bool "poller actually ran" true (!polls > 0);
       (match !violations with
        | [] -> ()
@@ -275,24 +276,24 @@ let test_stats_snapshot_consistent_under_load transport =
 let test_swarm_multiplexed transport =
   with_gateway ~transport (fun ~server ~dial ->
       let config =
-        { N.Swarm.default_config with
-          N.Swarm.clients = 12; rounds = 3; window = 4; concurrency = 4;
+        { Swarm.default_config with
+          Swarm.clients = 12; rounds = 3; window = 4; concurrency = 4;
           client = client_config }
       in
       let respond ~client:_ ~shape:_ =
-        N.Swarm.cheap_responder ~build:make_device ()
+        Swarm.cheap_responder ~build:make_device ()
       in
-      let outcome = N.Swarm.run ~config ~dial ~respond () in
-      check_int "no client failed" 0 outcome.N.Swarm.clients_failed;
-      check_int "all rounds accepted" 36 outcome.N.Swarm.rounds_accepted;
-      check_int "nothing rejected" 0 outcome.N.Swarm.rounds_rejected;
+      let outcome = Swarm.run ~config ~dial ~respond () in
+      check_int "no client failed" 0 outcome.Swarm.clients_failed;
+      check_int "all rounds accepted" 36 outcome.Swarm.rounds_accepted;
+      check_int "nothing rejected" 0 outcome.Swarm.rounds_rejected;
       check_int "sessions multiplexed per thread" 3
-        outcome.N.Swarm.clients_per_thread;
-      check_bool "throughput measured" true (outcome.N.Swarm.throughput > 0.0);
+        outcome.Swarm.clients_per_thread;
+      check_bool "throughput measured" true (outcome.Swarm.throughput > 0.0);
       check_int "every latency recorded" 36
-        (Array.length outcome.N.Swarm.latencies);
+        (Array.length outcome.Swarm.latencies);
       check_bool "p99 >= p50" true
-        (N.Swarm.latency_p outcome 99.0 >= N.Swarm.latency_p outcome 50.0);
+        (Swarm.latency_p outcome 99.0 >= Swarm.latency_p outcome 50.0);
       let stats = N.Server.stop server in
       check_int "server agrees on accepts" 36
         stats.N.Server.verdicts_accepted;
@@ -304,20 +305,20 @@ let test_swarm_multiplexed transport =
 let test_swarm_multiplexed_tampered transport =
   with_gateway ~transport (fun ~server:_ ~dial ->
       let config =
-        { N.Swarm.default_config with
-          N.Swarm.clients = 4; rounds = 2; window = 2; concurrency = 2;
+        { Swarm.default_config with
+          Swarm.clients = 4; rounds = 2; window = 2; concurrency = 2;
           client = client_config }
       in
       let respond ~client ~shape:_ =
-        let inner = N.Swarm.cheap_responder ~build:make_device () in
+        let inner = Swarm.cheap_responder ~build:make_device () in
         fun ~seq req ->
           let r = inner ~seq req in
           if client = 0 && seq = 0 then flip_or_data r else r
       in
-      let outcome = N.Swarm.run ~config ~dial ~respond () in
-      check_int "no client failed" 0 outcome.N.Swarm.clients_failed;
-      check_int "one round rejected" 1 outcome.N.Swarm.rounds_rejected;
-      check_int "rest accepted" 7 outcome.N.Swarm.rounds_accepted)
+      let outcome = Swarm.run ~config ~dial ~respond () in
+      check_int "no client failed" 0 outcome.Swarm.clients_failed;
+      check_int "one round rejected" 1 outcome.Swarm.rounds_rejected;
+      check_int "rest accepted" 7 outcome.Swarm.rounds_accepted)
 
 (* A prover the gateway denies at handshake finishes with its denial:
    the Bye it sends on the way out meets a connection the gateway has
@@ -335,18 +336,18 @@ let test_swarm_denied_provers_finish transport =
   let config = { gateway_config with N.Server.lifecycle = Some lc } in
   with_gateway ~config ~transport (fun ~server:_ ~dial ->
       let config =
-        { N.Swarm.default_config with
-          N.Swarm.clients = 6; rounds = 2; window = 2; concurrency = 2;
+        { Swarm.default_config with
+          Swarm.clients = 6; rounds = 2; window = 2; concurrency = 2;
           device_prefix = "deny"; client = client_config }
       in
       let respond ~client:_ ~shape:_ =
-        N.Swarm.cheap_responder ~build:make_device ()
+        Swarm.cheap_responder ~build:make_device ()
       in
-      let outcome = N.Swarm.run ~config ~dial ~respond () in
-      check_int "unregistered provers denied" 2 outcome.N.Swarm.clients_denied;
-      check_int "no client failed" 0 outcome.N.Swarm.clients_failed;
+      let outcome = Swarm.run ~config ~dial ~respond () in
+      check_int "unregistered provers denied" 2 outcome.Swarm.clients_denied;
+      check_int "no client failed" 0 outcome.Swarm.clients_failed;
       check_int "registered provers accepted" 8
-        outcome.N.Swarm.rounds_accepted)
+        outcome.Swarm.rounds_accepted)
 
 (* A swarm prover cut mid-window whose own send races the gateway's
    close: a scripted gateway answers Hello_ex with Welcome and each
@@ -391,15 +392,15 @@ let test_swarm_cut_keeps_delivered_verdicts () =
     fst (C.Protocol.prover_execute (make_device ()) req)
   in
   let config =
-    { N.Swarm.default_config with
-      N.Swarm.clients = 1; rounds = 4; window = 2; concurrency = 1;
+    { Swarm.default_config with
+      Swarm.clients = 1; rounds = 4; window = 2; concurrency = 1;
       client = client_config }
   in
-  let outcome = N.Swarm.run ~config ~dial ~respond () in
+  let outcome = Swarm.run ~config ~dial ~respond () in
   Option.iter (fun (_, th) -> Thread.join th) !gw;
-  check_int "no client failed" 0 outcome.N.Swarm.clients_failed;
-  check_int "the cut counts as a denial" 1 outcome.N.Swarm.clients_denied;
-  check_int "delivered verdicts count" 2 outcome.N.Swarm.rounds_accepted
+  check_int "no client failed" 0 outcome.Swarm.clients_failed;
+  check_int "the cut counts as a denial" 1 outcome.Swarm.clients_denied;
+  check_int "delivered verdicts count" 2 outcome.Swarm.rounds_accepted
 
 let suites =
   [ ("net-swarm",
