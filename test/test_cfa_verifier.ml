@@ -232,26 +232,67 @@ let dispatch_op = {|
         br #__op_exit
     |}
 
-let test_branch_out_of_er_rejected () =
+(* The benign dispatch run, its report and the index of its logged
+   [br r5] destination. *)
+let benign_dispatch_run () =
   let built = build_cfa dispatch_op () in
   let _, result, report = attest_after built (fun _ -> ()) [] in
   check_bool "completed" true result.A.Device.completed;
   let outcome = C.Cfa_verifier.verify built report in
   check_bool "benign dispatch validates" true outcome.C.Cfa_verifier.ok;
   let landing = Assemble.symbol built.C.Pipeline.image "landing" in
-  let k = index_of landing outcome.C.Cfa_verifier.dests in
-  (* the OR is data memory: never code *)
-  let outside = report.A.Pox.or_min in
+  (built, report, index_of landing outcome.C.Cfa_verifier.dests)
+
+let expect_not_code built report k dest =
   match
-    (C.Cfa_verifier.verify built (doctor built report [ (k, outside) ]))
+    (C.Cfa_verifier.verify built (doctor built report [ (k, dest) ]))
       .C.Cfa_verifier.error
   with
   | Some (C.Cfa_verifier.Not_code a) ->
-    Alcotest.(check int) "destination" outside a
+    Alcotest.(check int) "destination" dest a
   | Some e ->
     Alcotest.failf "expected a non-code destination, got %a"
       C.Cfa_verifier.pp_error e
-  | None -> Alcotest.fail "branch out of the ER accepted"
+  | None -> Alcotest.failf "branch to 0x%04x accepted" dest
+
+let test_branch_out_of_er_rejected () =
+  let built, report, k = benign_dispatch_run () in
+  (* the OR is data memory: never code *)
+  expect_not_code built report k report.A.Pox.or_min
+
+(* The ER is decoded at instruction starts only: the immediate word of
+   [mov #landing, r5] lies inside the ER but is no place to land. *)
+let test_mid_instruction_dest_rejected () =
+  let built, report, k = benign_dispatch_run () in
+  let image = built.C.Pipeline.image in
+  let dispatch = Assemble.symbol image "dispatch" in
+  let mem = M.Memory.create () in
+  Assemble.load image mem;
+  (match M.Disasm.instruction_at mem dispatch with
+   | Some (_, next) -> Alcotest.(check int) "two-word mov" (dispatch + 4) next
+   | None -> Alcotest.fail "no instruction at dispatch");
+  expect_not_code built report k (dispatch + 2)
+
+(* golden strings: verifier diagnostics are part of the tool's surface *)
+let test_error_messages () =
+  let golden expected err =
+    Alcotest.(check string) expected expected
+      (Format.asprintf "%a" C.Cfa_verifier.pp_error err)
+  in
+  golden "token rejected: EXEC = 0" (C.Cfa_verifier.Bad_token "EXEC = 0");
+  golden
+    "illegal control-flow edge at 0xe000: logged 0xe010, static target 0xe004"
+    (C.Cfa_verifier.Illegal_target
+       { at = 0xE000; expected = 0xE004; got = 0xE010 });
+  golden "return at 0xe00a to 0xe000, shadow stack expects 0xe004"
+    (C.Cfa_verifier.Bad_return
+       { at = 0xE00A; expected = 0xE004; got = 0xE000 });
+  golden "destination 0x0200 is not code" (C.Cfa_verifier.Not_code 0x200);
+  golden "unresolvable conditional at 0xe002" (C.Cfa_verifier.Ambiguous 0xE002);
+  golden "CF-Log exhausted while walking at 0xe000"
+    (C.Cfa_verifier.Log_exhausted 0xE000);
+  golden "malformed instrumentation: walk did not terminate"
+    (C.Cfa_verifier.Malformed "walk did not terminate")
 
 let test_no_exec_rejected () =
   let built = build_cfa inject_op ~data:inject_data () in
@@ -274,4 +315,7 @@ let suites =
          test_branch_out_of_er_rejected;
        Alcotest.test_case "endless loop exhausts the log" `Quick
          test_endless_loop_exhausts_log;
+       Alcotest.test_case "mid-instruction destination rejected" `Quick
+         test_mid_instruction_dest_rejected;
+       Alcotest.test_case "error messages" `Quick test_error_messages;
        Alcotest.test_case "no exec rejected" `Quick test_no_exec_rejected ]) ]
