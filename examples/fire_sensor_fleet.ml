@@ -153,10 +153,12 @@ let () =
   let domains = Domain.recommended_domain_count () in
   let summary = F.Fleet.verify_batch ~domains plan batch in
   Format.printf "%a@." F.Fleet.pp_summary summary;
-  let hits, misses = F.Plan.cache_stats cache in
+  let { F.Plan.cc_hits = hits; cc_misses = misses; _ } =
+    F.Plan.cache_counters cache
+  in
   (* a second batch over the same firmware reuses the cached plan *)
   ignore (F.Plan.find_or_build cache ~policies:[ alarm_policy 55 ] built);
-  let hits', _ = F.Plan.cache_stats cache in
+  let hits' = (F.Plan.cache_counters cache).F.Plan.cc_hits in
   Format.printf
     "plan cache: %d hit(s), %d miss(es) after the first batch; a second \
      batch over the same firmware hits (%d total).@."

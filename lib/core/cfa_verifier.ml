@@ -41,35 +41,19 @@ type outcome = {
 
 exception Stop of error
 
-(* instruction classification over the decoded binary *)
+(* An instruction of the decoded binary: a log site's push into the
+   CF-Log, or else its effect on the pc. Both carry the next address. *)
 type icls =
-  | Plain of int                      (* next address *)
   | Log_push of int option * int     (* static pushed value, next *)
-  | Cond_jump of int * int           (* taken, fall *)
-  | Uncond_jump of int
-  | Br_dyn
-  | Ret_instr
-  | Call_imm of int * int            (* target, return_to *)
-  | Call_dyn of int                  (* return_to *)
-  | Self_loop
+  | Flow of Isa.flow * int
 
 let classify ~is_log_site addr instr next =
   match instr with
-  | Isa.Jump (Isa.JMP, off) ->
-    let t = next + (2 * off) in
-    if t = addr then Self_loop else Uncond_jump t
-  | Isa.Jump (_, off) -> Cond_jump (next + (2 * off), next)
   | Isa.Two (Isa.MOV, Isa.Word, src, Isa.Dindexed (0, r))
     when r = Dialed_tinycfa.Instrument.reserved_register && is_log_site addr ->
     let static = match src with Isa.Simm v -> Some v | _ -> None in
     Log_push (static, next)
-  | Isa.Two (Isa.MOV, Isa.Word, Isa.Sindirect_inc r, Isa.Dreg 0)
-    when r = Isa.sp -> Ret_instr
-  | Isa.Two (Isa.MOV, Isa.Word, Isa.Simm t, Isa.Dreg 0) -> Uncond_jump t
-  | Isa.Two (Isa.MOV, Isa.Word, _, Isa.Dreg 0) -> Br_dyn
-  | Isa.One (Isa.CALL, _, Isa.Simm t) -> Call_imm (t, next)
-  | Isa.One (Isa.CALL, _, _) -> Call_dyn next
-  | _ -> Plain next
+  | _ -> Flow (Isa.flow ~at:addr ~next instr, next)
 
 let verify ?(key = A.Device.default_key) built report =
   match
@@ -91,15 +75,12 @@ let verify ?(key = A.Device.default_key) built report =
     let is_log_site a = Hashtbl.mem log_sites a in
     (* decode the ER once *)
     let code = Hashtbl.create 256 in
-    let rec sweep addr =
-      if addr <= layout.A.Layout.er_max then
-        match M.Disasm.instruction_at mem addr with
-        | Some (instr, next) ->
-          Hashtbl.replace code addr (classify ~is_log_site addr instr next);
-          sweep next
-        | None -> ()
-    in
-    sweep layout.A.Layout.er_min;
+    List.iter
+      (fun (addr, instr, next) ->
+         Hashtbl.replace code addr (classify ~is_log_site addr instr next))
+      (fst
+         (M.Disasm.sweep mem ~lo:layout.A.Layout.er_min
+            ~hi:layout.A.Layout.er_max));
     let cls_at addr =
       match Hashtbl.find_opt code addr with
       | Some c -> c
@@ -120,11 +101,13 @@ let verify ?(key = A.Device.default_key) built report =
       if fuel = 0 then false
       else
         match cls_at addr with
-        | Plain next -> arm_dead (fuel - 1) next
-        | Uncond_jump t -> arm_dead (fuel - 1) t
-        | Self_loop -> true
-        | Cond_jump (t, f) -> arm_dead (fuel - 1) t && arm_dead (fuel - 1) f
-        | Log_push _ | Br_dyn | Ret_instr | Call_imm _ | Call_dyn _ -> false
+        | Flow (Isa.Next, next) -> arm_dead (fuel - 1) next
+        | Flow (Isa.Goto t, _) -> arm_dead (fuel - 1) t
+        | Flow (Isa.Halt, _) -> true
+        | Flow (Isa.Branch t, f) ->
+          arm_dead (fuel - 1) t && arm_dead (fuel - 1) f
+        | Log_push _ | Flow ((Isa.Call_to _ | Isa.Return | Isa.Computed), _) ->
+          false
     in
     (* can this arm's first reachable log site push the value [d]?
        Guard paths between here and the log site carry no walk state, so
@@ -133,50 +116,52 @@ let verify ?(key = A.Device.default_key) built report =
       if fuel = 0 then false
       else
         match cls_at addr with
-        | Plain next -> arm_accepts (fuel - 1) next d
-        | Uncond_jump t -> arm_accepts (fuel - 1) t d
-        | Self_loop -> false
+        | Flow (Isa.Next, next) -> arm_accepts (fuel - 1) next d
+        | Flow (Isa.Goto t, _) -> arm_accepts (fuel - 1) t d
+        | Flow (Isa.Halt, _) -> false
         | Log_push (Some v, _) -> v = d
         | Log_push (None, _) -> true (* dynamic push matches any entry *)
-        | Cond_jump (t, f) ->
+        | Flow (Isa.Branch t, f) ->
           arm_accepts (fuel - 1) t d || arm_accepts (fuel - 1) f d
-        | Br_dyn | Ret_instr | Call_imm _ | Call_dyn _ -> false
+        | Flow ((Isa.Call_to _ | Isa.Return | Isa.Computed), _) -> false
     in
     (* after consuming [d] at a log site, walk the guard to the transfer
        this log describes and follow it *)
     let rec resolve fuel at d shadow =
       if fuel = 0 then raise (Stop (Malformed "no transfer after log site"));
       match cls_at at with
-      | Plain next -> resolve (fuel - 1) next d shadow
-      | Cond_jump (t, f) ->
+      | Flow (Isa.Next, next) -> resolve (fuel - 1) next d shadow
+      | Flow (Isa.Branch t, f) ->
         if arm_dead 64 t then resolve (fuel - 1) f d shadow
         else if arm_dead 64 f then resolve (fuel - 1) t d shadow
         else raise (Stop (Ambiguous at))
-      | Uncond_jump t ->
+      | Flow (Isa.Goto t, _) ->
         if d <> t then raise (Stop (Illegal_target { at; expected = t; got = d }));
         `Goto (d, shadow)
-      | Br_dyn -> `Goto (d, shadow)
-      | Ret_instr ->
+      | Flow (Isa.Computed, _) -> `Goto (d, shadow)
+      | Flow (Isa.Return, _) ->
         (match shadow with
          | [] -> `Done
          | expected :: rest ->
            if d <> expected then
              raise (Stop (Bad_return { at; expected; got = d }));
            `Goto (d, rest))
-      | Call_imm (t, return_to) ->
+      | Flow (Isa.Call_to (Some t), return_to) ->
         if d <> t then raise (Stop (Illegal_target { at; expected = t; got = d }));
         `Goto (d, return_to :: shadow)
-      | Call_dyn return_to -> `Goto (d, return_to :: shadow)
+      | Flow (Isa.Call_to None, return_to) -> `Goto (d, return_to :: shadow)
       | Log_push _ -> raise (Stop (Malformed "log site before its transfer"))
-      | Self_loop -> raise (Stop (Malformed "abort loop inside a guard"))
+      | Flow (Isa.Halt, _) ->
+        raise (Stop (Malformed "abort loop inside a guard"))
     in
     let rec walk fuel at shadow =
       if fuel = 0 then raise (Stop (Malformed "walk did not terminate"))
       else
         match cls_at at with
-        | Plain next -> walk (fuel - 1) next shadow
-        | Uncond_jump t -> walk (fuel - 1) t shadow
-        | Self_loop -> raise (Stop (Malformed "reached abort with EXEC = 1"))
+        | Flow (Isa.Next, next) -> walk (fuel - 1) next shadow
+        | Flow (Isa.Goto t, _) -> walk (fuel - 1) t shadow
+        | Flow (Isa.Halt, _) ->
+          raise (Stop (Malformed "reached abort with EXEC = 1"))
         | Log_push (_, next) ->
           let d = consume at in
           dests := d :: !dests;
@@ -185,7 +170,7 @@ let verify ?(key = A.Device.default_key) built report =
            | `Goto (p, shadow) ->
              if not (Hashtbl.mem code p) then raise (Stop (Not_code p));
              walk (fuel - 1) p shadow)
-        | Cond_jump (t, f) ->
+        | Flow (Isa.Branch t, f) ->
           (* unlogged conditional: a guard or check the instrumentation
              inserted, or a rewritten source conditional whose arms each
              begin with a log push. The next (unconsumed) entry names the
@@ -200,7 +185,7 @@ let verify ?(key = A.Device.default_key) built report =
             else if arm_accepts 128 f d then walk (fuel - 1) f shadow
             else raise (Stop (Ambiguous at))
           end
-        | Br_dyn | Ret_instr | Call_imm _ | Call_dyn _ ->
+        | Flow ((Isa.Call_to _ | Isa.Return | Isa.Computed), _) ->
           raise (Stop (Malformed "unlogged control transfer"))
     in
     (match walk 1_000_000 layout.A.Layout.er_min [] with

@@ -14,54 +14,80 @@ type request = {
    one session can never satisfy a later session even if both were
    created with the same seed. Several challenges may be pending at
    once (a pipelined session's window); they are redeemed in any
-   order.                                                             *)
+   order.
+
+   A challenge's first 4 bytes carry its counter (little-endian, low 32
+   bits), so the gate remembers only what is pending: a challenge that
+   is not pending was consumed exactly when it re-derives from a counter
+   this gate already issued. Only the rejection path re-derives.       *)
 
 type gate = {
   g_seed : string;
   g_instance : int;
-  mutable g_counter : int;
-  g_pending : (string, unit) Hashtbl.t;   (* issued, not yet redeemed *)
-  g_used : (string, unit) Hashtbl.t;   (* challenges already consumed *)
+  mutable g_counter : int;                (* challenges issued *)
+  g_pending : (int, string) Hashtbl.t;    (* low 32 counter bits -> challenge *)
 }
 
 let instances = Atomic.make 0
 
 let make_gate ?(seed = "dialed-session-seed") () =
   { g_seed = seed; g_instance = Atomic.fetch_and_add instances 1;
-    g_counter = 0; g_pending = Hashtbl.create 8;
-    g_used = Hashtbl.create 8 }
+    g_counter = 0; g_pending = Hashtbl.create 8 }
 
-let derive_challenge g =
-  g.g_counter <- g.g_counter + 1;
-  Sha256.digest (Printf.sprintf "%s|%d|%d" g.g_seed g.g_instance g.g_counter)
+let counter_mask = 0xFFFF_FFFF
+
+let derive g n =
+  let c =
+    Bytes.of_string
+      (Sha256.digest (Printf.sprintf "%s|%d|%d" g.g_seed g.g_instance n))
+  in
+  Bytes.set_int32_le c 0 (Int32.of_int n);
+  Bytes.unsafe_to_string c
+
+(* the low 32 counter bits [c] carries; -1, which no challenge carries,
+   when [c] is too short *)
+let counter_bits c =
+  if String.length c < 4 then -1
+  else Int32.to_int (String.get_int32_le c 0) land counter_mask
+
+let is_pending g c =
+  match Hashtbl.find_opt g.g_pending (counter_bits c) with
+  | Some p -> String.equal p c
+  | None -> false
+
+(* issued by this gate and no longer pending. Of the issued counters
+   with the low bits [c] carries, only the latest is tried. *)
+let is_consumed g c =
+  let n = (g.g_counter land lnot counter_mask) lor counter_bits c in
+  let n = if n > g.g_counter then n - counter_mask - 1 else n in
+  n >= 1 && (not (is_pending g c)) && String.equal (derive g n) c
 
 let gate_issue g ~args =
-  let challenge = derive_challenge g in
-  Hashtbl.replace g.g_pending challenge ();
+  g.g_counter <- g.g_counter + 1;
+  let challenge = derive g g.g_counter in
+  Hashtbl.replace g.g_pending (g.g_counter land counter_mask) challenge;
   { challenge; args }
 
 let gate_outstanding g = Hashtbl.length g.g_pending
 
+let consumed = Error "challenge already consumed (replay)"
+
 let gate_redeem g req (report : A.Pox.report) =
-  if not (Hashtbl.mem g.g_pending req.challenge) then
-    if Hashtbl.mem g.g_used req.challenge then
-      Error "challenge already consumed (replay)"
+  if not (is_pending g req.challenge) then
+    if is_consumed g req.challenge then consumed
     else Error "challenge was never issued"
-  else if Hashtbl.mem g.g_used report.A.Pox.challenge then begin
+  else if String.equal report.A.Pox.challenge req.challenge then begin
+    (* one challenge, one verification attempt, whatever the verifier
+       later decides *)
+    Hashtbl.remove g.g_pending (counter_bits req.challenge);
+    Ok ()
+  end
+  else if is_consumed g report.A.Pox.challenge then
     (* the report answers some earlier, already-redeemed round: a replay
        presented against a live challenge. The live challenge stays
        pending — the round it belongs to was not answered. *)
-    Error "challenge already consumed (replay)"
-  end
-  else if not (String.equal report.A.Pox.challenge req.challenge) then
-    Error "response challenge is stale or replayed"
-  else begin
-    (* one challenge, one verification attempt, whatever the verifier
-       later decides *)
-    Hashtbl.remove g.g_pending req.challenge;
-    Hashtbl.replace g.g_used req.challenge ();
-    Ok ()
-  end
+    consumed
+  else Error "response challenge is stale or replayed"
 
 (* ------------------------------------------------------------------ *)
 

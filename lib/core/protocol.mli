@@ -26,7 +26,15 @@ type request = {
 
     A gate keeps a pending {e set}, so a pipelined session can have up
     to a window of challenges live at once; a session that runs one
-    round at a time redeems each challenge before it issues the next. *)
+    round at a time redeems each challenge before it issues the next.
+
+    A challenge is 32 bytes: its counter (little-endian, low 32 bits),
+    then 28 bytes of SHA-256 over [(seed, instance, counter)]. The gate
+    keeps only its pending challenges, keyed by counter, and tells a
+    consumed challenge from a forged one by re-deriving it from the
+    counter it carries, which it does on the rejection path only. So a
+    gate's memory is bounded by its pending challenges, not by the
+    rounds it has redeemed. *)
 
 type gate
 
@@ -39,8 +47,8 @@ val gate_redeem : gate -> request -> Dialed_apex.Pox.report -> (unit, string) re
 (** Redeem one pending challenge, in any order relative to other
     [gate_issue]s: reject when [req]'s challenge was never issued or
     already consumed, or when the report answers a different (stale,
-    replayed) challenge. On [Ok] the challenge moves from pending to
-    consumed. On [Error] a live [req] challenge stays pending, but the
+    replayed) challenge. On [Ok] the challenge stops being pending,
+    which makes it consumed. On [Error] a live [req] challenge stays pending, but the
     caller has typically retired the round — a rejected round is not
     retried under the same challenge. *)
 

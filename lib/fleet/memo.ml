@@ -33,25 +33,8 @@ let entry_bytes key e =
   String.length key + 96
   + List.fold_left (fun acc f -> acc + finding_bytes f) 0 e.e_findings
 
-(* One stripe: its own mutex, table, LRU stamps, in-flight set and
-   counters. All mutable state is touched under [sh_mutex] only. *)
-type shard = {
-  sh_mutex : Mutex.t;
-  sh_cond : Condition.t;              (* an in-flight replay finished/failed *)
-  sh_table : (string, entry) Hashtbl.t;
-  sh_stamps : (string, int) Hashtbl.t;
-  sh_building : (string, unit) Hashtbl.t;
-  sh_max_entries : int;
-  sh_max_bytes : int;
-  mutable sh_tick : int;
-  mutable sh_bytes : int;
-  mutable sh_hits : int;
-  mutable sh_misses : int;
-  mutable sh_evictions : int;
-}
-
 type t = {
-  t_shards : shard array;
+  t_shards : entry Lru.t array;   (* mutex stripes *)
   t_config : config;
 }
 
@@ -65,13 +48,8 @@ let create ?(config = default_config) () =
      the global bounds hold within a one-entry-per-shard rounding slack *)
   let per total = max 1 ((total + config.shards - 1) / config.shards) in
   let mk _ =
-    { sh_mutex = Mutex.create (); sh_cond = Condition.create ();
-      sh_table = Hashtbl.create 64; sh_stamps = Hashtbl.create 64;
-      sh_building = Hashtbl.create 8;
-      sh_max_entries = per config.max_entries;
-      sh_max_bytes = per config.max_bytes;
-      sh_tick = 0; sh_bytes = 0; sh_hits = 0; sh_misses = 0;
-      sh_evictions = 0 }
+    Lru.create ~max_entries:(per config.max_entries)
+      ~max_weight:(per config.max_bytes) ~weight:entry_bytes ()
   in
   { t_shards = Array.init config.shards mk; t_config = config }
 
@@ -79,48 +57,6 @@ let config t = t.t_config
 
 let shard_of t key =
   t.t_shards.(Hashtbl.hash key mod Array.length t.t_shards)
-
-(* must hold [sh_mutex] *)
-let touch sh key =
-  sh.sh_tick <- sh.sh_tick + 1;
-  Hashtbl.replace sh.sh_stamps key sh.sh_tick
-
-(* must hold [sh_mutex]; stamps are unique, so the victim is too *)
-let evict_lru sh =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun k e ->
-       let s = Option.value ~default:0 (Hashtbl.find_opt sh.sh_stamps k) in
-       match !victim with
-       | Some (_, _, vs) when vs <= s -> ()
-       | _ -> victim := Some (k, e, s))
-    sh.sh_table;
-  match !victim with
-  | Some (k, e, _) ->
-    Hashtbl.remove sh.sh_table k;
-    Hashtbl.remove sh.sh_stamps k;
-    sh.sh_bytes <- sh.sh_bytes - entry_bytes k e;
-    sh.sh_evictions <- sh.sh_evictions + 1
-  | None -> ()
-
-(* must hold [sh_mutex]. The just-inserted key carries the freshest
-   stamp, so the eviction loop never removes it; a single entry larger
-   than the shard's byte budget therefore stays resident alone (the
-   bound is soft by at most that one entry). *)
-let insert sh key e =
-  if not (Hashtbl.mem sh.sh_table key) then begin
-    Hashtbl.add sh.sh_table key e;
-    sh.sh_bytes <- sh.sh_bytes + entry_bytes key e;
-    touch sh key;
-    while
-      (Hashtbl.length sh.sh_table > sh.sh_max_entries
-       || sh.sh_bytes > sh.sh_max_bytes)
-      && Hashtbl.length sh.sh_table > 1
-    do
-      evict_lru sh
-    done
-  end
-  else touch sh key
 
 type handle = {
   h_t : t;
@@ -131,46 +67,7 @@ let handle t ~ns = { h_t = t; h_ns = ns }
 
 let find_or_replay h ~digest replay =
   let key = h.h_ns ^ digest in
-  let sh = shard_of h.h_t key in
-  Mutex.lock sh.sh_mutex;
-  let rec lookup () =
-    match Hashtbl.find_opt sh.sh_table key with
-    | Some e ->
-      sh.sh_hits <- sh.sh_hits + 1;
-      touch sh key;
-      Mutex.unlock sh.sh_mutex;
-      (e, `Hit)
-    | None ->
-      if Hashtbl.mem sh.sh_building key then begin
-        (* someone else is replaying this exact log: wait, then take the
-           hit path — same rule as the plan LRU, waiters are hits and
-           nothing is double-counted (the builder alone counts a miss) *)
-        Condition.wait sh.sh_cond sh.sh_mutex;
-        lookup ()
-      end
-      else begin
-        sh.sh_misses <- sh.sh_misses + 1;
-        Hashtbl.add sh.sh_building key ();
-        Mutex.unlock sh.sh_mutex;
-        (* replay outside the lock: the abstract execution is the
-           expensive part and must not serialize other shard traffic *)
-        match replay () with
-        | exception e ->
-          Mutex.lock sh.sh_mutex;
-          Hashtbl.remove sh.sh_building key;
-          Condition.broadcast sh.sh_cond;
-          Mutex.unlock sh.sh_mutex;
-          raise e
-        | entry ->
-          Mutex.lock sh.sh_mutex;
-          Hashtbl.remove sh.sh_building key;
-          insert sh key entry;
-          Condition.broadcast sh.sh_cond;
-          Mutex.unlock sh.sh_mutex;
-          (entry, `Miss)
-      end
-  in
-  lookup ()
+  Lru.find_or_compute (shard_of h.h_t key) key replay
 
 type stats = {
   hits : int;
@@ -183,16 +80,12 @@ type stats = {
 let stats t =
   Array.fold_left
     (fun acc sh ->
-       Mutex.lock sh.sh_mutex;
-       let acc =
-         { hits = acc.hits + sh.sh_hits;
-           misses = acc.misses + sh.sh_misses;
-           evictions = acc.evictions + sh.sh_evictions;
-           entries = acc.entries + Hashtbl.length sh.sh_table;
-           bytes = acc.bytes + sh.sh_bytes }
-       in
-       Mutex.unlock sh.sh_mutex;
-       acc)
+       let c = Lru.counters sh in
+       { hits = acc.hits + c.Lru.hits;
+         misses = acc.misses + c.Lru.misses;
+         evictions = acc.evictions + c.Lru.evictions;
+         entries = acc.entries + c.Lru.entries;
+         bytes = acc.bytes + c.Lru.weight })
     { hits = 0; misses = 0; evictions = 0; entries = 0; bytes = 0 }
     t.t_shards
 

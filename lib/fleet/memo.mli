@@ -23,13 +23,14 @@
     replayed report with a stale challenge fails its token check before
     the memo is ever consulted.
 
-    The structure is a sharded, mutex-striped LRU bounded both by entry
-    count and by estimated resident bytes, safe to share between the
-    domain pool's workers, which look it up, and any thread that reads
-    its {!stats}, such as a gateway's [Server.stats] caller.
-    Concurrent lookups of the same missing key deduplicate: one caller
-    replays, the rest wait on the in-flight computation and count as
-    hits — the same rule as the fleet's plan LRU, with no double
+    The structure is an array of mutex stripes, each one {!Lru}
+    weighted by estimated resident bytes, so the cache is bounded both
+    by entry count and by bytes. It is safe to share between the domain
+    pool's workers, which look it up, and any thread that reads its
+    {!stats}, such as a gateway's [Server.stats] caller. Concurrent
+    lookups of the same missing key deduplicate under the {!Lru} rule,
+    the one {!Plan.cache} follows: one caller replays, the rest wait on
+    the in-flight computation and count as hits, with no double
     counting. *)
 
 type config = {

@@ -29,7 +29,7 @@ val fingerprint : t -> string
 (** {2 Keyed plan cache} *)
 
 type cache
-(** Mutex-guarded; safe to share across domains. *)
+(** One {!Lru} of plans; safe to share across domains. *)
 
 val cache : ?capacity:int -> unit -> cache
 (** LRU-evicting cache holding at most [capacity] (default 16) plans: a
@@ -42,39 +42,28 @@ val find_or_build :
   ?max_steps:int -> ?audit:Dialed_staticcheck.Audit.config ->
   Dialed_core.Pipeline.built -> t
 (** Return the cached plan for [(fingerprint built, key)] or build and
-    insert one. Concurrent lookups of the same missing key build once:
-    later arrivals wait for the in-flight build and count as hits. If
-    the build raises, the exception propagates to the builder and the
-    waiters retry (one of them becomes the new builder). Note:
+    insert one, under the {!Lru} rule: concurrent lookups of the same
+    missing key build once, later arrivals wait and count as hits, and
+    a build that raises caches nothing (its waiters retry). Note:
     [policies], [max_steps] and [audit] only take effect when the entry
     is first built — a hit returns the plan exactly as first
     constructed, so a fleet batch runs the (comparatively expensive)
     static audit once per distinct firmware fingerprint, not once per
     report. Fleets that need per-batch policies should use {!of_built}. *)
 
-val cache_stats : cache -> int * int
-(** [(hits, misses)] so far. A miss is a lookup that started a build —
-    waiting on someone else's in-flight build is a hit. *)
-
-val cache_audits : cache -> int
-(** Static audits this cache actually ran to completion — at most one
-    per miss with [audit] armed; hits (including deduplicated concurrent
-    lookups) never re-audit, and a build that raises counts nothing. *)
-
-val cache_size : cache -> int
-(** Plans currently resident. *)
-
 type cache_counters = {
-  cc_hits : int;
+  cc_hits : int;           (** waiting on an in-flight build is a hit *)
   cc_misses : int;         (** lookups that started a build *)
   cc_evictions : int;
   cc_resident : int;       (** plans resident now *)
-  cc_audits : int;         (** static audits actually executed *)
+  cc_audits : int;
+      (** static audits actually executed: at most one per miss with
+          [audit] armed (or a selective build); hits never re-audit,
+          and a build that raises counts nothing *)
 }
-(** One consistent snapshot of a cache's counters, taken under the cache
-    lock — the same waiters-are-hits accounting as {!cache_stats}. The
-    gateway embeds this in its stats so operators can watch plan-cache
-    effectiveness live next to the verdict-memo counters. *)
+(** A snapshot of a cache's counters. The gateway embeds this in its
+    stats so operators can watch plan-cache effectiveness live next to
+    the verdict-memo counters. *)
 
 val cache_counters : cache -> cache_counters
 

@@ -102,6 +102,34 @@ let control i =
   | Two (MOV, Word, Sindirect_inc r, Dreg 0) when r = sp -> Ret
   | Two _ | One _ | Jump _ | Reti -> Plain
 
+let writes_back op =
+  match op with
+  | CMP | BIT -> false
+  | MOV | ADD | ADDC | SUBC | SUB | DADD | BIC | BIS | XOR | AND -> true
+
+type flow =
+  | Next
+  | Goto of int
+  | Branch of int
+  | Call_to of int option
+  | Return
+  | Computed
+  | Halt
+
+let flow ~at ~next i =
+  match i with
+  | Jump (JMP, off) ->
+    let target = next + (2 * off) in
+    if target = at then Halt else Goto target
+  | Jump (_, off) -> Branch (next + (2 * off))
+  | Two (MOV, _, Sindirect_inc r, Dreg 0) when r = sp -> Return
+  | Reti -> Return
+  | Two (MOV, _, Simm n, Dreg 0) -> Goto n
+  | Two (op, _, _, Dreg 0) when writes_back op -> Computed
+  | One (CALL, _, Simm n) -> Call_to (Some n)
+  | One (CALL, _, _) -> Call_to None
+  | Two _ | One _ -> Next
+
 (* Format-I cycle counts, Table 3-16 of the MSP430x1xx user's guide. The
    destination-is-PC column applies to mov/add/... with Dreg pc. *)
 let two_cycles src dst =

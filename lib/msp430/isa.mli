@@ -70,6 +70,26 @@ type control = Plain | Call | Ret
 
 val control : instr -> control
 
+val writes_back : two_op -> bool
+(** Whether a format-I operation stores its result in its destination:
+    all but [cmp] and [bit]. *)
+
+(** What an instruction does to the program counter. The static audit's
+    CFG and the CF-Log walker both read control flow from here. *)
+type flow =
+  | Next                   (** falls through to the next instruction *)
+  | Goto of int            (** [jmp], or [mov #a, pc] *)
+  | Branch of int          (** conditional jump to this target, else next *)
+  | Call_to of int option  (** [call]; [None] when the target is computed *)
+  | Return                 (** [ret] ([mov @sp+, pc]) or [reti] *)
+  | Computed               (** any other write to pc, e.g. [br r5] *)
+  | Halt                   (** [jmp $]: a jump to itself *)
+
+val flow : at:int -> next:int -> instr -> flow
+(** [at] is the instruction's address and [next] the address after
+    it. Unlike {!control}, a byte-sized [mov @sp+, pc] counts as a
+    [Return]. *)
+
 val cycles : instr -> int
 (** Execution cycle count per the family user's guide tables (format I
     including the destination-is-PC column, format II, jumps and RETI). *)

@@ -1,3 +1,9 @@
+type denial = Dialed_lifecycle.Lifecycle.denial =
+  | Unknown_device
+  | Revoked
+  | Quarantined_device
+  | Stale_firmware
+
 type msg =
   | Hello of { device_id : string }
   | Ready
@@ -14,13 +20,7 @@ type msg =
       { seq : int; accepted : bool; findings : (string * string) list }
   | Denied of { cause : denial; detail : string }
 
-and denial = Revoked | Quarantined | Stale_firmware | Unknown_device
-
-let denial_to_string = function
-  | Revoked -> "revoked"
-  | Quarantined -> "quarantined"
-  | Stale_firmware -> "stale-firmware"
-  | Unknown_device -> "unknown-device"
+let denial_to_string = Dialed_lifecycle.Lifecycle.denial_to_string
 
 type error =
   | Empty
@@ -65,13 +65,13 @@ let t_denied = 13
 
 let denial_code = function
   | Revoked -> 1
-  | Quarantined -> 2
+  | Quarantined_device -> 2
   | Stale_firmware -> 3
   | Unknown_device -> 4
 
 let denial_of_code = function
   | 1 -> Some Revoked
-  | 2 -> Some Quarantined
+  | 2 -> Some Quarantined_device
   | 3 -> Some Stale_firmware
   | 4 -> Some Unknown_device
   | _ -> None

@@ -47,6 +47,15 @@
     anonymous peers served under the gateway's [allow_anonymous] policy
     never see the new tag. *)
 
+type denial = Dialed_lifecycle.Lifecycle.denial =
+  | Unknown_device
+  | Revoked
+  | Quarantined_device
+  | Stale_firmware
+(** The registry's denial causes, re-exported. On the wire a cause is
+    one byte: 1 revoked, 2 quarantined, 3 stale firmware, 4 unknown
+    device. *)
+
 type msg =
   | Hello of { device_id : string }
   | Ready
@@ -70,9 +79,8 @@ type msg =
       (** gateway refuses (at handshake) or terminates (mid-session,
           after a revocation landed) the session for lifecycle reasons *)
 
-and denial = Revoked | Quarantined | Stale_firmware | Unknown_device
-
 val denial_to_string : denial -> string
+(** {!Dialed_lifecycle.Lifecycle.denial_to_string}. *)
 
 type error =
   | Empty                                        (** zero-length payload *)

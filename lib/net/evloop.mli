@@ -3,9 +3,10 @@
     One loop thread multiplexes every gateway connection: fd readiness
     via epoll (Linux) or portable [poll(2)], deadlines via a
     hierarchical timer wheel (4 × 256 slots, 10 ms ticks — O(1)
-    arm/cancel for the thousands of coarse slow-loris timers a c10k
-    gateway re-arms on every message), and cross-thread handoff via a
-    self-pipe plus a posted-thunk queue.
+    arm/cancel for a c10k gateway's slow-loris deadlines: one timer
+    per connection, which a frame moves forward lazily instead of
+    re-arming), and cross-thread handoff via a self-pipe plus a
+    posted-thunk queue.
 
     {b Threading contract}: {!post}, {!wake} and the thunks returned by
     {!hook_source} may be called from any thread; everything else —

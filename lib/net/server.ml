@@ -152,14 +152,7 @@ let locked t f =
 (* ---------------------------------------------------------------- *)
 (* Lifecycle plumbing.                                               *)
 
-let denial_wire = function
-  | L.Unknown_device -> Codec.Unknown_device
-  | L.Revoked -> Codec.Revoked
-  | L.Quarantined_device -> Codec.Quarantined
-  | L.Stale_firmware -> Codec.Stale_firmware
-
-let denial_msg d =
-  Codec.Denied { cause = denial_wire d; detail = L.denial_to_string d }
+let denial_msg d = Codec.Denied { cause = d; detail = L.denial_to_string d }
 
 let count_denial t = function
   | L.Unknown_device -> t.c_lc_denied_unknown <- t.c_lc_denied_unknown + 1

@@ -1,11 +1,7 @@
 module M = Dialed_msp430
-module B = Dialed_cfg.Basic_block
 module R = Report
 
 type config = Scan.config = {
-  check_stores : bool;
-  log_uncond_jumps : bool;
-  trust_frame_reads : bool;
   loop_bound : int option;
   require_bounded : bool;
   selective : (int * int) list option;
@@ -47,7 +43,7 @@ let audit_timed ?(config = default_config) ~mem ~er_min ~er_max ~or_min
   let scan, scan_us =
     timed (fun () -> Scan.run ~config ~stream ~abort ~or_min ~or_max)
   in
-  let cfg = B.build mem ~lo:er_min ~hi:er_max ~entry:er_min in
+  let cfg = Basic_block.build stream ~entry:er_min in
   let allowed =
     let tbl = Hashtbl.create 256 in
     Array.iteri

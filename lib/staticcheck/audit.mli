@@ -13,9 +13,6 @@
     instrumentation it claims. *)
 
 type config = Scan.config = {
-  check_stores : bool;
-  log_uncond_jumps : bool;
-  trust_frame_reads : bool;
   loop_bound : int option;
   require_bounded : bool;
   selective : (int * int) list option;

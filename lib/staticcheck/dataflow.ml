@@ -1,5 +1,5 @@
 module Isa = Dialed_msp430.Isa
-module B = Dialed_cfg.Basic_block
+module B = Basic_block
 module R = Report
 module IMap = Map.Make (Int)
 
@@ -113,7 +113,7 @@ let run ~(config : Scan.config) ~stream ~(scan : Scan.t) ~cfg ~entry ~abort
   let selective = config.Scan.selective <> None in
   let is_mmio a = a < mmio_limit in
   let is_critical a = List.exists (in_range a) critical_ranges in
-  let is_frame r = r = 1 || (config.Scan.trust_frame_reads && r = 6) in
+  let is_frame r = r = 1 || r = 6 in
   let guard_at =
     let tbl = Hashtbl.create 16 in
     List.iter (fun (addr, rng) -> Hashtbl.replace tbl addr rng)
@@ -293,9 +293,9 @@ let run ~(config : Scan.config) ~stream ~(scan : Scan.t) ~cfg ~entry ~abort
             let v_src = eval_src st ~report ~at ~idx ~mark ~mov_dst:None src in
             let v_dst = eval_dst_read st ~report ~at ~idx ~mark dst in
             let v = join_taint v_src v_dst in
-            (match op with
-             | Isa.CMP | Isa.BIT -> st
-             | _ -> assign st ~report ~at dst (step_taint at v))
+            if Isa.writes_back op then
+              assign st ~report ~at dst (step_taint at v)
+            else st
           | Isa.One (Isa.CALL, _, _) -> st
           | Isa.One (Isa.PUSH, _, src) ->
             let v = eval_src st ~report ~at ~idx ~mark ~mov_dst:None src in
@@ -329,7 +329,7 @@ let run ~(config : Scan.config) ~stream ~(scan : Scan.t) ~cfg ~entry ~abort
   let return_sites = lazy (B.call_return_sites cfg) in
   let succs (b : B.block) =
     match b.B.term with
-    | B.Ret -> Lazy.force return_sites
+    | Isa.Return -> Lazy.force return_sites
     | _ -> B.successors cfg b.B.b_start
   in
   let work = Queue.create () in

@@ -25,7 +25,7 @@ val run :
   config:Scan.config ->
   stream:Stream.t ->
   scan:Scan.t ->
-  cfg:Dialed_cfg.Basic_block.t ->
+  cfg:Basic_block.t ->
   entry:int ->
   abort:int option ->
   or_min:int ->

@@ -1,4 +1,5 @@
-module B = Dialed_cfg.Basic_block
+module B = Basic_block
+module Isa = Dialed_msp430.Isa
 module R = Report
 
 let g_add a b =
@@ -15,10 +16,10 @@ let g_max a b =
    callee's growth is folded into the call block's weight). *)
 let intra_succ (b : B.block) =
   match b.B.term with
-  | B.Fallthrough n | B.Jump_uncond n -> [ n ]
-  | B.Jump_cond { taken; fallthrough } -> [ taken; fallthrough ]
-  | B.Call { return_to; _ } -> [ return_to ]
-  | B.Ret | B.Branch_indirect | B.Halt -> []
+  | Isa.Next | Isa.Call_to _ -> [ b.B.b_next ]
+  | Isa.Goto n -> [ n ]
+  | Isa.Branch taken -> [ taken; b.B.b_next ]
+  | Isa.Return | Isa.Computed | Isa.Halt -> []
 
 (* Worst-case number of log entries appended along any path from [entry]:
    per-function longest path over the SCC condensation of its
@@ -72,12 +73,12 @@ let worst_case ~cfg ~appends ?loop_bound ~entry () =
         (fun a (b : B.block) ->
            let w =
              match b.B.term with
-             | B.Call { target = Some t; _ } ->
+             | Isa.Call_to (Some t) ->
                g_add (R.Bounded (block_appends a)) (func_worst t)
-             | B.Call { target = None; _ } ->
+             | Isa.Call_to None ->
                R.Unbounded
                  (Printf.sprintf "indirect call at 0x%04x" b.B.b_last)
-             | B.Branch_indirect ->
+             | Isa.Computed ->
                R.Unbounded
                  (Printf.sprintf "indirect branch at 0x%04x" b.B.b_last)
              | _ -> R.Bounded (block_appends a)

@@ -10,7 +10,7 @@
     indirect branches are always [Unbounded]. *)
 
 val worst_case :
-  cfg:Dialed_cfg.Basic_block.t ->
+  cfg:Basic_block.t ->
   appends:(int * [ `Cf | `Input ]) list ->
   ?loop_bound:int ->
   entry:int ->

@@ -1,15 +1,9 @@
 module M = Dialed_msp430
 module Isa = M.Isa
-module B = Dialed_cfg.Basic_block
+module B = Basic_block
 module R = Report
 
 type event = { ev_addr : int; ev_write : bool }
-
-let writes_back op =
-  match op with
-  | Isa.CMP | Isa.BIT -> false
-  | Isa.MOV | Isa.ADD | Isa.ADDC | Isa.SUBC | Isa.SUB | Isa.DADD
-  | Isa.BIC | Isa.BIS | Isa.XOR | Isa.AND -> true
 
 (* Every way an instruction can touch r4, the log write pointer. Address
    uses ([0(r4)], [@r4]) count as uses; the autoincrement mode also
@@ -30,7 +24,8 @@ let events_of_instr addr ins =
     | _ -> []
   in
   match ins with
-  | Isa.Two (op, _, src, dst) -> src_events src @ dst_events (writes_back op) dst
+  | Isa.Two (op, _, src, dst) ->
+    src_events src @ dst_events (Isa.writes_back op) dst
   | Isa.One ((Isa.RRC | Isa.RRA | Isa.SWPB | Isa.SXT), _, Isa.Sreg 4) ->
     [ write ]
   | Isa.One (_, _, src) -> src_events src

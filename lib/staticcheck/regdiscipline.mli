@@ -6,7 +6,7 @@
 type event = { ev_addr : int; ev_write : bool }
 
 val check :
-  cfg:Dialed_cfg.Basic_block.t ->
+  cfg:Basic_block.t ->
   allowed:(int -> bool) ->
   Report.finding list
 (** One [Reserved_register_clobber] per r4 touch at an address the scan

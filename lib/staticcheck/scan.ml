@@ -3,9 +3,6 @@ module Isa = M.Isa
 module R = Report
 
 type config = {
-  check_stores : bool;
-  log_uncond_jumps : bool;
-  trust_frame_reads : bool;
   loop_bound : int option;
   require_bounded : bool;
   selective : (int * int) list option;
@@ -13,8 +10,7 @@ type config = {
 }
 
 let default_config =
-  { check_stores = true; log_uncond_jumps = true; trust_frame_reads = true;
-    loop_bound = None; require_bounded = false; selective = None;
+  { loop_bound = None; require_bounded = false; selective = None;
     dataflow = true }
 
 type mark =
@@ -49,12 +45,6 @@ let expected_logged (e : Stream.entry) =
   | Isa.Two (Isa.MOV, _, src, Isa.Dreg 0) -> Some src
   | Isa.One (Isa.CALL, _, src) -> Some src
   | _ -> None
-
-let writes_back op =
-  match op with
-  | Isa.CMP | Isa.BIT -> false
-  | Isa.MOV | Isa.ADD | Isa.ADDC | Isa.SUBC | Isa.SUB | Isa.DADD
-  | Isa.BIC | Isa.BIS | Isa.XOR | Isa.AND -> true
 
 let run ~config ~stream ~abort ~or_min ~or_max =
   let n = Stream.length stream in
@@ -206,21 +196,19 @@ let run ~config ~stream ~abort ~or_min ~or_max =
               else incr i)))
   done;
   (* ---- completeness rules over what remains application code ---- *)
+  (* sp- and frame-pointer (r6) based accesses are stack accesses *)
+  let based r = if r = 1 || r = 6 then `Stack else `Dynamic in
   let classify_src s =
     match s with
     | Isa.Sreg _ | Isa.Simm _ -> `None
     | Isa.Sabsolute _ -> `Static
-    | Isa.Sindexed (_, r) | Isa.Sindirect r | Isa.Sindirect_inc r ->
-      if r = 1 || (config.trust_frame_reads && r = 6) then `Stack
-      else `Dynamic
+    | Isa.Sindexed (_, r) | Isa.Sindirect r | Isa.Sindirect_inc r -> based r
   in
   let classify_dst d =
     match d with
     | Isa.Dreg _ -> `None
     | Isa.Dabsolute _ -> `Static
-    | Isa.Dindexed (_, r) ->
-      if r = 1 || (config.trust_frame_reads && r = 6) then `Stack
-      else `Dynamic
+    | Isa.Dindexed (_, r) -> based r
   in
   let read_classes ins =
     match ins with
@@ -254,7 +242,7 @@ let run ~config ~stream ~abort ~or_min ~or_max =
            add (R.Unlogged_control_flow
                   { at = e.Stream.addr;
                     reason = "halt loop outside the abort loop" })
-         else if config.log_uncond_jumps then
+         else
            add (R.Unlogged_control_flow
                   { at = e.Stream.addr;
                     reason = "unconditional jump without a CF-Log append" })
@@ -270,7 +258,7 @@ let run ~config ~stream ~abort ~or_min ~or_max =
          add (R.Unlogged_control_flow
                 { at = e.Stream.addr;
                   reason = "branch/return without a CF-Log append" })
-       | Isa.Two (op, _, _, Isa.Dreg 0) when writes_back op ->
+       | Isa.Two (op, _, _, Isa.Dreg 0) when Isa.writes_back op ->
          add (R.Unlogged_control_flow
                 { at = e.Stream.addr;
                   reason = "computed branch cannot be attested" })
@@ -280,9 +268,9 @@ let run ~config ~stream ~abort ~or_min ~or_max =
                   reason = "call without a CF-Log append" })
        | ins ->
          (match ins with
-          | Isa.Two (op, _, _, dst) when writes_back op ->
+          | Isa.Two (op, _, _, dst) when Isa.writes_back op ->
             (match dst with
-             | Isa.Dindexed _ when m = App && config.check_stores ->
+             | Isa.Dindexed _ when m = App ->
                add (R.Unchecked_store { at = e.Stream.addr })
              | Isa.Dabsolute a when a >= or_min && a <= or_max + 1 ->
                add (R.Static_store_into_or { at = e.Stream.addr; ea = a })

@@ -10,9 +10,6 @@
     logged. *)
 
 type config = {
-  check_stores : bool;      (** require F5 checks on dynamic stores *)
-  log_uncond_jumps : bool;  (** require CF appends on [jmp] *)
-  trust_frame_reads : bool; (** treat r6-based accesses as stack accesses *)
   loop_bound : int option;  (** iteration bound for footprint loops *)
   require_bounded : bool;   (** report an unbounded footprint as a finding *)
   selective : (int * int) list option;
@@ -28,9 +25,8 @@ type config = {
 }
 
 val default_config : config
-(** Matches the emitter defaults: stores checked, [jmp] logged, frame
-    reads trusted, no loop bound, unbounded footprint tolerated, full
-    discipline, dataflow on. *)
+(** No loop bound, unbounded footprint tolerated, full discipline,
+    dataflow on. *)
 
 type mark =
   | App

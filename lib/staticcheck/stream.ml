@@ -36,10 +36,7 @@ let slice t i n =
 (* target = address of the next instruction + 2*offset (Isa convention) *)
 let jump_target e off = e.next + (2 * off)
 
-let is_self_jump e =
-  match e.ins with
-  | Isa.Jump (Isa.JMP, off) -> jump_target e off = e.addr
-  | _ -> false
+let is_self_jump e = Isa.flow ~at:e.addr ~next:e.next e.ins = Isa.Halt
 
 (* [mov #a, pc] — the long-form guard branch the instrumentation emits *)
 let guard_target e =

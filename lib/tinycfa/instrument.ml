@@ -116,7 +116,7 @@ let validate_contract prog =
        match item with
        | P.Instr P.Reti -> fail "reti inside an attested operation"
        | P.Instr (P.Two (op, _, _, P.Reg 0))
-         when op <> Isa.MOV && op <> Isa.CMP && op <> Isa.BIT ->
+         when op <> Isa.MOV && Isa.writes_back op ->
          fail "computed branch (%a) cannot be attested" P.pp_instr
            (P.Two (op, Isa.Word, P.Reg 0, P.Reg 0))
        | _ -> ())

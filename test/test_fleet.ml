@@ -131,6 +131,13 @@ let test_empty_and_tiny_batches () =
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "domains=0 accepted")
 
+(* the plan cache's counters, read through [Plan.cache_counters] *)
+let cache_stats c =
+  let k = F.Plan.cache_counters c in
+  (k.F.Plan.cc_hits, k.F.Plan.cc_misses)
+let cache_size c = (F.Plan.cache_counters c).F.Plan.cc_resident
+let cache_audits c = (F.Plan.cache_counters c).F.Plan.cc_audits
+
 let test_plan_cache () =
   let cache = F.Plan.cache ~capacity:2 () in
   let pump = Lazy.force vuln_built in
@@ -139,15 +146,15 @@ let test_plan_cache () =
   let p2 = F.Plan.find_or_build cache pump in
   Alcotest.(check string) "same firmware, same plan" (F.Plan.fingerprint p1)
     (F.Plan.fingerprint p2);
-  check_bool "hit recorded" true (fst (F.Plan.cache_stats cache) = 1);
+  check_bool "hit recorded" true (fst (cache_stats cache) = 1);
   let p3 = F.Plan.find_or_build cache sensor in
   check_bool "different firmware, different fingerprint" true
     (F.Plan.fingerprint p1 <> F.Plan.fingerprint p3);
-  check_int "two plans resident" 2 (F.Plan.cache_size cache);
+  check_int "two plans resident" 2 (cache_size cache);
   (* a distinct device key is a distinct cache entry (and evicts, cap 2) *)
   ignore (F.Plan.find_or_build cache ~key:"other-device-key" pump);
-  check_int "capacity respected" 2 (F.Plan.cache_size cache);
-  let hits, misses = F.Plan.cache_stats cache in
+  check_int "capacity respected" 2 (cache_size cache);
+  let hits, misses = cache_stats cache in
   check_int "hits" 1 hits;
   check_int "misses" 3 misses
 
@@ -167,8 +174,8 @@ let test_cache_audits_once () =
   ignore (F.Plan.find_or_build cache ~audit sensor);
   ignore (F.Plan.find_or_build cache ~audit sensor);
   ignore (F.Plan.find_or_build cache ~audit pump);
-  check_int "two distinct binaries, two audits" 2 (F.Plan.cache_audits cache);
-  let hits, misses = F.Plan.cache_stats cache in
+  check_int "two distinct binaries, two audits" 2 (cache_audits cache);
+  let hits, misses = cache_stats cache in
   check_int "hits never re-audit" 3 hits;
   check_int "misses" 2 misses;
   (* a hit still hands back the plan with its report attached *)
@@ -478,13 +485,13 @@ let test_lru_protects_hot_entry () =
   ignore (F.Plan.find_or_build cache pump);      (* hit: pump is now hot *)
   (* third key forces an eviction; the cold sensor must be the victim *)
   ignore (F.Plan.find_or_build cache ~key:"other-device-key" pump);
-  check_int "capacity respected" 2 (F.Plan.cache_size cache);
+  check_int "capacity respected" 2 (cache_size cache);
   ignore (F.Plan.find_or_build cache pump);      (* still resident: hit *)
-  let hits, misses = F.Plan.cache_stats cache in
+  let hits, misses = cache_stats cache in
   check_int "hot entry survived eviction" 2 hits;
   check_int "misses so far" 3 misses;
   ignore (F.Plan.find_or_build cache sensor);    (* evicted: a miss again *)
-  let hits', misses' = F.Plan.cache_stats cache in
+  let hits', misses' = cache_stats cache in
   check_int "cold entry was the victim" 4 misses';
   check_int "no phantom hit" 2 hits'
 
@@ -502,11 +509,11 @@ let test_cache_build_dedup () =
   let there = Domain.join other in
   Alcotest.(check string) "both racers got the same plan"
     (F.Plan.fingerprint here) (F.Plan.fingerprint there);
-  let hits, misses = F.Plan.cache_stats cache in
+  let hits, misses = cache_stats cache in
   check_int "single build" 1 misses;
   check_int "loser counted as hit" 1 hits;
-  check_int "single audit" 1 (F.Plan.cache_audits cache);
-  check_int "single resident plan" 1 (F.Plan.cache_size cache)
+  check_int "single audit" 1 (cache_audits cache);
+  check_int "single resident plan" 1 (cache_size cache)
 
 let test_failed_build_counts_nothing () =
   (* Verifier.plan rejects non-DIALED variants; a build that raises must
@@ -523,9 +530,9 @@ let test_failed_build_counts_nothing () =
   in
   attempt ();
   attempt ();                                  (* the key is not wedged *)
-  check_int "no audits for failed builds" 0 (F.Plan.cache_audits cache);
-  check_int "nothing resident" 0 (F.Plan.cache_size cache);
-  let _, misses = F.Plan.cache_stats cache in
+  check_int "no audits for failed builds" 0 (cache_audits cache);
+  check_int "nothing resident" 0 (cache_size cache);
+  let _, misses = cache_stats cache in
   check_int "each attempt was a fresh miss" 2 misses
 
 let suites =

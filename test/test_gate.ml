@@ -147,6 +147,32 @@ let test_gate_never_repeats_a_challenge () =
     Hashtbl.replace seen req.C.Protocol.challenge ()
   done
 
+let test_gate_memory_bounded () =
+  (* the gate forgets what it consumed, yet still names a replay of an
+     early round: 10,000 redeemed rounds leave it no bigger than twice
+     its size after 10 *)
+  let report =
+    honest_report (build ()) { C.Protocol.challenge = ""; args = [] }
+  in
+  let answer req = { report with A.Pox.challenge = req.C.Protocol.challenge } in
+  let gate = C.Protocol.make_gate () in
+  let redeem req report = C.Protocol.gate_redeem gate req report in
+  let first = C.Protocol.gate_issue gate ~args:[] in
+  let words = ref 0 in
+  for i = 1 to 10_000 do
+    let req = if i = 1 then first else C.Protocol.gate_issue gate ~args:[] in
+    check_bool "honest round accepted" true (redeem req (answer req) = Ok ());
+    if i = 10 then words := Obj.reachable_words (Obj.repr gate)
+  done;
+  let words_10k = Obj.reachable_words (Obj.repr gate) in
+  check_bool (Printf.sprintf "%d words after 10,000 rounds, %d after 10"
+                words_10k !words) true (words_10k <= 2 * !words);
+  let consumed = Error "challenge already consumed (replay)" in
+  check_bool "first round replayed" true
+    (redeem first (answer first) = consumed);
+  check_bool "first round's report against a live challenge" true
+    (redeem (C.Protocol.gate_issue gate ~args:[]) (answer first) = consumed)
+
 let suites =
   [ ("protocol-gate",
      [ Alcotest.test_case "challenge consumed on accept" `Quick
@@ -162,4 +188,6 @@ let suites =
        Alcotest.test_case "windowed replay/unissued rejected" `Quick
          test_gate_window_rejects_replay_and_unissued;
        Alcotest.test_case "one gate never repeats a challenge" `Quick
-         test_gate_never_repeats_a_challenge ]) ]
+         test_gate_never_repeats_a_challenge;
+       Alcotest.test_case "gate memory stays bounded" `Quick
+         test_gate_memory_bounded ]) ]

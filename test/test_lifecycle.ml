@@ -488,7 +488,7 @@ let test_gw_quarantine_release transport =
        in
        N.Transport.close conn;
        (match session.N.Client.denied with
-        | Some (N.Codec.Quarantined, _) -> ()
+        | Some (N.Codec.Quarantined_device, _) -> ()
         | _ -> Alcotest.fail "quarantined prover was served");
        (* still quarantined: a second attempt changes nothing *)
        check_bool "stays quarantined" true
