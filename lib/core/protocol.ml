@@ -55,12 +55,13 @@ let is_pending g c =
   | Some p -> String.equal p c
   | None -> false
 
-(* issued by this gate and no longer pending. Of the issued counters
-   with the low bits [c] carries, only the latest is tried. *)
+(* issued by this gate and no longer pending. Past 2^32 rounds (the
+   codec's sequence-number range) a replayed challenge is still
+   rejected, but may be named never issued. *)
 let is_consumed g c =
-  let n = (g.g_counter land lnot counter_mask) lor counter_bits c in
-  let n = if n > g.g_counter then n - counter_mask - 1 else n in
-  n >= 1 && (not (is_pending g c)) && String.equal (derive g n) c
+  let n = counter_bits c in
+  n >= 1 && n <= g.g_counter && (not (is_pending g c))
+  && String.equal (derive g n) c
 
 let gate_issue g ~args =
   g.g_counter <- g.g_counter + 1;
