@@ -650,6 +650,14 @@ let serve_cmd =
               plan_cache = Some pcache; lifecycle; resolve_plan }
           in
           let server = N.Server.create ~config ~plan listener in
+          (* the handler runs on the serving thread itself, so it must
+             only *request* the stop (lock-free); the blocking teardown
+             happens below once serve_forever unwinds. It is installed
+             before the port is announced, so a SIGINT at any time after
+             the announcement stops the gateway cleanly. *)
+          if duration = None then
+            Sys.set_signal Sys.sigint
+              (Sys.Signal_handle (fun _ -> N.Server.request_stop server));
           Format.printf "gateway: firmware %s on 127.0.0.1:%d@."
             (String.sub (F.Plan.fingerprint plan) 0 16) port;
           (match lifecycle with
@@ -662,13 +670,7 @@ let serve_cmd =
            | None -> ());
           (match duration with
            | Some s -> N.Server.start server; Thread.delay s
-           | None ->
-             (* the handler runs on the serving thread itself, so it
-                must only *request* the stop (lock-free); the blocking
-                teardown happens below once serve_forever unwinds *)
-             Sys.set_signal Sys.sigint
-               (Sys.Signal_handle (fun _ -> N.Server.request_stop server));
-             N.Server.serve_forever server);
+           | None -> N.Server.serve_forever server);
           Format.printf "%a@." N.Server.pp_stats (N.Server.stop server);
           Option.iter L.close lifecycle;
           Ok 0)
@@ -926,7 +928,8 @@ let revoke_cmd =
                   "{ \"revoked\": { %s }, \"summary\": %s }@."
                   (String.concat ", "
                      (List.map
-                        (fun (k, n) -> Printf.sprintf "%S: %d" k n)
+                        (fun (k, n) ->
+                           Printf.sprintf "%s: %d" (L.json_string k) n)
                         per_key))
                   (L.summary_to_json s)
               else begin
@@ -1012,11 +1015,11 @@ let rollout_cmd =
             in
             if json then
               Format.printf
-                "{ \"stable\": %S, \"canary\": %s, \"percent\": %d, \
+                "{ \"stable\": %s, \"canary\": %s, \"percent\": %d, \
                  \"devices\": %d, \"devices_assigned\": %d }@."
-                r.L.stable
+                (L.json_string r.L.stable)
                 (match r.L.canary with
-                 | Some (v, _) -> Printf.sprintf "%S" v
+                 | Some (v, _) -> L.json_string v
                  | None -> "null")
                 (match r.L.canary with Some (_, p) -> p | None -> 0)
                 (List.length devs) assigned

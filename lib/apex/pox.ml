@@ -53,3 +53,17 @@ let verify_with ~key_state ~expected_er r =
 
 let verify ~key ~expected_er r =
   verify_with ~key_state:(Hmac.key_state ~key) ~expected_er r
+
+(* The 16-byte header is the tag and the five layout words; the OR
+   bytes are hashed after it without a copy. *)
+let log_digest r =
+  let module Sha = Dialed_crypto.Sha256 in
+  let hdr = Bytes.create 16 in
+  Bytes.blit_string "DMEMO1" 0 hdr 0 6;
+  Bytes.set_uint16_le hdr 6 r.er_min;
+  Bytes.set_uint16_le hdr 8 r.er_max;
+  Bytes.set_uint16_le hdr 10 r.er_exit;
+  Bytes.set_uint16_le hdr 12 r.or_min;
+  Bytes.set_uint16_le hdr 14 r.or_max;
+  let ctx = Sha.update (Sha.init ()) (Bytes.unsafe_to_string hdr) in
+  Sha.finalize (Sha.update ctx r.or_data)

@@ -34,3 +34,12 @@ val verify_with :
   (unit, string) result
 (** {!verify} with a precomputed {!Dialed_crypto.Hmac.key_state} — the
     fleet path, which MACs thousands of reports under one device key. *)
+
+val log_digest : report -> string
+(** The verdict memo's key for a report, defined here and nowhere else:
+    SHA-256 (raw bytes) of the 6-byte tag [DMEMO1], the five layout
+    words [er_min], [er_max], [er_exit], [or_min], [or_max] (16-bit
+    little-endian), and the OR bytes. That is exactly the material the
+    replay consumes. The challenge, token and EXEC flag are left out:
+    they are per-session authenticity material, checked on every report
+    and never cached. *)

@@ -95,29 +95,5 @@ let parse data =
 
 let decode data = try Ok (parse data) with Bad e -> Error e
 
-(* Canonical log digest streamed over the just-parsed fields — byte for
-   byte the preimage of [Dialed_core.Verifier.log_digest] ("DMEMO1",
-   the five layout words little-endian, the OR bytes) — so the memo key
-   falls out of decoding without re-encoding the report. The challenge,
-   exec flag and token are deliberately left out: they are per-session
-   authenticity material, checked on every report, cached never. *)
 let decode_digested data =
-  match parse data with
-  | exception Bad e -> Error e
-  | r ->
-    let module Sha = Dialed_crypto.Sha256 in
-    let ctx = Sha.init () in
-    let (_ : Sha.ctx) = Sha.update ctx "DMEMO1" in
-    let hdr = Bytes.create 10 in
-    let put i v =
-      Bytes.set hdr i (Char.chr (v land 0xFF));
-      Bytes.set hdr (i + 1) (Char.chr ((v lsr 8) land 0xFF))
-    in
-    put 0 r.Pox.er_min;
-    put 2 r.Pox.er_max;
-    put 4 r.Pox.er_exit;
-    put 6 r.Pox.or_min;
-    put 8 r.Pox.or_max;
-    let (_ : Sha.ctx) = Sha.update ctx (Bytes.unsafe_to_string hdr) in
-    let (_ : Sha.ctx) = Sha.update ctx r.Pox.or_data in
-    Ok (r, Sha.finalize ctx)
+  Result.map (fun r -> (r, Pox.log_digest r)) (decode data)

@@ -35,10 +35,6 @@ val error_to_string : error -> string
 val decode : string -> (Pox.report, error) result
 
 val decode_digested : string -> (Pox.report * string, error) result
-(** {!decode}, plus the report's canonical log digest (raw SHA-256
-    bytes) computed from the parsed fields without re-encoding: equal to
-    [Dialed_core.Verifier.log_digest] of the returned report, which the
-    test suite pins. The digest covers the five layout words and the OR
-    bytes only — challenge, exec flag and token are per-session
-    authenticity material and stay out of any cache key. The gateway
+(** {!decode}, plus the report's {!Pox.log_digest}, the verdict memo's
+    key, taken from the parsed fields without re-encoding. The gateway
     uses this to feed the verdict memo straight from wire decode. *)

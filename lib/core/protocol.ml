@@ -90,6 +90,10 @@ let gate_redeem g req (report : A.Pox.report) =
     consumed
   else Error "response challenge is stale or replayed"
 
+let gate_retire g req =
+  if is_pending g req.challenge then
+    Hashtbl.remove g.g_pending (counter_bits req.challenge)
+
 (* ------------------------------------------------------------------ *)
 
 type session = {

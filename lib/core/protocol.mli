@@ -48,9 +48,16 @@ val gate_redeem : gate -> request -> Dialed_apex.Pox.report -> (unit, string) re
     [gate_issue]s: reject when [req]'s challenge was never issued or
     already consumed, or when the report answers a different (stale,
     replayed) challenge. On [Ok] the challenge stops being pending,
-    which makes it consumed. On [Error] a live [req] challenge stays pending, but the
-    caller has typically retired the round — a rejected round is not
-    retried under the same challenge. *)
+    which makes it consumed. On [Error] a live [req] challenge stays
+    pending: a caller that rejects the round, rather than waiting for
+    its real answer, ends the challenge with {!gate_retire}. *)
+
+val gate_retire : gate -> request -> unit
+(** Stop [req]'s challenge being pending without redeeming it, for a
+    round the caller rejected: its report did not decode, or
+    {!gate_redeem} refused it. A retired challenge reads as consumed
+    from then on, so the gate forgets it and a later report answering
+    it is named a replay. A no-op when the challenge is not pending. *)
 
 val gate_outstanding : gate -> int
 (** Pending (issued, unredeemed) challenge count. *)

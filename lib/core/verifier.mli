@@ -148,12 +148,9 @@ val plan_memo_ns : plan -> string
     identical either way. *)
 
 val log_digest : Dialed_apex.Pox.report -> string
-(** Canonical digest (raw SHA-256 bytes) of the report material the
-    replay consumes: the five claimed layout words plus the OR bytes.
-    The challenge, token, and EXEC byte are {e excluded} — they are
-    per-session authenticity material checked by {!precheck}, never by
-    the replay. [Dialed_apex.Wire.decode_digested] computes the same
-    digest incrementally during wire decode. *)
+(** {!Dialed_apex.Pox.log_digest}, the one definition of the memo key:
+    the five claimed layout words plus the OR bytes, never the
+    challenge, token or EXEC byte, which {!precheck} judges. *)
 
 val audit_built :
   ?config:Dialed_staticcheck.Audit.config ->

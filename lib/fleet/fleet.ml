@@ -51,21 +51,6 @@ let with_scratch f =
 
 (* ------------------------------------------------------------------ *)
 
-(* A stream's view of a verdict memo: the per-plan handle plus this
-   stream's own hit/miss counters (Atomic: workers on several domains
-   bump them). The memo itself is shared and outlives the stream. *)
-type memo_ctx = {
-  mc_handle : Memo.handle;
-  mc_hits : int Atomic.t;
-  mc_misses : int Atomic.t;
-}
-
-let memo_ctx_of plan memo =
-  { mc_handle =
-      Memo.handle memo ~ns:(C.Verifier.plan_memo_ns (Plan.vplan plan));
-    mc_hits = Atomic.make 0;
-    mc_misses = Atomic.make 0 }
-
 let verdict_of_outcome device_id (outcome : C.Verifier.outcome) =
   let replay_steps =
     match outcome.C.Verifier.trace with
@@ -74,45 +59,6 @@ let verdict_of_outcome device_id (outcome : C.Verifier.outcome) =
   in
   { device_id; accepted = outcome.C.Verifier.accepted;
     findings = outcome.C.Verifier.findings; replay_steps }
-
-let verify_one ?memo ?digest vplan scratch device_id report =
-  (* fleet verdicts never inspect individual steps, so skip trace
-     retention — the replay still runs every detector *)
-  match memo with
-  | None ->
-    verdict_of_outcome device_id
-      (C.Verifier.verify_plan ~keep_trace:false ~scratch vplan report)
-  | Some mc ->
-    (* the per-session half (audit gate, layout, HMAC token) runs on
-       every report, hit or miss — authenticity is never cached, and a
-       precheck rejection never enters the memo (it depends on
-       challenge/nonce material, not the log) *)
-    (match C.Verifier.precheck vplan report with
-     | Error f ->
-       { device_id; accepted = false; findings = [ f ]; replay_steps = 0 }
-     | Ok () ->
-       let digest =
-         match digest with
-         | Some d -> d
-         | None -> C.Verifier.log_digest report
-       in
-       let entry, outcome =
-         Memo.find_or_replay mc.mc_handle ~digest (fun () ->
-             let o =
-               C.Verifier.replay_outcome ~keep_trace:false ~scratch vplan
-                 report
-             in
-             let v = verdict_of_outcome device_id o in
-             { Memo.e_accepted = v.accepted; e_findings = v.findings;
-               e_steps = v.replay_steps })
-       in
-       (match outcome with
-        | `Hit -> Atomic.incr mc.mc_hits
-        | `Miss -> Atomic.incr mc.mc_misses);
-       (* e_steps is what the original fresh replay executed, so memo-on
-          and memo-off verdicts are bit-identical *)
-       { device_id; accepted = entry.Memo.e_accepted;
-         findings = entry.Memo.e_findings; replay_steps = entry.Memo.e_steps })
 
 (* Bucket a rejected verdict by the kind of its first (decisive)
    finding. A rejection always names one; a rejected verdict with an
@@ -143,18 +89,13 @@ let rejects_by_kind verdicts =
    whenever it would otherwise block, so a window-full stream on a
    1-worker (or busy) pool still makes progress.                        *)
 
-(* One verify context per firmware version the stream serves: the
-   immutable vplan plus (when memoizing) a per-plan-namespace memo
-   handle with this stream's own hit/miss counters. *)
-type plan_slot = {
-  ps_vplan : C.Verifier.plan;
-  ps_memo : memo_ctx option;
-}
-
 type stream = {
-  st_default : plan_slot;            (* the plan the stream was opened on *)
-  st_plans : (string, plan_slot) Hashtbl.t;  (* by Plan.fingerprint *)
-  st_memo_src : Memo.t option;       (* to derive handles for new slots *)
+  st_vplan : C.Verifier.plan;        (* the plan the stream was opened on *)
+  st_memo : Memo.t option;
+  (* this stream's memo hit/miss counts (Atomic: workers on several
+     domains bump them); the memo itself is shared and outlives it *)
+  st_memo_hits : int Atomic.t;
+  st_memo_misses : int Atomic.t;
   st_pool : Pool.t;
   st_owned : bool;                   (* shut the pool down on close *)
   st_window : int;
@@ -190,12 +131,8 @@ let stream ?domains ?pool ?window ?memo plan =
     | Some w -> if w < 1 then invalid_arg "Fleet.stream: window must be >= 1" else w
     | None -> max 16 (4 * Pool.domains p)
   in
-  let slot =
-    { ps_vplan = Plan.vplan plan; ps_memo = Option.map (memo_ctx_of plan) memo }
-  in
-  let plans = Hashtbl.create 4 in
-  Hashtbl.replace plans (Plan.fingerprint plan) slot;
-  { st_default = slot; st_plans = plans; st_memo_src = memo;
+  { st_vplan = Plan.vplan plan; st_memo = memo;
+    st_memo_hits = Atomic.make 0; st_memo_misses = Atomic.make 0;
     st_pool = p; st_owned = owned;
     st_window = window; st_mutex = Mutex.create ();
     st_progress = Condition.create (); st_results = Array.make 64 None;
@@ -203,6 +140,50 @@ let stream ?domains ?pool ?window ?memo plan =
     st_closed = false; st_on_progress = None;
     st_t0 = Unix.gettimeofday (); st_accepted = 0;
     st_rejected = 0; st_steps = 0; st_kinds = Hashtbl.create 8 }
+
+(* Judge one report on [vplan], the plan it was submitted with. *)
+let verify_one st ?digest vplan scratch device_id report =
+  (* fleet verdicts never inspect individual steps, so skip trace
+     retention — the replay still runs every detector *)
+  match st.st_memo with
+  | None ->
+    verdict_of_outcome device_id
+      (C.Verifier.verify_plan ~keep_trace:false ~scratch vplan report)
+  | Some memo ->
+    (* the per-session half (audit gate, layout, HMAC token) runs on
+       every report, hit or miss — authenticity is never cached, and a
+       precheck rejection never enters the memo (it depends on
+       challenge/nonce material, not the log) *)
+    (match C.Verifier.precheck vplan report with
+     | Error f ->
+       { device_id; accepted = false; findings = [ f ]; replay_steps = 0 }
+     | Ok () ->
+       let digest =
+         match digest with
+         | Some d -> d
+         | None -> C.Verifier.log_digest report
+       in
+       (* the plan's namespace covers its fingerprint, key, step budget
+          and policies, so a report is memoized with its own plan's
+          verdicts only *)
+       let handle = Memo.handle memo ~ns:(C.Verifier.plan_memo_ns vplan) in
+       let entry, outcome =
+         Memo.find_or_replay handle ~digest (fun () ->
+             let o =
+               C.Verifier.replay_outcome ~keep_trace:false ~scratch vplan
+                 report
+             in
+             let v = verdict_of_outcome device_id o in
+             { Memo.e_accepted = v.accepted; e_findings = v.findings;
+               e_steps = v.replay_steps })
+       in
+       (match outcome with
+        | `Hit -> Atomic.incr st.st_memo_hits
+        | `Miss -> Atomic.incr st.st_memo_misses);
+       (* e_steps is what the original fresh replay executed, so memo-on
+          and memo-off verdicts are bit-identical *)
+       { device_id; accepted = entry.Memo.e_accepted;
+         findings = entry.Memo.e_findings; replay_steps = entry.Memo.e_steps })
 
 (* Wait (helping the pool) until [cond ()] turns false; call with
    [st_mutex] held, returns with it held. *)
@@ -214,45 +195,6 @@ let help_while st cond =
     if (not ran) && cond () then Condition.wait st.st_progress st.st_mutex
   done
 
-(* Resolve the verify context for a submission: the stream's own plan
-   unless the caller routed this report to another firmware version.
-   Slots are created on first sight of a fingerprint and then reused —
-   the hashtable lookup is the entire per-report cost of multi-version
-   service. Call with [st_mutex] held. *)
-let slot_for_locked st = function
-  | None -> st.st_default
-  | Some plan ->
-    let fp = Plan.fingerprint plan in
-    (match Hashtbl.find_opt st.st_plans fp with
-     | Some slot -> slot
-     | None ->
-       let slot =
-         { ps_vplan = Plan.vplan plan;
-           ps_memo = Option.map (memo_ctx_of plan) st.st_memo_src }
-       in
-       Hashtbl.replace st.st_plans fp slot;
-       slot)
-
-(* This stream's memo counters, aggregated across every plan slot it
-   served; evictions are the shared cache's cumulative count. *)
-let stream_memo_counts st =
-  match st.st_memo_src with
-  | None -> (0, 0, 0)
-  | Some memo ->
-    let h = ref 0 and m = ref 0 in
-    Mutex.lock st.st_mutex;
-    let slots = Hashtbl.fold (fun _ s acc -> s :: acc) st.st_plans [] in
-    Mutex.unlock st.st_mutex;
-    List.iter
-      (fun s ->
-        match s.ps_memo with
-        | None -> ()
-        | Some mc ->
-          h := !h + Atomic.get mc.mc_hits;
-          m := !m + Atomic.get mc.mc_misses)
-      slots;
-    (!h, !m, (Memo.stats memo).Memo.evictions)
-
 (* Register the next submission and start its replay: on the pool, or
    inline on the calling thread when the pool has no workers. Call with
    [st_mutex] held and [st_closed] already checked; returns with the
@@ -260,7 +202,7 @@ let stream_memo_counts st =
    counted, so a pool that refuses it (shut down) raises here and
    leaves nothing in flight for [stream_close] to wait on. *)
 let dispatch_locked ?digest ?plan st device_id report =
-  let slot = slot_for_locked st plan in
+  let vplan = match plan with Some p -> Plan.vplan p | None -> st.st_vplan in
   let seq = st.st_submitted in
   let len = Array.length st.st_results in
   if seq - st.st_polled = len then begin
@@ -274,8 +216,7 @@ let dispatch_locked ?digest ?plan st device_id report =
     let result =
       try
         Ok (with_scratch (fun scratch ->
-            verify_one ?memo:slot.ps_memo ?digest slot.ps_vplan scratch
-              device_id report))
+            verify_one st ?digest vplan scratch device_id report))
       with e -> Error e
     in
     Mutex.lock st.st_mutex;
@@ -358,10 +299,16 @@ let metrics_locked st =
     memo_hits = 0; memo_misses = 0; memo_evictions = 0 }
 
 (* memo counters live outside st_mutex (Atomics + the memo's own locks);
-   read them after releasing it to keep lock order flat *)
+   read them after releasing it to keep lock order flat. Evictions are
+   the shared memo's cumulative count. *)
 let with_memo_counts st m =
-  let memo_hits, memo_misses, memo_evictions = stream_memo_counts st in
-  { m with Metrics.memo_hits; memo_misses; memo_evictions }
+  match st.st_memo with
+  | None -> m
+  | Some memo ->
+    { m with
+      Metrics.memo_hits = Atomic.get st.st_memo_hits;
+      memo_misses = Atomic.get st.st_memo_misses;
+      memo_evictions = (Memo.stats memo).Memo.evictions }
 
 let stream_snapshot st =
   Mutex.lock st.st_mutex;

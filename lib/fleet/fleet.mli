@@ -110,13 +110,13 @@ val stream_submit :
     [plan] routes {e this} report to a different verify plan than the
     one the stream was opened on — how one stream (and one FIFO verdict
     order) serves a fleet running several firmware versions at once
-    (staged rollout: stable + canary in flight together). The stream
-    keeps one verify context per distinct {!Plan.fingerprint}, created
-    on first sight and reused after — so per-report overhead is one
-    hashtable lookup, and memoization stays correct because each
-    context keeps its own per-plan memo namespace. The stream does
-    {e not} retain [plan]'s cache entry beyond the context it derives;
-    plan-cache residency/eviction policy stays with {!Plan.cache}. *)
+    (staged rollout: stable + canary in flight together). The report is
+    judged by exactly that plan: its firmware, device key, step budget
+    and policies. Under the memo it shares verdicts only with reports
+    judged by a plan of the same
+    {!Dialed_core.Verifier.plan_memo_ns}. Routing costs a field read.
+    The stream keeps [plan] only until the report's verdict lands;
+    plan-cache residency and eviction stay with {!Plan.cache}. *)
 
 val stream_try_submit :
   ?digest:string -> ?plan:Plan.t -> stream ->

@@ -13,6 +13,11 @@
     the waiters retry (one of them becomes the new computer). So
     exactly one miss is counted per computation actually run.
 
+    Recency is a doubly-linked list threaded through the entries: a hit
+    moves its entry to the front, and eviction takes the back, so
+    neither depends on the number of entries, and a hit allocates
+    nothing.
+
     Safe to share across domains and systhreads. {!Plan.cache} is one
     [Lru]; each {!Memo} stripe is one. *)
 

@@ -6,7 +6,7 @@
     execution) keeps recomputing the same answer. This cache keys {e
     replay} verdicts by [(plan memo namespace, canonical log digest)]
     (see {!Dialed_core.Verifier.plan_memo_ns} and
-    {!Dialed_core.Verifier.log_digest}): on a hit, only the per-session
+    {!Dialed_apex.Pox.log_digest}): on a hit, only the per-session
     authenticity check ({!Dialed_core.Verifier.precheck} — HMAC token,
     layout, audit gate) runs and the cached accept/reject verdict plus
     findings come back without touching the CPU emulator.

@@ -465,8 +465,9 @@ let summary t =
         allow_anonymous = t.allow_anonymous;
       })
 
-let json_escape s =
+let json_string s =
   let b = Buffer.create (String.length s + 8) in
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
       match c with
@@ -479,14 +480,16 @@ let json_escape s =
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
+  Buffer.add_char b '"';
   Buffer.contents b
 
 let rollout_to_json r =
   match r.canary with
-  | None -> Printf.sprintf {|{"stable":"%s","canary":null}|} (json_escape r.stable)
+  | None ->
+    Printf.sprintf {|{"stable":%s,"canary":null}|} (json_string r.stable)
   | Some (v, pct) ->
-    Printf.sprintf {|{"stable":"%s","canary":{"version":"%s","percent":%d}}|}
-      (json_escape r.stable) (json_escape v) pct
+    Printf.sprintf {|{"stable":%s,"canary":{"version":%s,"percent":%d}}|}
+      (json_string r.stable) (json_string v) pct
 
 let summary_to_json s =
   Printf.sprintf
@@ -496,6 +499,6 @@ let summary_to_json s =
 
 let device_to_json d =
   Printf.sprintf
-    {|{"id":"%s","key_id":"%s","firmware":"%s","state":"%s","rounds":%d}|}
-    (json_escape d.id) (json_escape d.key_id) (json_escape d.firmware)
+    {|{"id":%s,"key_id":%s,"firmware":%s,"state":"%s","rounds":%d}|}
+    (json_string d.id) (json_string d.key_id) (json_string d.firmware)
     (state_to_string d.state) d.rounds

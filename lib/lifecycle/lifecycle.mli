@@ -185,5 +185,11 @@ val note_attested : t -> string -> unit
 
 (* ── Introspection / serialization ───────────────────────────── *)
 
+val json_string : string -> string
+(** [s] as a quoted JSON string: quote, backslash and control bytes
+    escaped, every other byte (UTF-8 included) as is. Every operator
+    string the registry and the admin commands print as JSON goes
+    through it. *)
+
 val summary_to_json : summary -> string
 val device_to_json : device -> string

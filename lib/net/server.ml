@@ -31,34 +31,34 @@ let default_config =
     plan_cache = None; lifecycle = None; resolve_plan = None }
 
 type lifecycle_stats = {
-  lc_admitted : int;
-  lc_anonymous : int;
-  lc_denied_unknown : int;
-  lc_denied_revoked : int;
-  lc_denied_quarantined : int;
-  lc_denied_stale : int;
-  lc_midsession_denials : int;
-  lc_attested : int;
+  mutable lc_admitted : int;
+  mutable lc_anonymous : int;
+  mutable lc_denied_unknown : int;
+  mutable lc_denied_revoked : int;
+  mutable lc_denied_quarantined : int;
+  mutable lc_denied_stale : int;
+  mutable lc_midsession_denials : int;
+  mutable lc_attested : int;
 }
 
 type stats = {
-  connections_accepted : int;
-  connections_active : int;
-  connections_peak : int;
-  sessions_active : int;
-  frames_rx : int;
-  frames_tx : int;
-  bytes_rx : int;
-  bytes_tx : int;
-  requests_issued : int;
-  reports_received : int;
-  verdicts_accepted : int;
-  verdicts_rejected : int;
-  rate_limited : int;
-  window_overflow : int;
-  bad_seq : int;
-  protocol_errors : int;
-  deadline_timeouts : int;
+  mutable connections_accepted : int;
+  mutable connections_active : int;
+  mutable connections_peak : int;
+  mutable sessions_active : int;
+  mutable frames_rx : int;
+  mutable frames_tx : int;
+  mutable bytes_rx : int;
+  mutable bytes_tx : int;
+  mutable requests_issued : int;
+  mutable reports_received : int;
+  mutable verdicts_accepted : int;
+  mutable verdicts_rejected : int;
+  mutable rate_limited : int;
+  mutable window_overflow : int;
+  mutable bad_seq : int;
+  mutable protocol_errors : int;
+  mutable deadline_timeouts : int;
   verify : F.Metrics.t;
   memo : F.Memo.stats option;
   plan_cache : F.Plan.cache_counters option;
@@ -113,36 +113,13 @@ type t = {
      one that runs on the loop thread itself (taking [m] there could
      self-deadlock, and [stop]'s wait-for-cleanup certainly would). *)
   stop_req : bool Atomic.t;
-  (* Connection ids and counters. Only the loop thread writes them, and
-     it takes no lock to do so. {!stats} reads them on the loop thread,
-     so one snapshot is one loop instant: a poller can never observe a
-     torn pair (e.g. a verdict counted before its report). *)
-  mutable next_conn_id : int;
-  mutable c_accepted : int;
-  mutable c_active : int;
-  mutable c_peak : int;
-  mutable c_sessions : int;
-  mutable c_frames_rx : int;
-  mutable c_frames_tx : int;
-  mutable c_bytes_rx : int;
-  mutable c_bytes_tx : int;
-  mutable c_requests : int;
-  mutable c_reports : int;
-  mutable c_accepted_verdicts : int;
-  mutable c_rejected_verdicts : int;
-  mutable c_ratelimited : int;
-  mutable c_window_overflow : int;
-  mutable c_bad_seq : int;
-  mutable c_proto_errors : int;
-  mutable c_timeouts : int;
-  mutable c_lc_admitted : int;
-  mutable c_lc_anonymous : int;
-  mutable c_lc_denied_unknown : int;
-  mutable c_lc_denied_revoked : int;
-  mutable c_lc_denied_quarantined : int;
-  mutable c_lc_denied_stale : int;
-  mutable c_lc_midsession : int;
-  mutable c_lc_attested : int;
+  (* The live counters. Only the loop thread writes them, and it takes
+     no lock to do so. {!stats} copies them on the loop thread, so one
+     snapshot is one loop instant: a poller can never observe a torn
+     pair (e.g. a verdict counted before its report). The live record's
+     [verify], [memo], [plan_cache] and [lifecycle] are never read. *)
+  live : stats;
+  live_lc : lifecycle_stats;
 }
 
 let locked t f =
@@ -154,12 +131,12 @@ let locked t f =
 
 let denial_msg d = Codec.Denied { cause = d; detail = L.denial_to_string d }
 
-let count_denial t = function
-  | L.Unknown_device -> t.c_lc_denied_unknown <- t.c_lc_denied_unknown + 1
-  | L.Revoked -> t.c_lc_denied_revoked <- t.c_lc_denied_revoked + 1
+let count_denial c = function
+  | L.Unknown_device -> c.lc_denied_unknown <- c.lc_denied_unknown + 1
+  | L.Revoked -> c.lc_denied_revoked <- c.lc_denied_revoked + 1
   | L.Quarantined_device ->
-    t.c_lc_denied_quarantined <- t.c_lc_denied_quarantined + 1
-  | L.Stale_firmware -> t.c_lc_denied_stale <- t.c_lc_denied_stale + 1
+    c.lc_denied_quarantined <- c.lc_denied_quarantined + 1
+  | L.Stale_firmware -> c.lc_denied_stale <- c.lc_denied_stale + 1
 
 (* Handshake-time decision: ask the registry, attribute the counters.
    [Ok] on a registry-less server — everything stays anonymous. *)
@@ -169,11 +146,11 @@ let lifecycle_admit t ~device_id ~firmware =
   | Some lc ->
     (match L.admit lc ~device_id ~firmware with
      | Ok () ->
-       if L.find lc device_id <> None then
-         t.c_lc_admitted <- t.c_lc_admitted + 1
-       else t.c_lc_anonymous <- t.c_lc_anonymous + 1;
+       let c = t.live_lc in
+       if L.find lc device_id <> None then c.lc_admitted <- c.lc_admitted + 1
+       else c.lc_anonymous <- c.lc_anonymous + 1;
        Ok ()
-     | Error d -> count_denial t d; Error d)
+     | Error d -> count_denial t.live_lc d; Error d)
 
 (* Mid-session gate: ran on every inbound session frame and again right
    before each verdict leaves, so a revocation landing mid-window stops
@@ -190,7 +167,7 @@ let lifecycle_attested t device_id =
   | Some lc ->
     if device_id <> "" && L.find lc device_id <> None then begin
       L.note_attested lc device_id;
-      t.c_lc_attested <- t.c_lc_attested + 1
+      t.live_lc.lc_attested <- t.live_lc.lc_attested + 1
     end
 
 (* The verify plan this session's reports route to: the per-firmware
@@ -229,18 +206,22 @@ let create ?(config = default_config) ~plan listener =
   in
   { cfg = config; listener; pool; stream; memo_cache;
     m = Mutex.create (); cv = Condition.create ();
-    next_conn_id = 0; stopping = false; final = None;
+    stopping = false; final = None;
     loop = None; loop_thread = None; ev_started = false;
     ev_done = false; stop_req = Atomic.make false;
-    c_accepted = 0; c_active = 0; c_peak = 0; c_sessions = 0;
-    c_frames_rx = 0;
-    c_frames_tx = 0; c_bytes_rx = 0; c_bytes_tx = 0; c_requests = 0;
-    c_reports = 0; c_accepted_verdicts = 0; c_rejected_verdicts = 0;
-    c_ratelimited = 0; c_window_overflow = 0; c_bad_seq = 0;
-    c_proto_errors = 0; c_timeouts = 0;
-    c_lc_admitted = 0; c_lc_anonymous = 0; c_lc_denied_unknown = 0;
-    c_lc_denied_revoked = 0; c_lc_denied_quarantined = 0;
-    c_lc_denied_stale = 0; c_lc_midsession = 0; c_lc_attested = 0 }
+    live =
+      { connections_accepted = 0; connections_active = 0;
+        connections_peak = 0; sessions_active = 0; frames_rx = 0;
+        frames_tx = 0; bytes_rx = 0; bytes_tx = 0; requests_issued = 0;
+        reports_received = 0; verdicts_accepted = 0; verdicts_rejected = 0;
+        rate_limited = 0; window_overflow = 0; bad_seq = 0;
+        protocol_errors = 0; deadline_timeouts = 0;
+        verify = F.Fleet.stream_snapshot stream; memo = None;
+        plan_cache = None; lifecycle = None };
+    live_lc =
+      { lc_admitted = 0; lc_anonymous = 0; lc_denied_unknown = 0;
+        lc_denied_revoked = 0; lc_denied_quarantined = 0;
+        lc_denied_stale = 0; lc_midsession_denials = 0; lc_attested = 0 } }
 
 (* Best effort, like every send to a peer about to be dropped: a freshly
    accepted socket takes the ~20-byte frame whole, and loopback sends
@@ -300,6 +281,7 @@ type ev_waiting = {
 
 let event_loop t =
   let loop = Evloop.create () in
+  let live = t.live in
   (* published before the first counter write: from here until the exit
      in [run_evloop], {!stats} reads the counters on this thread *)
   locked t (fun () -> t.loop <- Some loop);
@@ -309,8 +291,8 @@ let event_loop t =
   (* reports that found the stream window full *)
   let waiting : ev_waiting Queue.t = Queue.create () in
   let on_traffic ~rx ~tx =
-    t.c_bytes_rx <- t.c_bytes_rx + rx;
-    t.c_bytes_tx <- t.c_bytes_tx + tx
+    live.bytes_rx <- live.bytes_rx + rx;
+    live.bytes_tx <- live.bytes_tx + tx
   in
   let send ec msg =
     match ec.ec_ev with
@@ -320,7 +302,7 @@ let event_loop t =
         Evconn.send ev msg;
         (* a send that discovered a dead peer closed the pump; count
            only frames that were actually queued *)
-        if not (Evconn.is_closed ev) then t.c_frames_tx <- t.c_frames_tx + 1
+        if not (Evconn.is_closed ev) then live.frames_tx <- live.frames_tx + 1
       end
   in
   let send_verdict ec es seq accepted findings =
@@ -337,12 +319,13 @@ let event_loop t =
          if flush then Evconn.close_after_flush ev else Evconn.close ev
        | None -> ());
       Hashtbl.remove conns ec.ec_id;
-      t.c_active <- t.c_active - 1;
-      if ec.ec_sess <> None then t.c_sessions <- t.c_sessions - 1
+      live.connections_active <- live.connections_active - 1;
+      if ec.ec_sess <> None then
+        live.sessions_active <- live.sessions_active - 1
     end
   in
   let proto_error ?(flush = false) ?busy ec =
-    t.c_proto_errors <- t.c_proto_errors + 1;
+    live.protocol_errors <- live.protocol_errors + 1;
     (match busy with Some reason -> send ec (Codec.Busy reason) | None -> ());
     close_conn ~flush ec
   in
@@ -371,16 +354,20 @@ let event_loop t =
              it for our own queueing delay *)
           arm_deadline ec
         | _ ->
-          t.c_timeouts <- t.c_timeouts + 1;
+          live.deadline_timeouts <- live.deadline_timeouts + 1;
           close_conn ec
       end
     end
   in
   let reject ec es seq kind detail =
-    t.c_rejected_verdicts <- t.c_rejected_verdicts + 1;
+    live.verdicts_rejected <- live.verdicts_rejected + 1;
     send_verdict ec es seq false [ (kind, detail) ]
   in
-  let reject_round ec es seq kind detail =
+  (* A round rejected before it reached the engine is never answered
+     again: close it and retire its challenge, which the gate would
+     otherwise hold for the life of the session. *)
+  let reject_round ec es seq req kind detail =
+    C.Protocol.gate_retire es.es_gate req;
     es.es_open <- es.es_open - 1;
     reject ec es seq kind detail
   in
@@ -389,11 +376,11 @@ let event_loop t =
       match es.es_limiter with None -> true | Some l -> Ratelimit.try_take l
     in
     if not admit then begin
-      t.c_ratelimited <- t.c_ratelimited + 1;
+      live.rate_limited <- live.rate_limited + 1;
       send ec (Codec.Busy "rate limited")
     end
     else if es.es_open >= es.es_window then begin
-      t.c_window_overflow <- t.c_window_overflow + 1;
+      live.window_overflow <- live.window_overflow + 1;
       send ec (Codec.Busy "window full")
     end
     else begin
@@ -402,7 +389,7 @@ let event_loop t =
       let req = C.Protocol.gate_issue es.es_gate ~args:t.cfg.args in
       Hashtbl.replace es.es_issued seq req;
       es.es_open <- es.es_open + 1;
-      t.c_requests <- t.c_requests + 1;
+      live.requests_issued <- live.requests_issued + 1;
       send ec
         (at_edge es
            (Codec.Request_seq
@@ -414,13 +401,10 @@ let event_loop t =
      order to extend per-session arrival order, so once anything waits,
      everything new waits behind it. *)
   let submit ec es seq digest report =
-    if not (Queue.is_empty waiting) then
-      Queue.add { wt_ec = ec; wt_es = es; wt_seq = seq; wt_digest = digest;
-                  wt_report = report }
-        waiting
-    else if
-      F.Fleet.stream_try_submit ?digest ?plan:es.es_plan t.stream
-        es.es_device report
+    if
+      Queue.is_empty waiting
+      && F.Fleet.stream_try_submit ?digest ?plan:es.es_plan t.stream
+           es.es_device report
     then Queue.add (ec, seq) pending
     else
       Queue.add { wt_ec = ec; wt_es = es; wt_seq = seq; wt_digest = digest;
@@ -451,10 +435,11 @@ let event_loop t =
         Result.map (fun (r, d) -> (r, Some d)) (A.Wire.decode_digested wire)
     in
     match decoded with
-    | Error e -> reject_round ec es seq "bad-report" (A.Wire.error_to_string e)
+    | Error e ->
+      reject_round ec es seq req "bad-report" (A.Wire.error_to_string e)
     | Ok (report, digest) ->
       match C.Protocol.gate_redeem es.es_gate req report with
-      | Error reason -> reject_round ec es seq "bad-token" reason
+      | Error reason -> reject_round ec es seq req "bad-token" reason
       | Ok () -> submit ec es seq digest report
   in
   (* Mid-session lifecycle cut: count it once, push the Denied frame,
@@ -462,7 +447,7 @@ let event_loop t =
   let deny_midsession ec es d =
     if not es.es_denied then begin
       es.es_denied <- true;
-      t.c_lc_midsession <- t.c_lc_midsession + 1;
+      t.live_lc.lc_midsession_denials <- t.live_lc.lc_midsession_denials + 1;
       send ec (denial_msg d)
     end;
     close_conn ~flush:true ec
@@ -474,8 +459,8 @@ let event_loop t =
         | None -> ()   (* unreachable: enqueued at submission *)
         | Some (ec, seq) ->
           if v.F.Fleet.accepted then
-            t.c_accepted_verdicts <- t.c_accepted_verdicts + 1
-          else t.c_rejected_verdicts <- t.c_rejected_verdicts + 1;
+            live.verdicts_accepted <- live.verdicts_accepted + 1
+          else live.verdicts_rejected <- live.verdicts_rejected + 1;
           (match ec.ec_sess with
            | None -> ()
            | Some es ->
@@ -522,7 +507,7 @@ let event_loop t =
               es_issued = Hashtbl.create 8; es_next_seq = 0;
               es_device = device_id; es_plan = resolve_session_plan t firmware;
               es_denied = false; es_open = 0 };
-        t.c_sessions <- t.c_sessions + 1;
+        live.sessions_active <- live.sessions_active + 1;
         if not legacy then send ec (Codec.Welcome { window })
   in
   (* Inbound mid-session gate: [true] = carry on, [false] = session cut
@@ -533,7 +518,7 @@ let event_loop t =
     | Error d -> deny_midsession ec es d; false
   in
   let on_msg ec msg =
-    t.c_frames_rx <- t.c_frames_rx + 1;
+    live.frames_rx <- live.frames_rx + 1;
     arm_deadline ec;
     match ec.ec_sess, msg with
     | None, Codec.Hello { device_id } ->
@@ -547,7 +532,7 @@ let event_loop t =
     | Some es, Codec.Ready -> if lifecycle_ok ec es then on_ready ec es
     | Some es, (Codec.Report _ | Codec.Report_seq _) ->
       if lifecycle_ok ec es then begin
-        t.c_reports <- t.c_reports + 1;
+        live.reports_received <- live.reports_received + 1;
         (* the round the report answers: a legacy session's one open
            round, or the round a pipelined report names. A report of the
            other dialect is hostile: a pipelined session cannot tell
@@ -561,7 +546,7 @@ let event_loop t =
           (match Hashtbl.find_opt es.es_issued seq with
            | Some req -> on_report ec es seq req wire
            | None ->
-             t.c_bad_seq <- t.c_bad_seq + 1;
+             live.bad_seq <- live.bad_seq + 1;
              reject ec es seq "bad-seq"
                "unknown or already-answered sequence number")
         | _ -> proto_error ec
@@ -575,16 +560,17 @@ let event_loop t =
   in
   let admit conn =
     if Atomic.get t.stop_req then refuse t conn "shutting down"
-    else if t.c_active >= t.cfg.max_conns then begin
-      t.c_ratelimited <- t.c_ratelimited + 1;
+    else if live.connections_active >= t.cfg.max_conns then begin
+      live.rate_limited <- live.rate_limited + 1;
       refuse t conn "server full"
     end
     else begin
-      let id = t.next_conn_id in
-      t.next_conn_id <- id + 1;
-      t.c_accepted <- t.c_accepted + 1;
-      t.c_active <- t.c_active + 1;
-      if t.c_active > t.c_peak then t.c_peak <- t.c_active;
+      (* a connection's id is the number accepted before it *)
+      let id = live.connections_accepted in
+      live.connections_accepted <- id + 1;
+      live.connections_active <- live.connections_active + 1;
+      if live.connections_active > live.connections_peak then
+        live.connections_peak <- live.connections_active;
       let ec =
         { ec_id = id; ec_ev = None; ec_sess = None; ec_alive = true;
           ec_deadline = None; ec_due = 0.0 }
@@ -676,39 +662,16 @@ let start t =
         t.loop_thread <- Some (Thread.create (fun () -> run_evloop t) ()))
 
 (* on the loop thread, or under [m] with no loop running *)
-let snapshot t verify memo plan_cache =
+let snapshot t verify =
+  let memo = Option.map F.Memo.stats t.memo_cache in
+  let plan_cache = Option.map F.Plan.cache_counters t.cfg.plan_cache in
   let lifecycle =
-    match t.cfg.lifecycle with
-    | None -> None
-    | Some _ ->
-      Some
-        { lc_admitted = t.c_lc_admitted;
-          lc_anonymous = t.c_lc_anonymous;
-          lc_denied_unknown = t.c_lc_denied_unknown;
-          lc_denied_revoked = t.c_lc_denied_revoked;
-          lc_denied_quarantined = t.c_lc_denied_quarantined;
-          lc_denied_stale = t.c_lc_denied_stale;
-          lc_midsession_denials = t.c_lc_midsession;
-          lc_attested = t.c_lc_attested }
+    (* a copy: the live record keeps counting *)
+    Option.map
+      (fun _ -> { t.live_lc with lc_admitted = t.live_lc.lc_admitted })
+      t.cfg.lifecycle
   in
-  { connections_accepted = t.c_accepted;
-    connections_active = t.c_active;
-    connections_peak = t.c_peak;
-    sessions_active = t.c_sessions;
-    frames_rx = t.c_frames_rx;
-    frames_tx = t.c_frames_tx;
-    bytes_rx = t.c_bytes_rx;
-    bytes_tx = t.c_bytes_tx;
-    requests_issued = t.c_requests;
-    reports_received = t.c_reports;
-    verdicts_accepted = t.c_accepted_verdicts;
-    verdicts_rejected = t.c_rejected_verdicts;
-    rate_limited = t.c_ratelimited;
-    window_overflow = t.c_window_overflow;
-    bad_seq = t.c_bad_seq;
-    protocol_errors = t.c_proto_errors;
-    deadline_timeouts = t.c_timeouts;
-    verify; memo; plan_cache; lifecycle }
+  { t.live with verify; memo; plan_cache; lifecycle }
 
 (* The counters are read where they are written: a thunk posted to a
    running loop copies them there. The loop publishes [t.loop] under [m]
@@ -722,9 +685,7 @@ let stats t =
     (* the verify metrics live under the stream's own lock; taking them
        first keeps the lock order acyclic (never [m] -> stream) *)
     let verify = F.Fleet.stream_snapshot t.stream in
-    let memo = Option.map F.Memo.stats t.memo_cache in
-    let plan_cache = Option.map F.Plan.cache_counters t.cfg.plan_cache in
-    let read () = snapshot t verify memo plan_cache in
+    let read () = snapshot t verify in
     locked t (fun () ->
         match t.loop with
         | None -> read ()
@@ -786,10 +747,8 @@ let stop t =
        the stream cannot block on lost work *)
     let summary = F.Fleet.stream_close t.stream in
     F.Pool.shutdown t.pool;
-    let memo = Option.map F.Memo.stats t.memo_cache in
-    let plan_cache = Option.map F.Plan.cache_counters t.cfg.plan_cache in
     locked t (fun () ->
-        let final = snapshot t summary.F.Fleet.metrics memo plan_cache in
+        let final = snapshot t summary.F.Fleet.metrics in
         t.final <- Some final;
         Condition.broadcast t.cv;
         final)

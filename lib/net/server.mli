@@ -122,39 +122,39 @@ val default_config : config
 
 type t
 
-type lifecycle_stats = {
-  lc_admitted : int;       (** registered devices admitted to a session *)
-  lc_anonymous : int;      (** sessions served outside the registry *)
-  lc_denied_unknown : int;
-  lc_denied_revoked : int;
-  lc_denied_quarantined : int;
-  lc_denied_stale : int;
-  lc_midsession_denials : int;
+type lifecycle_stats = private {
+  mutable lc_admitted : int;  (** registered devices admitted to a session *)
+  mutable lc_anonymous : int; (** sessions served outside the registry *)
+  mutable lc_denied_unknown : int;
+  mutable lc_denied_revoked : int;
+  mutable lc_denied_quarantined : int;
+  mutable lc_denied_stale : int;
+  mutable lc_midsession_denials : int;
       (** sessions cut after admission — the revoked-mid-window path *)
-  lc_attested : int;       (** accepted verdicts delivered to registered
-                               devices (drives registered → attested) *)
+  mutable lc_attested : int;  (** accepted verdicts delivered to registered
+                                 devices (drives registered → attested) *)
 }
 
-type stats = {
-  connections_accepted : int;
-  connections_active : int;
-  connections_peak : int;
+type stats = private {
+  mutable connections_accepted : int;
+  mutable connections_active : int;
+  mutable connections_peak : int;
       (** high-water mark of simultaneously held connections — the
           c10k witness: a swarm holding N sessions shows [peak >= N] *)
-  sessions_active : int;      (** connections past their [Hello] *)
-  frames_rx : int;
-  frames_tx : int;
-  bytes_rx : int;
-  bytes_tx : int;
-  requests_issued : int;      (** challenges sent *)
-  reports_received : int;
-  verdicts_accepted : int;
-  verdicts_rejected : int;    (** includes freshness/parse/seq rejections *)
-  rate_limited : int;
-  window_overflow : int;      (** [Ready] past the granted window *)
-  bad_seq : int;              (** reports for unknown/answered sequences *)
-  protocol_errors : int;      (** hostile/garbled streams dropped *)
-  deadline_timeouts : int;
+  mutable sessions_active : int;   (** connections past their [Hello] *)
+  mutable frames_rx : int;
+  mutable frames_tx : int;
+  mutable bytes_rx : int;
+  mutable bytes_tx : int;
+  mutable requests_issued : int;   (** challenges sent *)
+  mutable reports_received : int;
+  mutable verdicts_accepted : int;
+  mutable verdicts_rejected : int; (** freshness/parse/seq ones included *)
+  mutable rate_limited : int;
+  mutable window_overflow : int;   (** [Ready] past the granted window *)
+  mutable bad_seq : int;     (** reports for unknown/answered sequences *)
+  mutable protocol_errors : int;   (** hostile/garbled streams dropped *)
+  mutable deadline_timeouts : int;
   verify : Dialed_fleet.Metrics.t;
       (** live {!Dialed_fleet.Fleet.stream_snapshot} (final after stop);
           carries the stream's memo hit/miss/eviction counters when the
@@ -169,6 +169,10 @@ type stats = {
       (** lifecycle counters, read at the {e same} loop instant as every
           other counter; [None] on a registry-less server *)
 }
+(** The gateway's counters, [private]: only [Server] builds or mutates
+    them. The event loop counts into one live [stats] and one live
+    [lifecycle_stats], hence [mutable]; {!stats} and {!stop} return
+    copies taken on the loop, which never change afterwards. *)
 
 val create : ?config:config -> plan:Dialed_fleet.Plan.t ->
   Transport.listener -> t

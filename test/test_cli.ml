@@ -128,6 +128,38 @@ let test_prover_exit_codes () =
       prover "legacy denied" "--rounds 1";
       prover "pipelined denied" "--rounds 1 --pipeline 2")
 
+let test_admin_json_escapes () =
+  (* operator strings are printed as JSON strings, not OCaml literals:
+     UTF-8 passes through and a quote is backslash-escaped *)
+  let journal = Filename.temp_file "dialed-registry" ".journal" in
+  let stdout_of args =
+    let out = Filename.temp_file "dialed-cli" ".out" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s %s --registry %s >%s 2>/dev/null"
+           (Filename.quote cli) args (Filename.quote journal)
+           (Filename.quote out))
+    in
+    let body = In_channel.with_open_bin out In_channel.input_all in
+    Sys.remove out;
+    Alcotest.(check int) (args ^ " exits 0") 0 code;
+    body
+  in
+  let has body needle =
+    let nb = String.length body and nn = String.length needle in
+    let rec go i =
+      i + nn <= nb && (String.sub body i nn = needle || go (i + 1))
+    in
+    go 0
+  in
+  let revoked = stdout_of "revoke --json 'clé'" in
+  let rollout = stdout_of "rollout --json --stable 'v\"é'" in
+  Sys.remove journal;
+  Alcotest.(check bool) ("revoke prints the key id: " ^ revoked) true
+    (has revoked {|"clé"|});
+  Alcotest.(check bool) ("rollout prints the version: " ^ rollout) true
+    (has rollout {|"v\"é"|})
+
 let suites =
   [ ("cli-exit-codes",
      [ Alcotest.test_case "success -> 0" `Quick test_success_is_zero;
@@ -138,4 +170,6 @@ let suites =
        Alcotest.test_case "lint sarif output" `Quick test_lint_sarif_output;
        Alcotest.test_case "serve smoke" `Quick test_serve_smoke;
        Alcotest.test_case "prover against a live gateway" `Quick
-         test_prover_exit_codes ]) ]
+         test_prover_exit_codes;
+       Alcotest.test_case "admin JSON escapes operator strings" `Quick
+         test_admin_json_escapes ]) ]

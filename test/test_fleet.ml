@@ -535,6 +535,58 @@ let test_failed_build_counts_nothing () =
   let _, misses = cache_stats cache in
   check_int "each attempt was a fresh miss" 2 misses
 
+let test_routed_report_own_plan () =
+  (* a routed report is judged by the plan it was submitted with, its
+     key and policies included, never by another plan that shares its
+     firmware fingerprint *)
+  let app = Apps.fire_sensor in
+  let built = Apps.build app in
+  let attest ?key challenge =
+    let d = C.Pipeline.device ?key built in
+    app.Apps.setup d;
+    ignore (A.Device.run_operation ~args:app.Apps.benign_args d);
+    A.Device.attest d ~challenge
+  in
+  let k2 = "second-device-key" in
+  let deny_all =
+    { C.Verifier.policy_name = "deny-all";
+      check = (fun _ -> Error "every run denied") }
+  in
+  let plain = F.Plan.of_built built in
+  let keyed = F.Plan.of_built ~key:k2 built in
+  let denying = F.Plan.of_built ~policies:[ deny_all ] built in
+  let benign = attest "routed-benign" in
+  let benign_k2 = attest ~key:k2 "routed-k2" in
+  let verdicts ?memo opened routed =
+    let st = F.Fleet.stream ~domains:1 ?memo opened in
+    List.iter (fun (plan, id, r) -> F.Fleet.stream_submit ~plan st id r) routed;
+    (F.Fleet.stream_close st).F.Fleet.verdicts
+  in
+  let first_kind (v : F.Fleet.verdict) =
+    match v.F.Fleet.findings with
+    | f :: _ -> C.Verifier.finding_kind f
+    | [] -> "none"
+  in
+  List.iter
+    (fun (label, memo) ->
+       let check what expected_kind (v : F.Fleet.verdict) =
+         Alcotest.(check string) (label ^ ": " ^ what) expected_kind
+           (if v.F.Fleet.accepted then "accepted" else first_kind v)
+       in
+       (match
+          verdicts ?memo plain
+            [ (keyed, "k2", benign_k2); (denying, "deny", benign) ]
+        with
+        | [ k2_v; deny_v ] ->
+          check "key-K2 report on the K2 plan" "accepted" k2_v;
+          check "benign report on the deny-all plan" "policy" deny_v
+        | _ -> Alcotest.fail "two verdicts expected");
+       match verdicts ?memo denying [ (plain, "plain", benign) ] with
+       | [ v ] -> check "benign report routed off the deny-all stream"
+                    "accepted" v
+       | _ -> Alcotest.fail "one verdict expected")
+    [ ("memo off", None); ("memo on", Some (F.Memo.create ())) ]
+
 let suites =
   [ ("fleet",
      [ Alcotest.test_case "determinism across domains" `Quick
@@ -569,4 +621,6 @@ let suites =
        Alcotest.test_case "concurrent builds dedup" `Quick
          test_cache_build_dedup;
        Alcotest.test_case "failed build counts nothing" `Quick
-         test_failed_build_counts_nothing ]) ]
+         test_failed_build_counts_nothing;
+       Alcotest.test_case "routed report verifies on its own plan" `Quick
+         test_routed_report_own_plan ]) ]

@@ -173,6 +173,30 @@ let test_gate_memory_bounded () =
   check_bool "first round's report against a live challenge" true
     (redeem (C.Protocol.gate_issue gate ~args:[]) (answer first) = consumed)
 
+let test_gate_retired_reads_consumed () =
+  (* a round the gateway rejects is retired, not redeemed: the gate
+     forgets its challenge as it forgets a redeemed one, and names a
+     later answer to it a replay *)
+  let report =
+    honest_report (build ()) { C.Protocol.challenge = ""; args = [] }
+  in
+  let answer req = { report with A.Pox.challenge = req.C.Protocol.challenge } in
+  let gate = C.Protocol.make_gate () in
+  let first = C.Protocol.gate_issue gate ~args:[] in
+  let words = ref 0 in
+  for i = 1 to 10_000 do
+    let req = if i = 1 then first else C.Protocol.gate_issue gate ~args:[] in
+    C.Protocol.gate_retire gate req;
+    if i = 10 then words := Obj.reachable_words (Obj.repr gate)
+  done;
+  check_int "nothing pending" 0 (C.Protocol.gate_outstanding gate);
+  let words_10k = Obj.reachable_words (Obj.repr gate) in
+  check_bool (Printf.sprintf "%d words after 10,000 retired, %d after 10"
+                words_10k !words) true (words_10k <= 2 * !words);
+  check_bool "a retired challenge redeemed" true
+    (C.Protocol.gate_redeem gate first (answer first)
+     = Error "challenge already consumed (replay)")
+
 let suites =
   [ ("protocol-gate",
      [ Alcotest.test_case "challenge consumed on accept" `Quick
@@ -190,4 +214,6 @@ let suites =
        Alcotest.test_case "one gate never repeats a challenge" `Quick
          test_gate_never_repeats_a_challenge;
        Alcotest.test_case "gate memory stays bounded" `Quick
-         test_gate_memory_bounded ]) ]
+         test_gate_memory_bounded;
+       Alcotest.test_case "retired challenge reads as consumed" `Quick
+         test_gate_retired_reads_consumed ]) ]

@@ -908,6 +908,47 @@ let test_hostile_unsequenced_report transport =
       check_int "nothing reached the engine" 0
         stats.N.Server.verify.F.Metrics.batch_size)
 
+let test_rejected_round_challenge_consumed transport =
+  (* round 0 is answered with bytes that do not decode, round 1 with an
+     honest report for round 0's challenge: the rejected round's
+     challenge is spent, so the gateway names the second report a
+     replay *)
+  with_gateway ~transport (fun ~server ~dial ~device ->
+      let p = Peer.create (dial ()) in
+      let _ = pipelined_handshake p ~device_id:"dev-retire" ~window:4 in
+      Peer.send p N.Codec.Ready;
+      Peer.send p N.Codec.Ready;
+      let requests =
+        List.init 2 (fun _ ->
+            match Peer.msg p with
+            | N.Codec.Request_seq { seq; challenge; args } ->
+              (seq, { C.Protocol.challenge; args })
+            | m -> Alcotest.failf "expected Request#seq, got %a"
+                     N.Codec.pp_msg m)
+      in
+      let verdict seq =
+        match Peer.msg p with
+        | N.Codec.Verdict_seq { seq = s; accepted = false; findings }
+          when s = seq -> findings
+        | m -> Alcotest.failf "expected rejection #%d, got %a" seq
+                 N.Codec.pp_msg m
+      in
+      Peer.send p (N.Codec.Report_seq { seq = 0; wire = "garbage" });
+      check_bool "round 0 is bad-report" true
+        (List.exists (fun (k, _) -> k = "bad-report") (verdict 0));
+      let report, _ =
+        C.Protocol.prover_execute (device ()) (List.assoc 0 requests)
+      in
+      Peer.send p (N.Codec.Report_seq { seq = 1; wire = A.Wire.encode report });
+      Alcotest.(check (list (pair string string)))
+        "round 1 answers a spent challenge"
+        [ ("bad-token", "challenge already consumed (replay)") ] (verdict 1);
+      Peer.send p N.Codec.Bye;
+      Peer.close p;
+      let stats = N.Server.stop server in
+      check_int "nothing reached the engine" 0
+        stats.N.Server.verify.F.Metrics.batch_size)
+
 (* The legacy dialect runs the pipelined machine with a window of 1,
    and keeps two quirks of its own. *)
 
@@ -1455,7 +1496,9 @@ let suites =
          ("seq frames on legacy session",
           test_hostile_seq_frames_on_legacy_session);
          ("unsequenced report on pipelined session",
-          test_hostile_unsequenced_report) ]);
+          test_hostile_unsequenced_report);
+         ("a rejected round's challenge is consumed",
+          test_rejected_round_challenge_consumed) ]);
     ("net-client",
      [ Alcotest.test_case "backoff deterministic" `Quick
          test_backoff_deterministic;
